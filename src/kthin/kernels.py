@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn, kv as _bessel_kv
 
 FAMILIES = ("gauss", "laplace", "matern", "imq", "sinc", "bspline", "sum")
 
@@ -277,6 +276,10 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
     Half-integer orders a = p + 1/2 use the exact exponential-polynomial
     form; other orders fall back to the scipy Bessel evaluation.
     """
+    # imported here: scipy.special is most of the package's import time, and
+    # only the Matern family needs it
+    from scipy.special import gamma as _gamma_fn, kv as _bessel_kv
+
     t = np.asarray(t, dtype=float)
     out = np.ones_like(t)
     pos = t > _MATERN_ZERO_CUTOFF
@@ -313,10 +316,12 @@ def _as_points(x) -> np.ndarray:
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # coordinate-wise accumulation: deterministic regardless of BLAS threading
-    out = np.zeros((x.shape[0], y.shape[0]))
-    for j in range(x.shape[1]):
-        diff = x[:, j, None] - y[None, :, j]
-        out += diff * diff
+    out = x[..., 0] - y[..., 0]
+    out *= out
+    for j in range(1, x.shape[-1]):
+        diff = x[..., j] - y[..., j]
+        diff *= diff
+        out += diff
     return out
 
 
@@ -331,15 +336,23 @@ def gram(k: KernelSpec, x, y=None) -> np.ndarray:
     if x.shape[1] != y.shape[1]:
         raise KernelError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     k.validate_dim(x.shape[1])
-    return _gram_validated(k, x, y)
+    return evaluate(k, x[:, None, :], y[None, :, :])
 
 
-def _gram_validated(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """k(x, y) elementwise over the broadcast of the leading axes of x and y.
+
+    The last axis of both float arrays holds the d coordinates.  Nothing is
+    validated here: callers check k against d with `k.validate_dim` once.
+    Every entry is computed by the same arithmetic whatever the shapes, so
+    `gram` and the split stage, which both evaluate through this function,
+    agree bitwise on every pair.
+    """
     fam = k.family
     if fam == "sum":
-        out = _gram_validated(k.components[0], x, y)
+        out = evaluate(k.components[0], x, y)
         for c in k.components[1:]:
-            out += _gram_validated(c, x, y)
+            out += evaluate(c, x, y)
         if k.scale != 1.0:
             out *= k.scale
         return out
@@ -348,23 +361,23 @@ def _gram_validated(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     elif fam == "laplace":
         out = np.exp(-np.sqrt(_sq_dists(x, y)) / k.sigma)
     elif fam == "matern":
-        a = k.nu - x.shape[1] / 2.0
+        a = k.nu - x.shape[-1] / 2.0
         out = _matern_profile(a, k.gamma * np.sqrt(_sq_dists(x, y)))
     elif fam == "imq":
         out = (1.0 + _sq_dists(x, y) / k.gamma**2) ** (-k.nu)
     elif fam == "sinc":
-        out = _sinc_univariate(k.theta * (x[:, 0, None] - y[None, :, 0]))
-        for j in range(1, x.shape[1]):
-            out *= _sinc_univariate(k.theta * (x[:, j, None] - y[None, :, j]))
+        out = _sinc_univariate(k.theta * (x[..., 0] - y[..., 0]))
+        for j in range(1, x.shape[-1]):
+            out *= _sinc_univariate(k.theta * (x[..., j] - y[..., j]))
     elif fam == "bspline":
         # evaluate at |z_j|: h is even, and this keeps Grams exactly symmetric
         center = _bspline_center(k.beta)
         order = 2 * k.beta + 2
-        out = _cardinal_bspline(order, np.abs(k.gamma * (x[:, 0, None] - y[None, :, 0])))
+        out = _cardinal_bspline(order, np.abs(k.gamma * (x[..., 0] - y[..., 0])))
         out /= center
-        for j in range(1, x.shape[1]):
+        for j in range(1, x.shape[-1]):
             out *= (
-                _cardinal_bspline(order, np.abs(k.gamma * (x[:, j, None] - y[None, :, j])))
+                _cardinal_bspline(order, np.abs(k.gamma * (x[..., j] - y[..., j])))
                 / center
             )
     else:

@@ -15,6 +15,7 @@ exp(-(1/d) sum_j |x_j - u_j|) with u frozen uniform in the unit cube.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -99,24 +100,26 @@ class ExternalTarget:
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
 
-    def _load(self) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(head, tail) of the file, read on first use and kept."""
         data = ingest(self.path, self.format, burn_in=self.burn_in)
         cut = int(round(len(data) * (1.0 - self.holdout_fraction)))
         return data[:cut], data[cut:]
 
     @property
     def dim(self) -> int:
-        head, _ = self._load()
+        head, _ = self._rows
         return head.shape[1]
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        head, _ = self._load()
+        head, _ = self._rows
         if n > len(head):
             raise IngestError(f"requested {n} points but file provides {len(head)}")
         return _thin_to(head, n)
 
     def holdout(self, n: int) -> np.ndarray:
-        _, tail = self._load()
+        _, tail = self._rows
         if len(tail) == 0:
             raise IngestError("no held-out rows: holdout_fraction is 0")
         return _thin_to(tail, min(n, len(tail)))

@@ -13,10 +13,13 @@ baseline does.
 
 Randomness is confined to the split stage and drawn from counter-based
 streams keyed by (round, level, slot), so results are reproducible across
-platforms and independent of evaluation order.  Swap decisions depend on
-the split kernel only through scale-free ratios, so the kernel's scale
-factor is divided out up front; c * k yields the same candidates as k under
-the same seed, bitwise.
+platforms and independent of evaluation order.  The split draws every
+(round, level, slot) uniform up front in one vectorized Philox pass
+(`rng.swap_uniforms`), bit-identical to drawing each with `rng.swap_uniform`,
+and halves all slots of a level in one array operation.  Swap decisions
+depend on the split kernel only through scale-free ratios, so the kernel's
+scale factor is divided out up front; c * k yields the same candidates as k
+under the same seed, bitwise.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ import numpy as np
 
 from . import rng
 from .discrepancy import SwapCache, kernel_row_means
-from .kernels import (
+# gram is not called here; it stays a module attribute because
+# perfbench/spans.py traces the kernel boundary by wrapping
+# kthin.thinning.gram and kthin.thinning.gram_rows
+from .kernels import (  # noqa: F401
     IdentityPerturbedKernel,
     KernelSpec,
     KernelError,
+    evaluate,
     gram,
     gram_rows,
     ktplus_kernel,
@@ -128,67 +135,25 @@ class Coreset:
 
 
 # ---------------------------------------------------------------------------
-# split-kernel evaluation helpers
+# the input boundary
 # ---------------------------------------------------------------------------
 
-class _SplitEvaluator:
-    """Index-based kernel evaluation for the split stage.
+def _as_input(points) -> np.ndarray:
+    """The input as an (n, d) float array; a 1-D input is n points in d = 1.
 
-    The kernel's scale factor is divided out: the swap statistic ratio and
-    the scale-parameter recursion are invariant to positive rescaling, so
-    normalizing makes that invariance exact in floating point.
+    Non-finite coordinates are rejected here: a NaN makes every swap
+    statistic NaN, and the split would silently never swap.
     """
-
-    def __init__(self, kernel: KernelSpec, points: np.ndarray):
-        kernel.validate_dim(points.shape[1])
-        self.kernel = kernel.normalized()
-        self.points = points
-        self.diag_value = self.kernel.sup_norm()
-
-    def pair(self, i: int, j: int) -> float:
-        return float(gram_rows(self.kernel, self.points, [i], [j])[0, 0])
-
-    def rows_pair(self, idxs: list, j1: int, j2: int) -> tuple[np.ndarray, np.ndarray]:
-        """k(points[idxs], points[j1]) and k(points[idxs], points[j2])."""
-        if not idxs:
-            return np.zeros(0), np.zeros(0)
-        block = gram_rows(self.kernel, self.points, idxs, [j1, j2])
-        return block[:, 0], block[:, 1]
-
-    def diag(self, i: int) -> float:
-        return self.diag_value
-
-
-class _PerturbedSplitEvaluator(_SplitEvaluator):
-    """Split evaluation under the identity-perturbed kernel on indexed inputs."""
-
-    def __init__(self, kernel: IdentityPerturbedKernel, points: np.ndarray):
-        super().__init__(kernel.base, points)
-        self.weight = kernel.weight
-
-    def pair(self, i: int, j: int) -> float:
-        val = super().pair(i, j)
-        return val + self.weight if i == j else val
-
-    def rows_pair(self, idxs: list, j1: int, j2: int) -> tuple[np.ndarray, np.ndarray]:
-        v1, v2 = super().rows_pair(idxs, j1, j2)
-        for pos, idx in enumerate(idxs):
-            if idx == j1:
-                v1[pos] += self.weight
-            if idx == j2:
-                v2[pos] += self.weight
-        return v1, v2
-
-    def diag(self, i: int) -> float:
-        return self.diag_value + self.weight
-
-
-def _make_split_evaluator(kernel, points: np.ndarray) -> _SplitEvaluator:
-    if isinstance(kernel, IdentityPerturbedKernel):
-        return _PerturbedSplitEvaluator(kernel, points)
-    if isinstance(kernel, KernelSpec):
-        return _SplitEvaluator(kernel, points)
-    raise KernelError(f"unsupported split kernel type {type(kernel).__name__}")
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (n, d) array, got shape {points.shape}")
+    finite = np.isfinite(points)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite input value at row {int(r)}, column {int(c)}")
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +172,28 @@ def get_swap_params(sigma_sq: float, b_sq: float, delta_hat: float) -> tuple[flo
       (threshold a, updated sigma_sq).  With sigma = 0 the update reduces to
       sigma_sq = b_sq.
     """
-    # log term clamped at 0: extreme schedules can push delta_hat above 2
-    log_term = max(0.0, 2.0 * math.log(2.0 / delta_hat))
+    log_term = _log_term(delta_hat)
     a = max(math.sqrt(b_sq * sigma_sq * log_term), b_sq)
     growth = max(0.0, 1.0 + (b_sq - 2.0 * a) * sigma_sq / (a * a))
     return a, sigma_sq + b_sq * growth
 
 
+def _log_term(delta_hat: float) -> float:
+    # clamped at 0: extreme schedules can push delta_hat above 2
+    return max(0.0, 2.0 * math.log(2.0 / delta_hat))
+
+
 def swap_probability(alpha: float, a: float) -> float:
     """min(1, (1 - alpha/a)_+ / 2): always in [0, 1], and 1/2 when alpha = 0."""
     return min(1.0, max(0.0, 0.5 * (1.0 - alpha / a)))
+
+
+# the weights a parent records for its pair (x, x~), one row per point and
+# one column per kernel argument: alpha takes +(k(y, x) - k(y, x~)) for
+# points y that went right and -(k(y, x) - k(y, x~)) for those that went
+# left, and x goes left unless the pair swaps
+_WEIGHTS_KEPT = np.array([[-1.0, 1.0], [1.0, -1.0]])
+_WEIGHTS_SWAPPED = -_WEIGHTS_KEPT
 
 
 def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = False) -> list[np.ndarray]:
@@ -226,6 +203,20 @@ def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = Fal
     the final point is skipped here (it stays eligible for the refinement
     stage).  Returns index arrays into `points`.
 
+    Round i halves, at every level j <= m with 2^(j-1) dividing i, the last
+    pair (x, x~) of each of the level's 2^(j-1) parent coresets; all slots of
+    a level are one array operation.  The pair splits against
+
+        alpha = sum_{y in right child} [k(y, x) - k(y, x~)]
+                - sum_{y in left child} [k(y, x) - k(y, x~)],
+
+    which equals the parent/left-child form of the algorithm (the pair's own
+    terms cancel).  It never meets a pair's own index, so the identity
+    perturbation only adds 2w to b^2 = k(x, x) + k(x~, x~) - 2 k(x, x~).
+    Each level keeps its coresets' coordinates in a buffer and, per point,
+    the signed weights of the child it went to, so alpha is one weighted sum
+    over the parent's points already passed down.
+
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
       points: (n, d) input array.
@@ -234,85 +225,107 @@ def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = Fal
       _check_invariants: assert size and partition invariants of the
         internal state after every round (debug builds / tests only).
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    n = len(points)
+    points = _as_input(points)
+    n, d = points.shape
     if n < 2:
         raise ValueError(f"kt_split needs at least 2 points, got {n}")
     m = cfg.m
     if n // 2 ** m < 1:
         raise ValueError(f"m={m} too large for n={n}: output would be empty")
-    ev = _make_split_evaluator(k_split, points)
+    # the scale factor is divided out: the swap ratio and the scale recursion
+    # are invariant to positive rescaling, and this makes that exact
+    if isinstance(k_split, IdentityPerturbedKernel):
+        kernel, weight = k_split.base.normalized(), k_split.weight
+    elif isinstance(k_split, KernelSpec):
+        kernel, weight = k_split.normalized(), 0.0
+    else:
+        raise KernelError(f"unsupported split kernel type {type(k_split).__name__}")
+    kernel.validate_dim(d)
+    diag = kernel.sup_norm() + weight
     sched = cfg.delta_schedule
+    rounds = n // 2
 
-    # coresets[j][l] for level j in 0..m, slot l in 0..2^j - 1 (0-based slots)
-    coresets: list[list[list[int]]] = [
-        [[] for _ in range(2 ** j)] for j in range(m + 1)
+    # Level j holds 2^j coresets of up to cap[j] points; level 0 is the
+    # input.  Siblings 2l and 2l+1 sit side by side in the (2^(j-1), 2, ...)
+    # views; unfilled index slots hold -1, which the invariants check.
+    cap = [2 * rounds >> j for j in range(m + 1)]
+    coords = [points[None, :2 * rounds]]
+    idx = [np.arange(2 * rounds)[None]]
+    for j in range(1, m + 1):
+        if j < m:
+            coords.append(np.empty((2 ** (j - 1), 2, cap[j], d)))
+        idx.append(np.full((2 ** (j - 1), 2, cap[j]), -1))
+    weights = [np.empty((2 ** j, cap[j], 2)) for j in range(m)]
+    sigma_sq = [None] + [np.zeros(2 ** (j - 1)) for j in range(1, m + 1)]
+    uniforms = _split_uniforms(cfg.seed, rounds, m)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(1, rounds + 1):
+            # levels 1 .. 1 + (trailing zero bits of i) halve this round
+            for j in range(1, min(m, (i & -i).bit_length()) + 1):
+                t = i >> (j - 1)  # each parent now holds 2t points
+                c = 2 * t - 2  # ... of which c were passed down before
+                parent = coords[j - 1].reshape(2 ** (j - 1), -1, d)[:, :c + 2]
+                pair = parent[:, c:]
+                # k(y, x) and k(y, x~) for every point y of each parent
+                k_y = evaluate(kernel, parent[:, :, None, :], pair[:, None, :, :])
+                alpha = (k_y[:, :c] * weights[j - 1][:, :c]).sum(axis=(1, 2))
+                b_sq = np.maximum(diag + diag - 2.0 * k_y[:, c, 1], 0.0)
+
+                delta_hat = sched.value(t, n, m) * 2 ** (j - 1) / m
+                sig = sigma_sq[j]
+                a = np.maximum(np.sqrt(b_sq * sig * _log_term(delta_hat)), b_sq)
+                growth = np.maximum(1.0 + (b_sq - 2.0 * a) * sig / (a * a), 0.0)
+                # b^2 = 0: either assignment is equivalent and the threshold
+                # and scale update are 0/0, so the pair neither swaps nor
+                # updates sigma
+                moved = b_sq > 0.0
+                sigma_sq[j] = np.where(moved, sig + b_sq * growth, sig)
+                # u in [0, 1) falls below 0.5 (1 - alpha / a) exactly when it
+                # falls below swap_probability(alpha, a), its clamp to [0, 1]
+                swap = ((uniforms[j][t - 1] < 0.5 * (1.0 - alpha / a)) & moved)[:, None, None]
+
+                weights[j - 1][:, c:c + 2] = np.where(swap, _WEIGHTS_SWAPPED, _WEIGHTS_KEPT)
+                # children 2l and 2l+1 receive (x, x~), reversed on a swap
+                pair_idx = idx[j - 1].reshape(2 ** (j - 1), -1)[:, c:c + 2]
+                idx[j][:, :, t - 1] = np.where(swap[:, :, 0], pair_idx[:, ::-1], pair_idx)
+                if j < m:
+                    coords[j][:, :, t - 1] = np.where(swap, pair[:, ::-1], pair)
+            if _check_invariants:
+                _assert_split_invariants(idx, consumed=2 * i)
+
+    return list(idx[m].reshape(2 ** m, -1))
+
+
+def _split_uniforms(seed: int, rounds: int, m: int) -> list:
+    """uniforms[j][t - 1, l - 1] = swap_uniform(seed, t 2^(j-1), j, l), the
+    draw of slot l at the t-th halving of level j, from one Philox pass.
+
+    Level j's visits are numbered k = 0, 1, ... in (round, slot) order, so
+    visit k is slot (k mod 2^(j-1)) + 1 of round k - (k mod 2^(j-1)) + 2^(j-1).
+    """
+    visit = np.arange(rounds)
+    level = np.arange(1, m + 1)[:, None]
+    width = 1 << (level - 1)
+    slot = visit & (width - 1)
+    grid = rng.swap_uniforms(seed, visit - slot + width, level, slot + 1)
+    return [None] + [
+        grid[j - 1, :rounds >> (j - 1) << (j - 1)].reshape(-1, 2 ** (j - 1))
+        for j in range(1, m + 1)
     ]
-    sigma_sq = [np.zeros(2 ** max(j - 1, 0)) for j in range(m + 1)]
-
-    for i in range(1, n // 2 + 1):
-        coresets[0][0].append(2 * i - 2)
-        coresets[0][0].append(2 * i - 1)
-        j = 1
-        while j <= m and i % 2 ** (j - 1) == 0:
-            for l in range(2 ** (j - 1)):
-                parent = coresets[j - 1][l]
-                left_child = coresets[j][2 * l]
-                x, xt = parent[-2], parent[-1]
-
-                k_xx = ev.diag(x)
-                k_tt = ev.diag(xt)
-                k_xt = ev.pair(x, xt)
-                b_sq = max(0.0, k_xx + k_tt - 2.0 * k_xt)
-
-                if b_sq == 0.0:
-                    # identical pair: either assignment is equivalent, and the
-                    # threshold/scale update would be 0/0
-                    left_child.append(x)
-                    coresets[j][2 * l + 1].append(xt)
-                    continue
-
-                delta_i = sched.value(len(parent) // 2, n, m)
-                a, sigma_sq[j][l] = get_swap_params(
-                    float(sigma_sq[j][l]), b_sq, delta_i * 2 ** (j - 1) / m
-                )
-
-                # alignment of the pair difference with the running signed sum:
-                # alpha = k(xt,xt) - k(x,x) + sum_{y in parent} (k(y,x) - k(y,xt))
-                #         - 2 sum_{z in left child} (k(z,x) - k(z,xt))
-                par_x, par_t = ev.rows_pair(parent, x, xt)
-                alpha = k_tt - k_xx + float(np.sum(par_x) - np.sum(par_t))
-                if left_child:
-                    ch_x, ch_t = ev.rows_pair(left_child, x, xt)
-                    alpha -= 2.0 * float(np.sum(ch_x) - np.sum(ch_t))
-
-                prob = swap_probability(alpha, a)
-                if rng.swap_uniform(cfg.seed, i, j, l + 1) < prob:
-                    x, xt = xt, x
-                left_child.append(x)
-                coresets[j][2 * l + 1].append(xt)
-            j += 1
-        if _check_invariants:
-            _assert_split_invariants(coresets, m, consumed=2 * i)
-
-    return [np.asarray(c, dtype=int) for c in coresets[m]]
 
 
-def _assert_split_invariants(coresets, m: int, consumed: int) -> None:
+def _assert_split_invariants(idx: list, consumed: int) -> None:
     """After consuming `consumed` input points, each level-j coreset holds
     floor(consumed / 2^j) of them, and sibling pairs partition the prefix of
     their parent that has been passed down."""
-    for j in range(m + 1):
-        for l, c in enumerate(coresets[j]):
-            assert len(c) == consumed // 2 ** j, (j, l, len(c), consumed)
-    for j in range(1, m + 1):
-        for l in range(2 ** (j - 1)):
-            left, right = coresets[j][2 * l], coresets[j][2 * l + 1]
-            parent = coresets[j - 1][l]
-            merged = sorted(left + right)
-            assert merged == sorted(parent[: len(merged)]), (j, l)
+    for j in range(1, len(idx)):
+        filled = consumed >> j
+        assert (idx[j][:, :, :filled] >= 0).all(), (j, consumed)
+        assert (idx[j][:, :, filled:] == -1).all(), (j, consumed)
+        siblings = idx[j][:, :, :filled].reshape(2 ** (j - 1), 2 * filled)
+        parents = idx[j - 1].reshape(2 ** (j - 1), -1)[:, :2 * filled]
+        assert np.array_equal(np.sort(siblings, axis=1), np.sort(parents, axis=1)), (j, consumed)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +359,7 @@ def kt_swap(
     The incumbent is always a valid replacement, so MMD never increases and
     the result never exceeds the baseline's MMD to the input.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _as_input(points)
     n = len(points)
     if not candidates:
         raise ValueError("kt_swap needs at least one candidate coreset")
@@ -370,7 +381,7 @@ def kt_swap(
     mmd_sqs = []
     for c in pool:
         s = float(len(c))
-        coreset_self = float(gram(k, points[c], points[c]).sum()) / (s * s)
+        coreset_self = float(gram_rows(k, points, c, c).sum()) / (s * s)
         cross = 2.0 * float(row_mean[c].mean())
         mmd_sqs.append(max(0.0, input_self + coreset_self - cross))
     chosen = int(np.argmin(mmd_sqs))
@@ -419,9 +430,7 @@ def _sigma_diagnostics(n: int, m: int, sched: DeltaSchedule, k_sup: float) -> di
 
 def generalized_kt(k_split, k_target: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
     """Split with k_split, then select and refine with k_target."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _as_input(points)
     candidates = kt_split(k_split, points, cfg)
     out = kt_swap(k_target, points, candidates, cfg)
     sup = (
@@ -451,9 +460,7 @@ def power_kt(
     If the family has no closed-form power kernel, pass `split_kernel`
     explicitly.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _as_input(points)
     if split_kernel is None:
         split_kernel = power_kernel(k, alpha, dim=points.shape[1]).power
     out = generalized_kt(split_kernel, k, points, cfg)
@@ -474,9 +481,7 @@ def kt_plus(
     `split_kernel`, when given, replaces the closed-form power kernel as the
     second summand.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _as_input(points)
     if split_kernel is None:
         split_kernel = power_kernel(k, alpha, dim=points.shape[1]).power
     out = generalized_kt(ktplus_kernel(k, split_kernel), k, points, cfg)

@@ -1,6 +1,9 @@
 """Kernel family evaluation, invariants, and power/sum constructions."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,3 +383,22 @@ def test_json_errors():
         kn.from_json('{"family": "cauchy", "params": {}}')
     with pytest.raises(kn.KernelError):
         kn.from_json('{"family": "gauss", "params": {"wrong": 1.0}}')
+
+
+def test_scipy_special_is_imported_only_for_matern():
+    # scipy.special is most of the package's import time; only the Matern
+    # family evaluates it, so a gauss pipeline must not load it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import kthin\n"
+        "x = np.random.default_rng(0).normal(size=(64, 2))\n"
+        "kthin.target_kt(kthin.gauss(1.0), x, kthin.ThinningConfig(m=2, seed=0))\n"
+        "assert 'scipy.special' not in sys.modules, 'loaded by the gauss pipeline'\n"
+        "kthin.gram(kthin.matern(2.5, 1.0), x)\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(kn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -155,6 +155,36 @@ def test_external_target_split(tmp_path):
         ext.sample(30, seed=0)
 
 
+def test_external_target_reads_its_file_once(tmp_path, monkeypatch):
+    # the harness asks for dim, sample and holdout in every cell of a plan
+    import kthin.targets
+    from kthin.harness import ExperimentPlan, Variant, run_experiment
+
+    path = tmp_path / "chain.csv"
+    path.write_text("\n".join(f"{math.sin(v)},{math.cos(3 * v)}" for v in range(600)) + "\n")
+    calls = []
+
+    def counting_ingest(*args, **kwargs):
+        calls.append(args)
+        return ingest(*args, **kwargs)
+
+    monkeypatch.setattr(kthin.targets, "ingest", counting_ingest)
+    plan = ExperimentPlan(
+        target=ExternalTarget(str(path)),
+        kernel=kn.gauss(1.0),
+        variants=(Variant("standard"), Variant("targetkt")),
+        sizes=(16, 64),
+        replicates=2,
+        seed=3,
+        metrics=("mmd_input", "mmd_surrogate"),
+        test_functions=("moment1", "cif"),
+        surrogate_size=128,
+    )
+    report = run_experiment(plan)
+    assert report.rows
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # test functions
 # ---------------------------------------------------------------------------

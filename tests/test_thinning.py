@@ -152,6 +152,31 @@ def test_split_determinism():
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["kt_split", "kt_swap", "generalized_kt", "power_kt", "kt_plus"])
+def test_non_finite_input_rejected_at_every_entry(entry, bad):
+    # a NaN would make every alpha NaN and the split would never swap
+    x = np.array([[0.0], [bad], [1.0], [2.0]])
+    cfg = ThinningConfig(m=1, seed=0)
+    calls = {
+        "kt_split": lambda: kt_split(K, x, cfg),
+        "kt_swap": lambda: kt_swap(K, x, [np.array([0, 2]), np.array([1, 3])], cfg),
+        "generalized_kt": lambda: generalized_kt(K, K, x, cfg),
+        "power_kt": lambda: power_kt(K, x, cfg, alpha=0.5),
+        "kt_plus": lambda: kt_plus(K, x, cfg, alpha=0.5),
+    }
+    with pytest.raises(ValueError, match="non-finite input value at row 1, column 0"):
+        calls[entry]()
+
+
+def test_one_dimensional_input_is_a_column():
+    x = gauss_points(3, 32, d=1)
+    cfg = ThinningConfig(m=2, seed=8)
+    assert all(np.array_equal(a, b) for a, b in zip(kt_split(K, x[:, 0], cfg), kt_split(K, x, cfg)))
+    with pytest.raises(ValueError, match=r"\(n, d\) array"):
+        kt_split(K, np.zeros((4, 1, 1)), cfg)
+
+
 def test_split_errors():
     with pytest.raises(ValueError, match="at least 2"):
         kt_split(K, np.zeros((1, 1)), ThinningConfig(m=1, seed=0))
