@@ -7,9 +7,17 @@ closed-form kernel double sums
             - 2 sum_ij w_i v_j k(x_i, y_j),
 
 clamped at zero before the square root to absorb negative rounding dust.
-Double sums accumulate in double precision through numpy's pairwise
-summation; cross terms against large reference sets are evaluated in row
-chunks so the full Gram matrix is never materialized.
+Each double sum is evaluated over square _CHUNK x _CHUNK tiles of the Gram
+matrix, one 2 MB tile at a time, so the full matrix is never materialized
+and the working set stays in cache.  A self-term sum_ij w_i w_j k(x_i, x_j) is symmetric: only
+the tiles on and above the diagonal are evaluated, and each off-diagonal
+tile's contribution is counted twice, which halves the kernel evaluations.
+Within a tile the sums accumulate in double precision through numpy's
+pairwise summation.
+
+Point arrays are coerced and validated once, by `_as_input`, which thinning
+uses too: empty input and NaN or inf coordinates are rejected at the
+boundary instead of surfacing as a NaN MMD.
 
 The SwapCache supports the coreset refinement loop: given a fixed input set
 and a current coreset, it answers "how does MMD^2 change if coreset slot i
@@ -25,11 +33,29 @@ import numpy as np
 
 from .kernels import KernelSpec, gauss_power_exact, gram
 
-_CHUNK = 512  # rows per block when streaming Gram products
+_CHUNK = 512  # side of the square Gram tiles; rows per block of row means
 
 
 class StaleCacheError(RuntimeError):
     """A SwapCache was queried with an outdated generation token."""
+
+
+def _as_input(points) -> np.ndarray:
+    """The input as an (n, d) float array; a 1-D input is n points in d = 1.
+
+    Non-finite coordinates are rejected here: a NaN makes every swap
+    statistic and every MMD NaN, and the split would silently never swap.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2:
+        raise ValueError(f"points must be an (n, d) array, got shape {points.shape}")
+    finite = np.isfinite(points)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite input value at row {int(r)}, column {int(c)}")
+    return points
 
 
 @dataclass(frozen=True)
@@ -40,9 +66,9 @@ class DiscreteMeasure:
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _as_input(self.points)
+        if len(pts) == 0:
+            raise ValueError("a discrete measure needs at least one point")
         object.__setattr__(self, "points", pts)
         if self.weights is None:
             w = np.full(len(pts), 1.0 / len(pts))
@@ -50,6 +76,8 @@ class DiscreteMeasure:
             w = np.asarray(self.weights, dtype=float)
         if w.shape != (len(pts),):
             raise ValueError(f"weights shape {w.shape} does not match {len(pts)} points")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -61,13 +89,29 @@ class DiscreteMeasure:
         return self.points.shape[1]
 
 
-def _quadratic_form(k: KernelSpec, x, wx, y, wy) -> float:
-    """sum_ij wx_i wy_j k(x_i, y_j), streamed over row chunks of x."""
+def _quadratic_form(k: KernelSpec, x, wx, y=None, wy=None) -> float:
+    """sum_ij wx_i wy_j k(x_i, y_j), summed over square _CHUNK tiles.
+
+    With y omitted this is the self-term sum_ij wx_i wx_j k(x_i, x_j): only
+    the tiles on and above the diagonal are evaluated, and each one above
+    it counts twice.  When y fits in one tile the cross form is the row
+    blocks of x against all of y.
+    """
+    symmetric = y is None
+    if symmetric:
+        y, wy = x, wx
     total = 0.0
-    for start in range(0, len(x), _CHUNK):
-        block = gram(k, x[start:start + _CHUNK], y)
-        total += float(wx[start:start + _CHUNK] @ (block @ wy))
+    for i in range(0, len(x), _CHUNK):
+        xi, wi = x[i:i + _CHUNK], wx[i:i + _CHUNK]
+        for j in range(i if symmetric else 0, len(y), _CHUNK):
+            part = float(wi @ (gram(k, xi, y[j:j + _CHUNK]) @ wy[j:j + _CHUNK]))
+            total += 2.0 * part if symmetric and j != i else part
     return total
+
+
+def _clamped_sqrt(mmd_sq: float) -> float:
+    """sqrt(max(mmd_sq, 0)); a NaN stays NaN instead of reading as MMD 0."""
+    return float(np.sqrt(max(mmd_sq, 0.0)))
 
 
 def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
@@ -75,11 +119,11 @@ def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     val = (
-        _quadratic_form(k, p.points, p.weights, p.points, p.weights)
-        + _quadratic_form(k, q.points, q.weights, q.points, q.weights)
+        _quadratic_form(k, p.points, p.weights)
+        + _quadratic_form(k, q.points, q.weights)
         - 2.0 * _quadratic_form(k, p.points, p.weights, q.points, q.weights)
     )
-    return float(np.sqrt(max(val, 0.0)))
+    return _clamped_sqrt(val)
 
 
 def mmd_points(k: KernelSpec, x, y) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .discrepancy import _quadratic_form
+from .discrepancy import _clamped_sqrt, _quadratic_form
 from .kernels import (
     KernelSpec,
     NoClosedFormPowerError,
@@ -203,14 +203,14 @@ class _ReferenceMMD:
         self.ref = ref
         w = np.full(len(ref), 1.0 / len(ref))
         self._w = w
-        self.self_term = _quadratic_form(k, ref, w, ref, w)
+        self.self_term = _quadratic_form(k, ref, w)
 
     def mmd_to(self, out: np.ndarray) -> float:
         s = len(out)
         out_self = float(gram(self.kernel, out, out).sum()) / (s * s)
         wv = np.full(s, 1.0 / s)
         cross = _quadratic_form(self.kernel, self.ref, self._w, out, wv)
-        return float(np.sqrt(max(0.0, self.self_term + out_self - 2.0 * cross)))
+        return _clamped_sqrt(self.self_term + out_self - 2.0 * cross)
 
 
 def _make_test_functions(plan: ExperimentPlan, k: KernelSpec) -> dict[str, TestFunction]:

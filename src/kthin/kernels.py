@@ -22,6 +22,7 @@ invariant to that constant, so it is left at 1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -255,8 +256,13 @@ def _cardinal_bspline(order: int, t: np.ndarray) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=None)
 def _bspline_center(beta: int) -> float:
-    """h_beta(0), the per-coordinate normalizer of the bspline family."""
+    """h_beta(0), the per-coordinate normalizer of the bspline family.
+
+    Memoized: `evaluate` divides by it on every call, and the split calls
+    `evaluate` once per step.
+    """
     return float(_cardinal_bspline(2 * beta + 2, np.asarray(0.0)))
 
 

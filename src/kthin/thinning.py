@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import rng
-from .discrepancy import SwapCache, kernel_row_means
+from .discrepancy import SwapCache, _as_input, kernel_row_means
 # gram is not called here; it stays a module attribute because
 # perfbench/spans.py traces the kernel boundary by wrapping
 # kthin.thinning.gram and kthin.thinning.gram_rows
@@ -74,7 +74,7 @@ class DeltaSchedule:
 
 @dataclass(frozen=True)
 class ThinningConfig:
-    """Thinning depth, failure-probability schedule, seed, and baseline rule.
+    """Thinning depth, failure-probability schedule, seed, and refinement sweeps.
 
     The output size is floor(n / 2^m).  Kernels are passed to the thinning
     operations directly rather than stored here.
@@ -83,14 +83,11 @@ class ThinningConfig:
     m: int = 1
     delta_schedule: DeltaSchedule = field(default_factory=DeltaSchedule)
     seed: int = 0
-    baseline: str = "standard"
     refine_sweeps: int = 1
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"thinning depth m must be >= 1, got {self.m}")
-        if self.baseline not in ("standard",):
-            raise ValueError(f"unknown baseline rule {self.baseline!r}")
         if self.refine_sweeps < 1:
             raise ValueError("refine_sweeps must be >= 1")
 
@@ -104,7 +101,6 @@ class ThinningConfig:
             m=obj.get("m", 1),
             delta_schedule=DeltaSchedule(**sched),
             seed=obj.get("seed", 0),
-            baseline=obj.get("baseline", "standard"),
             refine_sweeps=obj.get("refine_sweeps", 1),
         )
 
@@ -132,28 +128,6 @@ class Coreset:
 
     def to_csv(self) -> str:
         return "\n".join(["index"] + [str(i) for i in self.indices]) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# the input boundary
-# ---------------------------------------------------------------------------
-
-def _as_input(points) -> np.ndarray:
-    """The input as an (n, d) float array; a 1-D input is n points in d = 1.
-
-    Non-finite coordinates are rejected here: a NaN makes every swap
-    statistic NaN, and the split would silently never swap.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2:
-        raise ValueError(f"points must be an (n, d) array, got shape {points.shape}")
-    finite = np.isfinite(points)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise ValueError(f"non-finite input value at row {int(r)}, column {int(c)}")
-    return points
 
 
 # ---------------------------------------------------------------------------

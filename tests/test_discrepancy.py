@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from kthin import discrepancy
 from kthin import kernels as kn
 from kthin.discrepancy import (
+    _CHUNK,
     DiscreteMeasure,
     StaleCacheError,
     SwapCache,
@@ -18,6 +20,7 @@ from kthin.discrepancy import (
     mmd_points,
     mmd_swap_delta,
 )
+from kthin.harness import _ReferenceMMD
 
 
 def random_measure(rng, n_max=20, d=2):
@@ -96,6 +99,49 @@ def test_unnormalized_weights_rejected():
         DiscreteMeasure(np.zeros((2, 1)), [1.5, -0.5])
 
 
+def test_empty_measure_rejected():
+    for empty in (np.zeros((0, 2)), []):
+        with pytest.raises(ValueError, match="at least one point"):
+            DiscreteMeasure(empty)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    pts = np.zeros((3, 2))
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        DiscreteMeasure(pts)
+    with pytest.raises(ValueError, match="non-finite"):
+        mmd_points(kn.gauss(1.0), pts, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    # abs(nan - 1) > 1e-12 is False, so the sum check alone let NaN through
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure(np.zeros((2, 1)), [bad, 1.0])
+
+
+def test_nan_mmd_is_not_clamped_to_zero():
+    # mmd() and the harness's cached-reference MMD clamp the same way: a NaN
+    # that reaches the square root stays NaN instead of reading as MMD 0
+    assert math.isnan(discrepancy._clamped_sqrt(float("nan")))
+    assert discrepancy._clamped_sqrt(-1e-17) == 0.0
+    ref = np.zeros((4, 1))
+    ref[1, 0] = np.nan
+    assert math.isnan(_ReferenceMMD(kn.gauss(1.0), ref).mmd_to(np.zeros((2, 1))))
+
+
+def test_reference_mmd_matches_mmd_points():
+    # the harness's cached self-term against the uncached path, over tiles
+    rng = np.random.default_rng(5)
+    k = kn.laplace(1.3)
+    ref, out = rng.normal(size=(_CHUNK + 77, 2)), rng.normal(size=(40, 2))
+    assert _ReferenceMMD(k, ref).mmd_to(out) == pytest.approx(
+        mmd_points(k, ref, out), rel=1e-12
+    )
+
+
 def test_mmd_brute_force_equivalence():
     # chunked path vs a direct O(n^2) double loop
     rng = np.random.default_rng(4)
@@ -111,6 +157,93 @@ def test_mmd_brute_force_equivalence():
 
     direct = math.sqrt(max(0.0, brute(p, p) + brute(q, q) - 2 * brute(p, q)))
     assert mmd(k, p, q) == pytest.approx(direct, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the tiled double sum
+# ---------------------------------------------------------------------------
+
+TILE_KERNELS = [
+    kn.gauss(1.3),
+    kn.laplace(0.8),
+    kn.matern(2.5, 1.1),
+    kn.imq(0.7, 1.2),
+    kn.sinc(2.0),
+    kn.bspline(1, 1.0),
+    kn.kernel_sum(kn.gauss(0.5), kn.laplace(2.0)),
+]
+TILE_SIZES = [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 1600]
+
+
+def _weights(rng, n):
+    w = rng.random(n) + 0.05
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("ki", range(len(TILE_KERNELS)))
+def test_self_term_matches_plain_double_sum(ki):
+    k = TILE_KERNELS[ki]
+    rng = np.random.default_rng(100 + ki)
+    for ni, n in enumerate(TILE_SIZES):
+        d = 1 + (ki + ni) % 3
+        x = rng.normal(size=(n, d))
+        w = _weights(rng, n)
+        tiled = discrepancy._quadratic_form(k, x, w)
+        assert tiled == pytest.approx(w @ kn.gram(k, x) @ w, rel=1e-12, abs=0)
+        if n <= _CHUNK:
+            # one tile: the self form is the cross form, bit for bit
+            assert tiled == discrepancy._quadratic_form(k, x, w, x, w)
+
+
+@pytest.mark.parametrize("ki", range(len(TILE_KERNELS)))
+def test_cross_term_matches_plain_double_sum(ki):
+    k = TILE_KERNELS[ki]
+    rng = np.random.default_rng(200 + ki)
+    d = 1 + ki % 3
+    y = rng.normal(size=(1300, d))  # three tiles of y
+    wy = _weights(rng, len(y))
+    for n in (1, 700):
+        x = rng.normal(size=(n, d))
+        wx = _weights(rng, n)
+        assert discrepancy._quadratic_form(k, x, wx, y, wy) == pytest.approx(
+            wx @ kn.gram(k, x, y) @ wy, rel=1e-12, abs=0
+        )
+
+
+def test_cross_term_within_one_tile_keeps_row_block_arithmetic():
+    # against y of at most one tile the cross form sums the row blocks of x
+    # in order, exactly as the untiled row-block loop did
+    rng = np.random.default_rng(7)
+    k = kn.gauss(0.7)
+    x, y = rng.normal(size=(1300, 2)), rng.normal(size=(_CHUNK, 2))
+    wx, wy = _weights(rng, len(x)), _weights(rng, len(y))
+    rows = 0.0
+    for start in range(0, len(x), _CHUNK):
+        block = kn.gram(k, x[start:start + _CHUNK], y)
+        rows += float(wx[start:start + _CHUNK] @ (block @ wy))
+    assert discrepancy._quadratic_form(k, x, wx, y, wy) == rows
+
+
+def test_self_term_evaluates_upper_triangle_tiles(monkeypatch):
+    n = 4 * _CHUNK
+    tiles = n // _CHUNK
+    shapes = []
+    inner = discrepancy.gram
+
+    def counting(k, x, y=None):
+        out = inner(k, x, y)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(discrepancy, "gram", counting)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(n, 2))
+    w = np.full(n, 1.0 / n)
+    discrepancy._quadratic_form(kn.gauss(1.0), x, w)
+    assert len(shapes) == tiles * (tiles + 1) // 2
+    assert set(shapes) == {(_CHUNK, _CHUNK)}
+    evals = sum(a * b for a, b in shapes)
+    assert evals == 2_621_440  # against n^2 = 4,194,304 for the full Gram
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,17 @@ def test_bspline_center_value():
     assert abs(_bspline_convolution_oracle(1, 0.0) - 2.0 / 3.0) < 1e-3
 
 
+def test_bspline_center_memoized_bitwise():
+    k = kn.bspline(2, 0.9)
+    x = random_points(9, 40, 2)
+    kn._bspline_center.cache_clear()
+    first = kn.gram(k, x)
+    for _ in range(3):
+        assert np.array_equal(kn.gram(k, x), first)
+    assert kn._bspline_center.cache_info().misses == 1
+    assert kn._bspline_center(2) == kn._bspline_center.__wrapped__(2)
+
+
 def test_bspline_matches_convolution_oracle_off_center():
     for beta, t in ((1, 0.7), (1, -1.3), (2, 0.5), (2, 2.2)):
         oracle = _bspline_convolution_oracle(beta, t)

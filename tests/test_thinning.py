@@ -85,11 +85,11 @@ def test_delta_schedules():
 def test_config_validation_and_round_trip():
     with pytest.raises(ValueError):
         ThinningConfig(m=0)
-    with pytest.raises(ValueError):
-        ThinningConfig(m=1, baseline="bogus")
     cfg = ThinningConfig(m=3, delta_schedule=DeltaSchedule("oblivious", 0.25), seed=99)
     again = ThinningConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
     assert again == cfg
+    # JSON written before the baseline field was removed still loads
+    assert ThinningConfig.from_json_dict({"m": 3, "seed": 99, "baseline": "standard"}).m == 3
 
 
 # ---------------------------------------------------------------------------
