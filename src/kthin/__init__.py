@@ -6,7 +6,6 @@ from .kernels import (
     KernelError,
     NoClosedFormPowerError,
     PowerKernelPair,
-    IndexedPoints,
     IdentityPerturbedKernel,
     bspline,
     bspline_univariate,
@@ -46,6 +45,7 @@ from .thinning import (
     kt_split,
     kt_swap,
     power_kt,
+    split_kernel_for,
     swap_probability,
     target_kt,
 )
@@ -55,7 +55,6 @@ from .targets import (
     IngestError,
     MogTarget,
     TestFunction,
-    eval_test_function,
     ingest,
     make_cif,
     make_rkhs_witness,

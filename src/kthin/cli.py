@@ -23,7 +23,8 @@ from .discrepancy import DiscreteMeasure, mmd
 from .harness import ExperimentPlan, run_experiment
 from .kernels import KernelError, NoClosedFormPowerError, from_json as kernel_from_json, power_kernel
 from .targets import IngestError, ingest, target_from_json_dict
-from .thinning import DeltaSchedule, ThinningConfig, generalized_kt, kt_plus, power_kt, target_kt
+from .thinning import (DeltaSchedule, ThinningConfig, generalized_kt, kt_plus, power_kt,
+                       split_kernel_for, target_kt)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,14 +60,12 @@ def _cmd_thin(args) -> int:
     split = kernel_from_json(args.split_kernel) if args.split_kernel else None
     if args.variant == "targetkt":
         coreset = target_kt(kernel, points, cfg)
-    elif args.variant == "powerkt":
-        coreset = power_kt(kernel, points, cfg, alpha=args.alpha, split_kernel=split)
-    elif args.variant == "ktplus":
-        coreset = kt_plus(kernel, points, cfg, alpha=args.alpha, split_kernel=split)
-    else:  # generalized
-        if split is None:
-            raise KernelError("--variant generalized requires --split-kernel")
-        coreset = generalized_kt(split, kernel, points, cfg)
+    elif args.variant == "generalized":
+        k_split = split_kernel_for("generalized", kernel, points.shape[1], split_kernel=split)
+        coreset = generalized_kt(k_split, kernel, points, cfg)
+    else:
+        front = power_kt if args.variant == "powerkt" else kt_plus
+        coreset = front(kernel, points, cfg, alpha=args.alpha, split_kernel=split)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(coreset.to_csv())
     side = os.path.splitext(args.out)[0] + ".json"

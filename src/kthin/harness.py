@@ -52,6 +52,7 @@ from .thinning import (
     baseline_thin,
     kt_plus,
     power_kt,
+    split_kernel_for,
     target_kt,
 )
 
@@ -68,7 +69,8 @@ _CIF_SALT = 9005
 
 @dataclass(frozen=True)
 class Variant:
-    """A thinning method under comparison; alpha applies to the power variants."""
+    """A thinning method under comparison; powerkt and ktplus take an alpha,
+    the others none."""
 
     name: str
     alpha: float | None = None
@@ -76,14 +78,21 @@ class Variant:
     def __post_init__(self):
         if self.name not in _VARIANT_IDS:
             raise ValueError(f"unknown variant {self.name!r}")
-        if self.name in ("powerkt", "ktplus") and self.alpha is None:
-            raise ValueError(f"variant {self.name} needs an alpha")
+        if (self.alpha is None) == (self.name in ("powerkt", "ktplus")):
+            raise ValueError(
+                f"variant {self.name} with alpha {self.alpha}: powerkt and ktplus "
+                "need an alpha, the other variants take none"
+            )
 
     @property
     def tag(self) -> str:
-        if self.alpha is not None and self.name in ("powerkt", "ktplus"):
-            return f"{self.name}(a={self.alpha:g})"
-        return self.name
+        return self.name if self.alpha is None else f"{self.name}(a={self.alpha:g})"
+
+    def _kt_variant(self) -> tuple[str, float | None]:
+        """(thinning variant, alpha) this runs: rootkt is powerkt at alpha 1/2."""
+        if self.name == "rootkt":
+            return "powerkt", 0.5
+        return self.name, self.alpha
 
     def _seed_parts(self) -> tuple[int, int]:
         alpha = self.alpha if self.alpha is not None else -1.0
@@ -179,16 +188,7 @@ def resolve_bandwidth(plan: ExperimentPlan) -> KernelSpec:
     else:
         pts = plan.target.sample(max(plan.sizes), rng.derive_seed(plan.seed, _BANDWIDTH_SALT))
         length = median_heuristic_bandwidth(pts)
-    k = plan.kernel
-    if k.family in ("gauss", "laplace"):
-        return KernelSpec(k.family, (length,), k.scale)
-    if k.family in ("matern", "imq"):
-        return KernelSpec(k.family, (k.params[0], 1.0 / length), k.scale)
-    if k.family == "sinc":
-        return KernelSpec("sinc", (1.0 / length,), k.scale)
-    if k.family == "bspline":
-        return KernelSpec("bspline", (k.params[0], 1.0 / length), k.scale)
-    raise ValueError(f"bandwidth rule cannot rescale family {k.family!r}")
+    return plan.kernel.with_lengthscale(length)
 
 
 # ---------------------------------------------------------------------------
@@ -230,30 +230,16 @@ def _make_test_functions(plan: ExperimentPlan, k: KernelSpec) -> dict[str, TestF
 
 
 def _thin(variant: Variant, k: KernelSpec, points: np.ndarray, cfg: ThinningConfig) -> Coreset:
+    # front-ends are looked up at call time: perfbench/workloads.py rebinds
+    # target_kt and power_kt here to capture the coresets
     if variant.name == "standard":
         return Coreset(baseline_thin(len(points), cfg.m), {"variant": "standard"})
     if variant.name == "targetkt":
         return target_kt(k, points, cfg)
-    if variant.name == "rootkt":
-        out = power_kt(k, points, cfg, alpha=0.5)
-        out.provenance["variant"] = "rootkt"
-        return out
-    if variant.name == "powerkt":
-        return power_kt(k, points, cfg, alpha=variant.alpha)
-    return kt_plus(k, points, cfg, alpha=variant.alpha)
-
-
-def _resolvable(variant: Variant, k: KernelSpec, dim: int) -> str | None:
-    """None if the variant can run, else the reason it cannot."""
-    if variant.name in ("rootkt", "powerkt", "ktplus"):
-        from .kernels import power_kernel
-
-        alpha = 0.5 if variant.name == "rootkt" else variant.alpha
-        try:
-            power_kernel(k, alpha, dim=dim)
-        except NoClosedFormPowerError as exc:
-            return str(exc)
-    return None
+    name, alpha = variant._kt_variant()
+    out = (power_kt if name == "powerkt" else kt_plus)(k, points, cfg, alpha=alpha)
+    out.provenance["variant"] = variant.name
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +317,15 @@ def run_experiment(
     runnable: list[Variant] = []
     skipped: list[dict] = []
     for variant in plan.variants:
-        reason = _resolvable(variant, kernel, dim)
-        if reason is None:
-            runnable.append(variant)
-        else:
-            warnings.warn(f"skipping variant {variant.tag}: {reason}")
-            skipped.append({"variant": variant.tag, "reason": reason})
+        if variant.name != "standard":
+            name, alpha = variant._kt_variant()
+            try:
+                split_kernel_for(name, kernel, dim, alpha)
+            except NoClosedFormPowerError as exc:
+                warnings.warn(f"skipping variant {variant.tag}: {exc}")
+                skipped.append({"variant": variant.tag, "reason": str(exc)})
+                continue
+        runnable.append(variant)
 
     metrics = list(plan.metrics) + [f"ierr_{n}" for n in plan.test_functions]
     test_fns = _make_test_functions(plan, kernel) if _error_injector is None else {}

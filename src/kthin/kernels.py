@@ -86,6 +86,24 @@ class KernelSpec:
             return sum(c.sup_norm() for c in self.components) * self.scale
         return self.scale
 
+    def with_lengthscale(self, length: float) -> "KernelSpec":
+        """The same kernel at length scale `length`: sigma = length for gauss
+        and laplace, gamma = 1 / length for matern, imq and bspline, theta =
+        1 / length for sinc, and each component of a sum rescaled alike.
+        Shape parameters (nu, beta) and scale multipliers are kept."""
+        if not length > 0:
+            raise KernelError(f"length scale must be positive, got {length}")
+        if self.family == "sum":
+            comps = tuple(c.with_lengthscale(length) for c in self.components)
+            return KernelSpec("sum", (), self.scale, comps)
+        if self.family in ("gauss", "laplace"):
+            params = (length,)
+        elif self.family == "sinc":
+            params = (1.0 / length,)
+        else:  # matern, imq, bspline: (shape, gamma)
+            params = (self.params[0], 1.0 / length)
+        return KernelSpec(self.family, params, self.scale)
+
     # -- parameter accessors ------------------------------------------------
 
     @property
@@ -503,28 +521,14 @@ def gauss_power_exact(sigma: float, exponent: float, dim: int) -> KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# identity-perturbed kernel on indexed points
+# identity-perturbed kernel
 # ---------------------------------------------------------------------------
 
-class IndexedPoints:
-    """A point set whose elements carry their input index.
-
-    Conceptually each point x_i is extended with the i-th standard basis
-    vector; the basis vectors are never materialized.
-    """
-
-    def __init__(self, points):
-        self.points = _as_points(points)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 class IdentityPerturbedKernel:
-    """k(x_i, x_j) / sup|k| + [i == j], defined on one indexed point set.
+    """k(x_i, x_j) / sup|k| + weight * [i == j] on the indices of one input.
 
-    Evaluating across two different IndexedPoints instances is rejected:
-    their implicit basis extensions live in different spaces.
+    A split kernel only: `kt_split` adds the identity term to each pair's
+    squared kernel distance, where the split meets both indices.
     """
 
     def __init__(self, base: KernelSpec, weight: float = 1.0):
@@ -533,19 +537,11 @@ class IdentityPerturbedKernel:
         self.base = base
         self.weight = float(weight)
 
-    def eval(self, a: IndexedPoints, i: int, b: IndexedPoints, j: int) -> float:
-        if a is not b:
-            raise KernelError("identity-perturbed kernel requires both points "
-                              "to come from the same indexed set")
-        val = kernel_eval(self.base.normalized(), a.points[i], a.points[j])
-        return val + (self.weight if i == j else 0.0)
-
-    def gram(self, a: IndexedPoints) -> np.ndarray:
-        out = gram(self.base.normalized(), a.points)
-        out[np.diag_indices_from(out)] += self.weight
-        return out
+    def sup_norm(self) -> float:
+        """1 + weight, attained on the diagonal."""
+        return 1.0 + self.weight
 
 
 def identity_perturbed(k: KernelSpec, weight: float = 1.0) -> IdentityPerturbedKernel:
-    """The identity-perturbed variant of k for use on indexed inputs."""
+    """The identity-perturbed variant of k, for use as a split kernel."""
     return IdentityPerturbedKernel(k, weight)

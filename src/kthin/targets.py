@@ -291,11 +291,6 @@ class TestFunction:
         raise ValueError(f"unknown test function {self.name!r}")
 
 
-def eval_test_function(f: TestFunction, x) -> float:
-    """f at a single point."""
-    return float(f(np.asarray(x, dtype=float)[None, :])[0])
-
-
 def make_rkhs_witness(kernel: KernelSpec, target: TargetSpec, seed: int) -> TestFunction:
     """f = k(X', .) with X' = 2X for one frozen draw X from the target."""
     x = target.sample(1, rng.derive_seed(seed, 201))[0]

@@ -74,7 +74,7 @@ class DeltaSchedule:
 
 @dataclass(frozen=True)
 class ThinningConfig:
-    """Thinning depth, failure-probability schedule, seed, and refinement sweeps.
+    """Thinning depth, failure-probability schedule, and seed.
 
     The output size is floor(n / 2^m).  Kernels are passed to the thinning
     operations directly rather than stored here.
@@ -83,13 +83,10 @@ class ThinningConfig:
     m: int = 1
     delta_schedule: DeltaSchedule = field(default_factory=DeltaSchedule)
     seed: int = 0
-    refine_sweeps: int = 1
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"thinning depth m must be >= 1, got {self.m}")
-        if self.refine_sweeps < 1:
-            raise ValueError("refine_sweeps must be >= 1")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -101,7 +98,6 @@ class ThinningConfig:
             m=obj.get("m", 1),
             delta_schedule=DeltaSchedule(**sched),
             seed=obj.get("seed", 0),
-            refine_sweeps=obj.get("refine_sweeps", 1),
         )
 
 
@@ -362,12 +358,11 @@ def kt_swap(
 
     cache = SwapCache(k, points, pool[chosen], row_mean=row_mean)
     accepted = 0
-    for _ in range(cfg.refine_sweeps):
-        for pos in range(cache.out_size):
-            best, _ = cache.best_swap(pos)
-            if best != cache.coreset[pos]:
-                accepted += 1
-            cache.apply_swap(pos, best)
+    for pos in range(cache.out_size):
+        best, _ = cache.best_swap(pos)
+        if best != cache.coreset[pos]:
+            accepted += 1
+        cache.apply_swap(pos, best)
 
     return Coreset(
         indices=cache.coreset.copy(),
@@ -402,24 +397,58 @@ def _sigma_diagnostics(n: int, m: int, sched: DeltaSchedule, k_sup: float) -> di
     return {"sigma_m": sigma_m, "p_sg": p_sg}
 
 
+def split_kernel_for(variant: str, k: KernelSpec, dim: int,
+                     alpha: float | None = None, split_kernel=None):
+    """The split kernel of a KT variant with target kernel k on dim-dimensional
+    input.  Every variant is generalized KT with one of these split kernels:
+
+      targetkt     k itself
+      powerkt      `split_kernel` if given, else the closed-form alpha-power of k
+      ktplus       ktplus_kernel(k, that power kernel)
+      generalized  `split_kernel`, which it requires
+
+    Raises NoClosedFormPowerError when powerkt or ktplus needs a closed form
+    that k lacks in dimension dim, and KernelError for generalized without
+    `split_kernel` or an unknown variant.
+    """
+    if variant == "targetkt":
+        return k
+    if variant == "generalized":
+        if split_kernel is None:
+            raise KernelError("variant generalized requires an explicit split kernel")
+        return split_kernel
+    if variant not in ("powerkt", "ktplus"):
+        raise KernelError(f"unknown KT variant {variant!r}")
+    if split_kernel is None:
+        split_kernel = power_kernel(k, alpha, dim=dim).power
+    return split_kernel if variant == "powerkt" else ktplus_kernel(k, split_kernel)
+
+
 def generalized_kt(k_split, k_target: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
     """Split with k_split, then select and refine with k_target."""
     points = _as_input(points)
     candidates = kt_split(k_split, points, cfg)
     out = kt_swap(k_target, points, candidates, cfg)
-    sup = (
-        k_split.sup_norm() if isinstance(k_split, KernelSpec)
-        else 1.0 + k_split.weight
-    )
-    out.provenance.update(_sigma_diagnostics(len(points), cfg.m, cfg.delta_schedule, sup))
+    out.provenance.update(_sigma_diagnostics(len(points), cfg.m, cfg.delta_schedule, k_split.sup_norm()))
+    return out
+
+
+def _variant_kt(variant: str, k: KernelSpec, points, cfg: ThinningConfig,
+                alpha: float | None = None, split_kernel=None) -> Coreset:
+    """Generalized KT with the variant's split kernel, refined with k, and the
+    variant (and the alpha of a power variant) recorded in the provenance."""
+    points = _as_input(points)
+    k_split = split_kernel_for(variant, k, points.shape[1], alpha, split_kernel)
+    out = generalized_kt(k_split, k, points, cfg)
+    out.provenance["variant"] = variant
+    if variant != "targetkt":
+        out.provenance["alpha"] = alpha
     return out
 
 
 def target_kt(k: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
     """Generalized thinning with the target kernel doing both stages."""
-    out = generalized_kt(k, k, points, cfg)
-    out.provenance["variant"] = "targetkt"
-    return out
+    return _variant_kt("targetkt", k, points, cfg)
 
 
 def power_kt(
@@ -434,13 +463,7 @@ def power_kt(
     If the family has no closed-form power kernel, pass `split_kernel`
     explicitly.
     """
-    points = _as_input(points)
-    if split_kernel is None:
-        split_kernel = power_kernel(k, alpha, dim=points.shape[1]).power
-    out = generalized_kt(split_kernel, k, points, cfg)
-    out.provenance["variant"] = "powerkt"
-    out.provenance["alpha"] = alpha
-    return out
+    return _variant_kt("powerkt", k, points, cfg, alpha, split_kernel)
 
 
 def kt_plus(
@@ -455,10 +478,4 @@ def kt_plus(
     `split_kernel`, when given, replaces the closed-form power kernel as the
     second summand.
     """
-    points = _as_input(points)
-    if split_kernel is None:
-        split_kernel = power_kernel(k, alpha, dim=points.shape[1]).power
-    out = generalized_kt(ktplus_kernel(k, split_kernel), k, points, cfg)
-    out.provenance["variant"] = "ktplus"
-    out.provenance["alpha"] = alpha
-    return out
+    return _variant_kt("ktplus", k, points, cfg, alpha, split_kernel)

@@ -59,6 +59,14 @@ def test_variant_validation_and_tags():
         Variant("powerkt")  # alpha required
     with pytest.raises(ValueError):
         Variant("mystery")
+    # only the power variants take an alpha: the others would ignore it
+    for name in ("standard", "targetkt", "rootkt"):
+        with pytest.raises(ValueError, match="take none"):
+            Variant(name, 0.7)
+    with pytest.raises(ValueError, match="take none"):
+        ExperimentPlan.from_json(json.dumps(
+            {**small_plan().to_json_dict(), "variants": [{"name": "rootkt", "alpha": 0.7}]}
+        ))
     assert Variant("powerkt", 0.5).tag == "powerkt(a=0.5)"
     assert Variant("rootkt").tag == "rootkt"
 
@@ -73,6 +81,19 @@ def test_bandwidth_rules():
     assert 1.0 < sigma < 20.0  # plausible pairwise-median for this mixture
     plan2 = small_plan(bandwidth_rule="median", sizes=(16, 64))
     assert resolve_bandwidth(plan2).sigma == sigma  # deterministic
+    # every family, scale and shape parameters kept; a sum rescales each part
+    for kernel, want in [
+        (kn.gauss(1.0, scale=3.0), kn.gauss(2.0, scale=3.0)),
+        (kn.laplace(1.0), kn.laplace(2.0)),
+        (kn.matern(2.5, 1.0), kn.matern(2.5, 0.5)),
+        (kn.imq(0.5, 1.0), kn.imq(0.5, 0.5)),
+        (kn.sinc(1.0), kn.sinc(0.5)),
+        (kn.bspline(1, 1.0), kn.bspline(1, 0.5)),
+        (kn.ktplus_kernel(kn.gauss(1.0), kn.gauss(0.5)),
+         kn.kernel_sum(kn.gauss(2.0), kn.gauss(2.0))),
+    ]:
+        plan = small_plan(kernel=kernel, bandwidth_rule="sqrt2d")
+        assert resolve_bandwidth(plan) == want
 
 
 # ---------------------------------------------------------------------------

@@ -346,34 +346,6 @@ def test_ktplus_sup_norm_at_most_two():
     assert np.max(np.abs(kn.gram(kp, x))) <= 2.0 + 1e-12
 
 
-def test_identity_perturbed_values():
-    k = kn.gauss(1.0)
-    ip = kn.identity_perturbed(k)
-    pts = kn.IndexedPoints(np.array([[0.0], [math.sqrt(2.0)]]))
-    assert ip.eval(pts, 0, pts, 0) == 2.0
-    assert ip.eval(pts, 1, pts, 1) == 2.0
-    assert ip.eval(pts, 0, pts, 1) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-
-def test_identity_perturbed_rejects_foreign_sets():
-    ip = kn.identity_perturbed(kn.gauss(1.0))
-    a = kn.IndexedPoints(np.zeros((2, 1)))
-    b = kn.IndexedPoints(np.zeros((2, 1)))
-    with pytest.raises(kn.KernelError, match="same indexed set"):
-        ip.eval(a, 0, b, 0)
-
-
-def test_identity_perturbed_gram_well_conditioned():
-    # normalized Gram + identity: min eigenvalue >= 1 (eigenvalue oracle)
-    rng = np.random.default_rng(9)
-    for seed in range(5):
-        pts = kn.IndexedPoints(rng.normal(size=(10, 3)))
-        g = kn.identity_perturbed(kn.gauss(1.0, scale=2.0)).gram(pts)
-        base = kn.gram(kn.gauss(1.0), pts.points)
-        assert np.max(np.abs(g - (base + np.eye(10)))) < 1e-12
-        assert np.linalg.eigvalsh(g).min() >= 1.0 - 1e-8
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

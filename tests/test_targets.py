@@ -13,7 +13,6 @@ from kthin.targets import (
     IngestError,
     MOG_MEANS,
     MogTarget,
-    eval_test_function,
     ingest,
     make_cif,
     make_rkhs_witness,
@@ -190,16 +189,16 @@ def test_external_target_reads_its_file_once(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_moment_functions():
-    assert eval_test_function(moment1(), np.array([3.0, -1.0])) == 3.0
-    assert eval_test_function(moment2(), np.array([3.0, -1.0])) == 9.0
+    assert moment1()(np.array([3.0, -1.0]))[0] == 3.0
+    assert moment2()(np.array([3.0, -1.0]))[0] == 9.0
 
 
 def test_cif_at_its_center():
     f = make_cif(dim=3, seed=0)
-    assert eval_test_function(f, f.frozen) == 1.0
+    assert f(f.frozen)[0] == 1.0
     # hand value: exp(-(1/d) sum |x_j - u_j|)
     x = f.frozen + np.array([0.3, -0.6, 0.0])
-    assert eval_test_function(f, x) == pytest.approx(math.exp(-0.3), rel=1e-12)
+    assert f(x)[0] == pytest.approx(math.exp(-0.3), rel=1e-12)
 
 
 def test_rkhs_witness_formula_and_freezing():
@@ -207,7 +206,7 @@ def test_rkhs_witness_formula_and_freezing():
     g = make_rkhs_witness(kn.gauss(1.0), GaussTarget(2), seed=3)
     assert np.array_equal(f.frozen, g.frozen)  # drawn once per seed
     x = f.frozen + np.array([1.0, 1.0])  # |x - X'| = sqrt(2)
-    assert eval_test_function(f, x) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert f(x)[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_rkhs_witness_is_twice_a_target_draw():

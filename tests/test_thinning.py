@@ -18,6 +18,7 @@ from kthin.thinning import (
     kt_split,
     kt_swap,
     power_kt,
+    split_kernel_for,
     swap_probability,
     target_kt,
 )
@@ -88,8 +89,10 @@ def test_config_validation_and_round_trip():
     cfg = ThinningConfig(m=3, delta_schedule=DeltaSchedule("oblivious", 0.25), seed=99)
     again = ThinningConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
     assert again == cfg
-    # JSON written before the baseline field was removed still loads
-    assert ThinningConfig.from_json_dict({"m": 3, "seed": 99, "baseline": "standard"}).m == 3
+    # JSON written before the baseline and refine_sweeps fields were removed
+    # still loads
+    old = {"m": 3, "seed": 99, "baseline": "standard", "refine_sweeps": 1}
+    assert ThinningConfig.from_json_dict(old) == ThinningConfig(m=3, seed=99)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +331,23 @@ def test_power_kt_error_carries_hint():
     assert len(out) == 16
 
 
+def test_split_kernel_for_each_variant():
+    half = kn.power_kernel(K, 0.5, dim=2).power
+    explicit = kn.gauss(0.7)
+    assert split_kernel_for("targetkt", K, 2) == K
+    assert split_kernel_for("powerkt", K, 2, 0.5) == half
+    assert split_kernel_for("powerkt", K, 2, 0.5, explicit) == explicit
+    assert split_kernel_for("ktplus", K, 2, 0.5) == kn.ktplus_kernel(K, half)
+    assert split_kernel_for("ktplus", K, 2, 0.5, explicit) == kn.ktplus_kernel(K, explicit)
+    assert split_kernel_for("generalized", K, 2, split_kernel=explicit) == explicit
+    with pytest.raises(kn.KernelError, match="requires an explicit split kernel"):
+        split_kernel_for("generalized", K, 2)
+    with pytest.raises(kn.NoClosedFormPowerError):
+        split_kernel_for("ktplus", kn.imq(0.5, 1.0), 2, 0.5)
+    with pytest.raises(kn.KernelError, match="unknown KT variant"):
+        split_kernel_for("rootkt", K, 2, 0.5)
+
+
 def test_target_kt_size_contract():
     out = target_kt(K, gauss_points(44, 16), ThinningConfig(m=2, seed=0))
     assert len(out) == 4
@@ -383,5 +403,7 @@ def test_coreset_serialization():
 def test_identity_perturbed_split_runs():
     x = gauss_points(48, 32)
     cfg = ThinningConfig(m=1, seed=14)
-    out = generalized_kt(kn.identity_perturbed(K), K, x, cfg)
+    k_split = kn.identity_perturbed(K, weight=0.25)
+    assert k_split.sup_norm() == 1.25
+    out = generalized_kt(k_split, K, x, cfg)
     assert len(out) == 16
