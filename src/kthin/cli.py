@@ -49,7 +49,17 @@ def _load_points(spec: str, n: int | None, seed: int, fmt: str, burn_in: int) ->
     return target.sample(n, seed)
 
 
+# the thin flags each variant would otherwise silently ignore
+_UNUSED_FLAGS = {"targetkt": ("alpha", "split_kernel"), "generalized": ("alpha",)}
+
+
 def _cmd_thin(args) -> int:
+    unused = [name for name in _UNUSED_FLAGS.get(args.variant, ())
+              if getattr(args, name) is not None]
+    if unused:
+        flags = " or ".join("--" + name.replace("_", "-") for name in unused)
+        print(f"usage error: --variant {args.variant} does not use {flags}", file=sys.stderr)
+        return EXIT_USAGE
     kernel = kernel_from_json(args.kernel)
     points = _load_points(args.input, args.n, args.seed, args.format, args.burn_in)
     cfg = ThinningConfig(
@@ -65,7 +75,8 @@ def _cmd_thin(args) -> int:
         coreset = generalized_kt(k_split, kernel, points, cfg)
     else:
         front = power_kt if args.variant == "powerkt" else kt_plus
-        coreset = front(kernel, points, cfg, alpha=args.alpha, split_kernel=split)
+        alpha = 0.5 if args.alpha is None else args.alpha
+        coreset = front(kernel, points, cfg, alpha=alpha, split_kernel=split)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(coreset.to_csv())
     side = os.path.splitext(args.out)[0] + ".json"
@@ -114,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thin.add_argument("--kernel", required=True, help="kernel spec JSON")
     p_thin.add_argument("--variant", default="targetkt",
                         choices=["targetkt", "powerkt", "ktplus", "generalized"])
-    p_thin.add_argument("--alpha", type=float, default=0.5)
+    p_thin.add_argument("--alpha", type=float, default=None,
+                        help="power exponent for powerkt/ktplus (default 0.5)")
     p_thin.add_argument("--split-kernel", default=None,
                         help="explicit split kernel JSON (required for generalized; "
                              "overrides the closed form for powerkt/ktplus)")

@@ -183,6 +183,7 @@ class SwapCache:
         self.row_mean = kernel_row_means(k, self.points) if row_mean is None else row_mean
         self.cross = gram(k, self.points, self.points[self.coreset]).sum(axis=1)
         self.generation = 0
+        self._last_column = (-1, None)
 
     @property
     def out_size(self) -> int:
@@ -197,9 +198,17 @@ class SwapCache:
         # g(z) = 2 (cross(z) - k(z, old)) + k(z, z); exactly 0 at z = old
         old = self.coreset[position]
         s = float(self.out_size)
-        k_z_old = gram(self.kernel, self.points, self.points[old][None, :])[:, 0]
+        k_z_old = self._column(old)
         g = 2.0 * (self.cross - k_z_old) + self.diag
         return (g - g[old]) / (s * s) - 2.0 * (self.row_mean - self.row_mean[old]) / s
+
+    def _column(self, index: int) -> np.ndarray:
+        """k(z, points[index]) for every input z.  The last column is kept:
+        apply_swap needs the one best_swap has just computed for its slot."""
+        if self._last_column[0] != index:
+            col = gram(self.kernel, self.points, self.points[index][None, :])[:, 0]
+            self._last_column = (index, col)
+        return self._last_column[1]
 
     def best_swap(self, position: int) -> tuple[int, float]:
         """The input index minimizing MMD after replacing the given slot.
@@ -214,8 +223,8 @@ class SwapCache:
     def apply_swap(self, position: int, candidate: int) -> None:
         old = self.coreset[position]
         if candidate != old:
+            k_old = self._column(old)
             k_new = gram(self.kernel, self.points, self.points[candidate][None, :])[:, 0]
-            k_old = gram(self.kernel, self.points, self.points[old][None, :])[:, 0]
             self.cross += k_new - k_old
             self.coreset[position] = candidate
         self.generation += 1

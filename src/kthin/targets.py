@@ -23,6 +23,7 @@ import numpy as np
 
 from . import rng
 from .kernels import KernelSpec, gram
+from .thinning import anchored_stride
 
 MOG_MEANS = np.array(
     [
@@ -131,9 +132,7 @@ TargetSpec = GaussTarget | MogTarget | ExternalTarget
 def _thin_to(points: np.ndarray, size: int) -> np.ndarray:
     """Down-sample to `size` rows by an even stride anchored at the last row."""
     n = len(points)
-    step = n // size
-    idx = np.array([n - 1 - step * (size - 1 - j) for j in range(size)])
-    return points[idx]
+    return points[anchored_stride(n, size, n // size)]
 
 
 def target_from_json_dict(obj: dict) -> TargetSpec:

@@ -16,10 +16,13 @@ streams keyed by (round, level, slot), so results are reproducible across
 platforms and independent of evaluation order.  The split draws every
 (round, level, slot) uniform up front in one vectorized Philox pass
 (`rng.swap_uniforms`), bit-identical to drawing each with `rng.swap_uniform`,
-and halves all slots of a level in one array operation.  Swap decisions
-depend on the split kernel only through scale-free ratios, so the kernel's
-scale factor is divided out up front; c * k yields the same candidates as k
-under the same seed, bitwise.
+and halves all slots of a level in one array operation.  Each aligned block
+of 2^m input points has its split-kernel columns against the input prefix
+computed once, in one array of at most 8 2^m n bytes, and all m levels read
+their kernel values from it instead of evaluating them again.  Swap
+decisions depend on the split kernel only through scale-free ratios, so the
+kernel's scale factor is divided out up front; c * k yields the same
+candidates as k under the same seed, bitwise.
 """
 
 from __future__ import annotations
@@ -183,9 +186,18 @@ def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = Fal
     which equals the parent/left-child form of the algorithm (the pair's own
     terms cancel).  It never meets a pair's own index, so the identity
     perturbation only adds 2w to b^2 = k(x, x) + k(x~, x~) - 2 k(x, x~).
-    Each level keeps its coresets' coordinates in a buffer and, per point,
-    the signed weights of the child it went to, so alpha is one weighted sum
-    over the parent's points already passed down.
+    Each level keeps, per point, the signed weights of the child it went
+    to, so alpha is one weighted sum over the parent's points already
+    passed down.
+
+    The kernel values come from one `evaluate` call per input block.  Every
+    pair that any level halves in rounds 2^(m-1) q + 1 .. 2^(m-1) (q + 1)
+    lies in the block B = [2^m q, 2^m (q + 1)), so k(y, x) for x in B and
+    every y before B's end is computed once, at the start of those rounds,
+    and each level reads its values from it: level 1 by slicing, deeper
+    levels by one gather.  A block holds at most 2^m x n doubles, 8 2^m n
+    bytes (0.5 MB at n = 2048, m = 5; 2 MB at n = 4096, m = 6), and the
+    split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2.
 
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
@@ -219,26 +231,33 @@ def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = Fal
     # input.  Siblings 2l and 2l+1 sit side by side in the (2^(j-1), 2, ...)
     # views; unfilled index slots hold -1, which the invariants check.
     cap = [2 * rounds >> j for j in range(m + 1)]
-    coords = [points[None, :2 * rounds]]
     idx = [np.arange(2 * rounds)[None]]
     for j in range(1, m + 1):
-        if j < m:
-            coords.append(np.empty((2 ** (j - 1), 2, cap[j], d)))
         idx.append(np.full((2 ** (j - 1), 2, cap[j]), -1))
     weights = [np.empty((2 ** j, cap[j], 2)) for j in range(m)]
     sigma_sq = [None] + [np.zeros(2 ** (j - 1)) for j in range(1, m + 1)]
     uniforms = _split_uniforms(cfg.seed, rounds, m)
+    block_rounds = 2 ** (m - 1)  # rounds per input block of 2^m points
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(1, rounds + 1):
+            if (i - 1) % block_rounds == 0:
+                s0 = 2 * i - 2
+                end = min(s0 + 2 * block_rounds, 2 * rounds)
+                # kb[w, y] = k(points[y], points[s0 + w]): the block's points
+                # against every input point up to the block's end
+                kb = evaluate(kernel, points[None, :end], points[s0:end, None])
             # levels 1 .. 1 + (trailing zero bits of i) halve this round
             for j in range(1, min(m, (i & -i).bit_length()) + 1):
                 t = i >> (j - 1)  # each parent now holds 2t points
                 c = 2 * t - 2  # ... of which c were passed down before
-                parent = coords[j - 1].reshape(2 ** (j - 1), -1, d)[:, :c + 2]
-                pair = parent[:, c:]
+                parent_idx = idx[j - 1].reshape(2 ** (j - 1), -1)[:, :c + 2]
+                pair_idx = parent_idx[:, c:]
                 # k(y, x) and k(y, x~) for every point y of each parent
-                k_y = evaluate(kernel, parent[:, :, None, :], pair[:, None, :, :])
+                if j == 1:
+                    k_y = kb[c - s0:c + 2 - s0, :c + 2].T[None]
+                else:
+                    k_y = kb.take((pair_idx[:, None, :] - s0) * end + parent_idx[:, :, None])
                 alpha = (k_y[:, :c] * weights[j - 1][:, :c]).sum(axis=(1, 2))
                 b_sq = np.maximum(diag + diag - 2.0 * k_y[:, c, 1], 0.0)
 
@@ -257,10 +276,7 @@ def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = Fal
 
                 weights[j - 1][:, c:c + 2] = np.where(swap, _WEIGHTS_SWAPPED, _WEIGHTS_KEPT)
                 # children 2l and 2l+1 receive (x, x~), reversed on a swap
-                pair_idx = idx[j - 1].reshape(2 ** (j - 1), -1)[:, c:c + 2]
                 idx[j][:, :, t - 1] = np.where(swap[:, :, 0], pair_idx[:, ::-1], pair_idx)
-                if j < m:
-                    coords[j][:, :, t - 1] = np.where(swap, pair[:, ::-1], pair)
             if _check_invariants:
                 _assert_split_invariants(idx, consumed=2 * i)
 
@@ -312,8 +328,13 @@ def baseline_thin(n: int, m: int) -> np.ndarray:
     size = n // 2 ** m
     if size < 1:
         raise ValueError(f"m={m} too large for n={n}")
-    step = 2 ** m
-    return np.array([n - 1 - step * (size - 1 - j) for j in range(size)], dtype=int)
+    return anchored_stride(n, size, 2 ** m)
+
+
+def anchored_stride(n: int, size: int, step: int) -> np.ndarray:
+    """Every step-th index of range(n), `size` of them, ending at n - 1:
+    index j is n - 1 - step (size - 1 - j)."""
+    return n - 1 - step * np.arange(size - 1, -1, -1)
 
 
 def kt_swap(

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kthin.cli import EXIT_CONSTRAINT, EXIT_DATA, EXIT_OK, main
+from kthin.cli import EXIT_CONSTRAINT, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 GAUSS = '{"family": "gauss", "params": {"sigma": 1.0}, "scale": 1.0}'
 
@@ -53,6 +53,37 @@ def test_thin_generalized_requires_split_kernel(tmp_path):
     code = main(["thin", "--input", src, "--kernel", GAUSS,
                  "--variant", "generalized", "-m", "1", "--out", str(tmp_path / "c.csv")])
     assert code == EXIT_CONSTRAINT
+
+
+@pytest.mark.parametrize("variant, flags, named", [
+    ("targetkt", ["--alpha", "0.7"], "--alpha"),
+    ("targetkt", ["--split-kernel", GAUSS], "--split-kernel"),
+    ("targetkt", ["--alpha", "0.5", "--split-kernel", GAUSS], "--alpha or --split-kernel"),
+    ("generalized", ["--alpha", "0.5", "--split-kernel", GAUSS], "--alpha"),
+])
+def test_thin_rejects_flags_the_variant_ignores(tmp_path, capsys, variant, flags, named):
+    src = str(tmp_path / "in.csv")
+    out = str(tmp_path / "c.csv")
+    write_points(src, np.random.default_rng(0).normal(size=(16, 2)))
+    code = main(["thin", "--input", src, "--kernel", GAUSS, "--variant", variant,
+                 "-m", "1", "--out", out, *flags])
+    assert code == EXIT_USAGE
+    assert f"--variant {variant} does not use {named}" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("variant", ["powerkt", "ktplus"])
+def test_thin_power_variants_default_alpha_is_one_half(tmp_path, variant):
+    src = str(tmp_path / "in.csv")
+    write_points(src, np.random.default_rng(1).normal(size=(32, 2)))
+    outputs = []
+    for name, flags in (("default", []), ("explicit", ["--alpha", "0.5"])):
+        out = str(tmp_path / f"{name}.csv")
+        assert main(["thin", "--input", src, "--kernel", GAUSS, "--variant", variant,
+                     "-m", "2", "--seed", "4", "--out", out, *flags]) == EXIT_OK
+        outputs.append((open(out).read(), open(str(tmp_path / f"{name}.json")).read()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["provenance"]["alpha"] == 0.5
 
 
 def test_mmd_twelve_digits(tmp_path, capsys):

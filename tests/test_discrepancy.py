@@ -340,6 +340,41 @@ def test_swap_cache_updates_track_recomputation():
     assert cache.generation == 10
 
 
+def test_refinement_reuses_the_best_swap_column(monkeypatch):
+    # apply_swap takes k(z, old) from the best_swap that preceded it: one
+    # column per position plus one per accepted swap, and cross stays bitwise
+    # what fresh columns give
+    rng = np.random.default_rng(12)
+    k = kn.laplace(0.9)
+    pts = rng.normal(size=(60, 2))
+    columns = {"calls": 0}
+
+    def counting_gram(kernel, x, y=None):
+        columns["calls"] += 1
+        return kn.gram(kernel, x, y)
+
+    cache = SwapCache(k, pts, np.arange(1, 60, 6))
+    reference = cache.cross.copy()
+    monkeypatch.setattr(discrepancy, "gram", counting_gram)
+    total_accepted = 0
+    for sweep in range(3):
+        accepted = 0
+        for pos in range(cache.out_size):
+            old = int(cache.coreset[pos])
+            best, _ = cache.best_swap(pos)
+            cache.apply_swap(pos, best)
+            if best != old:
+                accepted += 1
+                reference += kn.gram(k, pts, pts[[best]])[:, 0] - kn.gram(k, pts, pts[[old]])[:, 0]
+        assert columns["calls"] == cache.out_size + accepted, sweep
+        columns["calls"] = 0
+        total_accepted += accepted
+        assert np.array_equal(cache.cross, reference)
+        fresh = kn.gram(k, pts, pts[cache.coreset]).sum(axis=1)
+        np.testing.assert_allclose(cache.cross, fresh, rtol=0, atol=1e-12)
+    assert total_accepted > 0
+
+
 def test_stale_cache_detected():
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(12, 1))

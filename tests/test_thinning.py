@@ -11,6 +11,7 @@ from kthin.discrepancy import DiscreteMeasure, SwapCache, mmd, mmd_points
 from kthin.thinning import (
     DeltaSchedule,
     ThinningConfig,
+    anchored_stride,
     baseline_thin,
     generalized_kt,
     get_swap_params,
@@ -198,6 +199,22 @@ def test_baseline_thin_examples():
     assert baseline_thin(5, 0).tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError, match="too large"):
         baseline_thin(4, 3)
+
+
+def test_anchored_stride_matches_both_strided_rules():
+    # baseline_thin steps by 2^m and targets._thin_to by n // size; the two
+    # differ, e.g. at n = 11, size 2: step 4 (m = 2) against step 5
+    def old_rule(n, size, step):
+        return np.array([n - 1 - step * (size - 1 - j) for j in range(size)])
+
+    for n in range(1, 70):
+        for size in range(1, n + 1):
+            step = n // size
+            assert np.array_equal(anchored_stride(n, size, step), old_rule(n, size, step))
+        for m in range(int(math.log2(n)) + 1):
+            assert np.array_equal(baseline_thin(n, m), old_rule(n, n // 2 ** m, 2 ** m))
+    assert baseline_thin(11, 2).tolist() == [6, 10]
+    assert anchored_stride(11, 2, 11 // 2).tolist() == [5, 10]
 
 
 # ---------------------------------------------------------------------------
