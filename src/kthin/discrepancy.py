@@ -7,13 +7,15 @@ closed-form kernel double sums
             - 2 sum_ij w_i v_j k(x_i, y_j),
 
 clamped at zero before the square root to absorb negative rounding dust.
-Each double sum is evaluated over square _CHUNK x _CHUNK tiles of the Gram
-matrix, one 2 MB tile at a time, so the full matrix is never materialized
-and the working set stays in cache.  A self-term sum_ij w_i w_j k(x_i, x_j) is symmetric: only
-the tiles on and above the diagonal are evaluated, and each off-diagonal
-tile's contribution is counted twice, which halves the kernel evaluations.
-Within a tile the sums accumulate in double precision through numpy's
-pairwise summation.
+Every kernel sum in the package -- the MMD terms, the input row means and
+the swap cache's coreset cross-sums -- runs through one loop,
+`_kernel_sums`, which forms the weighted sums sum_j w_j k(x_i, y_j) over
+square _CHUNK x _CHUNK tiles of the Gram matrix, one 2 MB tile at a time,
+so the full matrix is never materialized and the working set stays in
+cache.  Against the points themselves (y = x) the Gram matrix is
+symmetric: only the tiles on and above the diagonal are evaluated, and each
+one above it adds to both its row block and its column block, which halves
+the kernel evaluations.
 
 Point arrays are coerced and validated once, by `_as_input`, which thinning
 uses too: empty input and NaN or inf coordinates are rejected at the
@@ -33,7 +35,7 @@ import numpy as np
 
 from .kernels import KernelSpec, gauss_power_exact, gram
 
-_CHUNK = 512  # side of the square Gram tiles; rows per block of row means
+_CHUNK = 512  # side of the square Gram tiles
 
 
 class StaleCacheError(RuntimeError):
@@ -89,24 +91,31 @@ class DiscreteMeasure:
         return self.points.shape[1]
 
 
-def _quadratic_form(k: KernelSpec, x, wx, y=None, wy=None) -> float:
-    """sum_ij wx_i wy_j k(x_i, y_j), summed over square _CHUNK tiles.
+def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
+    """sum_j w_j k(x_i, y_j) for every i, summed over square _CHUNK tiles.
 
-    With y omitted this is the self-term sum_ij wx_i wx_j k(x_i, x_j): only
-    the tiles on and above the diagonal are evaluated, and each one above
-    it counts twice.  When y fits in one tile the cross form is the row
-    blocks of x against all of y.
+    With y omitted, y = x: only the tiles on and above the diagonal are
+    evaluated, and each one above it, g = k(x_I, x_J), adds g @ w_J to row
+    block I and w_I @ g to row block J.  Every kernel is symmetric, so the
+    second is the sum over the tile's transpose.
     """
     symmetric = y is None
     if symmetric:
-        y, wy = x, wx
-    total = 0.0
+        y = x
+    out = np.zeros(len(x))
     for i in range(0, len(x), _CHUNK):
-        xi, wi = x[i:i + _CHUNK], wx[i:i + _CHUNK]
         for j in range(i if symmetric else 0, len(y), _CHUNK):
-            part = float(wi @ (gram(k, xi, y[j:j + _CHUNK]) @ wy[j:j + _CHUNK]))
-            total += 2.0 * part if symmetric and j != i else part
-    return total
+            g = gram(k, x[i:i + _CHUNK], y[j:j + _CHUNK])
+            out[i:i + _CHUNK] += g @ w[j:j + _CHUNK]
+            if symmetric and j != i:
+                out[j:j + _CHUNK] += w[i:i + _CHUNK] @ g
+    return out
+
+
+def _quadratic_form(k: KernelSpec, x, wx, y=None, wy=None) -> float:
+    """sum_ij wx_i wy_j k(x_i, y_j); with y omitted, the self-term
+    sum_ij wx_i wx_j k(x_i, x_j) over the upper-triangle tiles."""
+    return float(wx @ _kernel_sums(k, x, wx if y is None else wy, y))
 
 
 def _clamped_sqrt(mmd_sq: float) -> float:
@@ -139,13 +148,9 @@ def integration_error(f, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
 
 
 def kernel_row_means(k: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """(1/n) sum_y k(z, y) for every z in points, streamed in row chunks."""
+    """(1/n) sum_y k(z, y) for every z in points, over the upper-triangle tiles."""
     n = len(points)
-    out = np.zeros(n)
-    for start in range(0, n, _CHUNK):
-        block = gram(k, points[start:start + _CHUNK], points)
-        out[start:start + _CHUNK] = block.mean(axis=1)
-    return out
+    return _kernel_sums(k, points, np.full(n, 1.0 / n))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +186,9 @@ class SwapCache:
         # the Gram-path value at z = 0
         self.diag = np.full(n, k.sup_norm())
         self.row_mean = kernel_row_means(k, self.points) if row_mean is None else row_mean
-        self.cross = gram(k, self.points, self.points[self.coreset]).sum(axis=1)
+        self.cross = _kernel_sums(
+            k, self.points, np.ones(len(self.coreset)), self.points[self.coreset]
+        )
         self.generation = 0
         self._last_column = (-1, None)
 

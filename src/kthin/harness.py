@@ -299,18 +299,8 @@ class RateReport:
         }
 
 
-def run_experiment(
-    plan: ExperimentPlan,
-    out_dir: str | None = None,
-    _error_injector=None,
-) -> RateReport:
-    """Execute a plan; optionally write raw.csv and report.json to out_dir.
-
-    The injector hook replaces the sampled/thinned error values with
-    synthetic ones (signature: injector(variant_tag, n, replicate) ->
-    {metric: value}); it exercises the aggregation and fitting pipeline on
-    known curves and is used by the tests.
-    """
+def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateReport:
+    """Execute a plan; optionally write raw.csv and report.json to out_dir."""
     kernel = resolve_bandwidth(plan)
     dim = plan.target.dim
 
@@ -328,10 +318,10 @@ def run_experiment(
         runnable.append(variant)
 
     metrics = list(plan.metrics) + [f"ierr_{n}" for n in plan.test_functions]
-    test_fns = _make_test_functions(plan, kernel) if _error_injector is None else {}
+    test_fns = _make_test_functions(plan, kernel)
 
     surrogate_ref: _ReferenceMMD | None = None
-    if "mmd_surrogate" in plan.metrics and _error_injector is None:
+    if "mmd_surrogate" in plan.metrics:
         if isinstance(plan.target, ExternalTarget):
             surr = plan.target.holdout(plan.surrogate_size)
         else:
@@ -344,44 +334,36 @@ def run_experiment(
     for n in plan.sizes:
         m = _depth_for(n)
         for rep in range(plan.replicates):
-            cell_values: dict[str, dict[str, float]] = {}
-            if _error_injector is None:
-                points = plan.target.sample(
-                    n, rng.derive_seed(plan.seed, n, rep, _INPUT_SALT)
-                )
-                input_ref = (
-                    _ReferenceMMD(kernel, points)
-                    if "mmd_input" in plan.metrics
-                    else None
-                )
-                input_means = {
-                    name: float(np.mean(fn(points))) for name, fn in test_fns.items()
-                }
-                for variant in runnable:
-                    cfg = ThinningConfig(
-                        m=m,
-                        delta_schedule=DeltaSchedule("known_n", plan.delta),
-                        seed=rng.derive_seed(plan.seed, n, rep, *variant._seed_parts()),
-                    )
-                    coreset = _thin(variant, kernel, points, cfg)
-                    out_points = points[coreset.indices]
-                    values = {}
-                    if input_ref is not None:
-                        values["mmd_input"] = input_ref.mmd_to(out_points)
-                    if surrogate_ref is not None:
-                        values["mmd_surrogate"] = surrogate_ref.mmd_to(out_points)
-                    for name, fn in test_fns.items():
-                        values[f"ierr_{name}"] = abs(
-                            input_means[name] - float(np.mean(fn(out_points)))
-                        )
-                    cell_values[variant.tag] = values
-            else:
-                for variant in runnable:
-                    cell_values[variant.tag] = _error_injector(variant.tag, n, rep)
-
+            points = plan.target.sample(
+                n, rng.derive_seed(plan.seed, n, rep, _INPUT_SALT)
+            )
+            input_ref = (
+                _ReferenceMMD(kernel, points)
+                if "mmd_input" in plan.metrics
+                else None
+            )
+            input_means = {
+                name: float(np.mean(fn(points))) for name, fn in test_fns.items()
+            }
             for variant in runnable:
+                cfg = ThinningConfig(
+                    m=m,
+                    delta_schedule=DeltaSchedule("known_n", plan.delta),
+                    seed=rng.derive_seed(plan.seed, n, rep, *variant._seed_parts()),
+                )
+                coreset = _thin(variant, kernel, points, cfg)
+                out_points = points[coreset.indices]
+                values = {}
+                if input_ref is not None:
+                    values["mmd_input"] = input_ref.mmd_to(out_points)
+                if surrogate_ref is not None:
+                    values["mmd_surrogate"] = surrogate_ref.mmd_to(out_points)
+                for name, fn in test_fns.items():
+                    values[f"ierr_{name}"] = abs(
+                        input_means[name] - float(np.mean(fn(out_points)))
+                    )
                 for metric in metrics:
-                    if metric in cell_values[variant.tag]:
+                    if metric in values:
                         records.append(
                             {
                                 "variant": variant.tag,
@@ -389,7 +371,7 @@ def run_experiment(
                                 "n_out": n // 2 ** m,
                                 "replicate": rep,
                                 "metric": metric,
-                                "value": cell_values[variant.tag][metric],
+                                "value": values[metric],
                             }
                         )
 

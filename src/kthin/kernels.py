@@ -270,7 +270,9 @@ def _cardinal_bspline(order: int, t: np.ndarray) -> np.ndarray | float:
     for j in range(order + 1):
         acc += sign * math.comb(order, j) * np.maximum(t + half - j, 0.0) ** (order - 1)
         sign = -sign
-    out = acc / math.factorial(order - 1)
+    # past the support the alternating sum cancels catastrophically (it reads
+    # 858 for order 8 at t = 1000), so the zero there is set, not computed
+    out = np.where(np.abs(t) < half, acc / math.factorial(order - 1), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -305,8 +307,11 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
     from scipy.special import gamma as _gamma_fn, kv as _bessel_kv
 
     t = np.asarray(t, dtype=float)
-    out = np.ones_like(t)
-    pos = t > _MATERN_ZERO_CUTOFF
+    # the limits: 1 at t = 0, and 0 at t = inf, where a squared distance
+    # overflowed and the products below would read inf * 0 = NaN
+    far = np.isinf(t)
+    out = np.where(far, 0.0, 1.0)
+    pos = (t > _MATERN_ZERO_CUTOFF) & ~far
     tp = t[pos]
     two_a = 2.0 * a
     if abs(two_a - round(two_a)) < 1e-12 and int(round(two_a)) % 2 == 1:
@@ -441,7 +446,6 @@ class PowerKernelPair:
     target: KernelSpec
     power: KernelSpec
     alpha: float
-    closed_form: bool = True
 
 
 def power_kernel(k: KernelSpec, alpha: float, dim: int | None = None) -> PowerKernelPair:

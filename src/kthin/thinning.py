@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,18 +90,6 @@ class ThinningConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"thinning depth m must be >= 1, got {self.m}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "ThinningConfig":
-        sched = obj.get("delta_schedule", {})
-        return ThinningConfig(
-            m=obj.get("m", 1),
-            delta_schedule=DeltaSchedule(**sched),
-            seed=obj.get("seed", 0),
-        )
 
 
 @dataclass
@@ -349,6 +337,10 @@ def kt_swap(
     input point minimizing the resulting MMD (ties to the lowest index).
     The incumbent is always a valid replacement, so MMD never increases and
     the result never exceeds the baseline's MMD to the input.
+
+    At m = 1 on an even input the two split candidates are the two halves of
+    the input, whose MMDs to it are equal in exact arithmetic, so rounding
+    decides which of them is selected.
     """
     points = _as_input(points)
     n = len(points)
@@ -364,7 +356,8 @@ def kt_swap(
             f"baseline size {len(base)} does not match candidate size {len(candidates[0])}"
         )
 
-    # one O(n^2) pass serves candidate ranking and the refinement cache
+    # one pass of n^2 / 2 kernel evaluations serves candidate ranking and the
+    # refinement cache
     row_mean = kernel_row_means(k, points)
     input_self = float(row_mean.mean())
 

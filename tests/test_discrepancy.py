@@ -208,23 +208,16 @@ def test_cross_term_matches_plain_double_sum(ki):
         assert discrepancy._quadratic_form(k, x, wx, y, wy) == pytest.approx(
             wx @ kn.gram(k, x, y) @ wy, rel=1e-12, abs=0
         )
-
-
-def test_cross_term_within_one_tile_keeps_row_block_arithmetic():
-    # against y of at most one tile the cross form sums the row blocks of x
-    # in order, exactly as the untiled row-block loop did
-    rng = np.random.default_rng(7)
-    k = kn.gauss(0.7)
-    x, y = rng.normal(size=(1300, 2)), rng.normal(size=(_CHUNK, 2))
+    # y of exactly one tile against three row blocks of x
+    x, y = rng.normal(size=(1300, d)), rng.normal(size=(_CHUNK, d))
     wx, wy = _weights(rng, len(x)), _weights(rng, len(y))
-    rows = 0.0
-    for start in range(0, len(x), _CHUNK):
-        block = kn.gram(k, x[start:start + _CHUNK], y)
-        rows += float(wx[start:start + _CHUNK] @ (block @ wy))
-    assert discrepancy._quadratic_form(k, x, wx, y, wy) == rows
+    assert discrepancy._quadratic_form(k, x, wx, y, wy) == pytest.approx(
+        wx @ kn.gram(k, x, y) @ wy, rel=1e-12, abs=0
+    )
 
 
 def test_self_term_evaluates_upper_triangle_tiles(monkeypatch):
+    # the self-term and the row means both run over the upper-triangle tiles
     n = 4 * _CHUNK
     tiles = n // _CHUNK
     shapes = []
@@ -239,11 +232,14 @@ def test_self_term_evaluates_upper_triangle_tiles(monkeypatch):
     rng = np.random.default_rng(8)
     x = rng.normal(size=(n, 2))
     w = np.full(n, 1.0 / n)
-    discrepancy._quadratic_form(kn.gauss(1.0), x, w)
-    assert len(shapes) == tiles * (tiles + 1) // 2
-    assert set(shapes) == {(_CHUNK, _CHUNK)}
-    evals = sum(a * b for a, b in shapes)
-    assert evals == 2_621_440  # against n^2 = 4,194,304 for the full Gram
+    k = kn.gauss(1.0)
+    for run in (lambda: discrepancy._quadratic_form(k, x, w), lambda: kernel_row_means(k, x)):
+        shapes.clear()
+        run()
+        assert len(shapes) == tiles * (tiles + 1) // 2
+        assert set(shapes) == {(_CHUNK, _CHUNK)}
+        evals = sum(a * b for a, b in shapes)
+        assert evals == 2_621_440  # against n^2 = 4,194,304 for the full Gram
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +383,20 @@ def test_stale_cache_detected():
 
 
 def test_kernel_row_means_match_direct():
+    # the tiled row sums against the full Gram: the input's row means, and
+    # the swap cache's cross-sums against a coreset of up to two tiles
     rng = np.random.default_rng(12)
-    k = kn.gauss(1.0)
-    pts = rng.normal(size=(17, 2))
-    means = kernel_row_means(k, pts)
-    direct = kn.gram(k, pts).mean(axis=1)
-    assert np.max(np.abs(means - direct)) < 1e-14
+    for ki, k in enumerate(TILE_KERNELS):
+        for ni, n in enumerate(TILE_SIZES):
+            pts = rng.normal(size=(n, 1 + (ki + ni) % 3))
+            means = kernel_row_means(k, pts)
+            full = kn.gram(k, pts)
+            np.testing.assert_allclose(means, full.mean(axis=1), rtol=1e-12, atol=0)
+            coreset = np.arange(0, n, 2)
+            cache = SwapCache(k, pts, coreset, row_mean=means)
+            np.testing.assert_allclose(
+                cache.cross, full[:, coreset].sum(axis=1), rtol=1e-12, atol=0
+            )
 
 
 # ---------------------------------------------------------------------------

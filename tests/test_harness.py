@@ -8,9 +8,11 @@ import os
 import numpy as np
 import pytest
 
+from kthin import harness
 from kthin import kernels as kn
 from kthin.harness import (
     ExperimentPlan,
+    RateReport,
     Variant,
     fit_loglog,
     records_to_csv,
@@ -110,14 +112,24 @@ def test_fit_loglog_recovers_exact_line():
 
 
 def test_injected_exact_line_through_full_pipeline():
-    # synthetic injection mode: every cell lies on log err = -0.5 log n_out + c
+    # synthetic records through aggregation and fitting: every cell lies on
+    # log err = -0.5 log n_out + c
     plan = small_plan(sizes=(16, 64, 256, 1024), replicates=3)
-
-    def injector(tag, n, rep):
-        n_out = int(math.isqrt(n))
-        return {"mmd_input": 2.0 * n_out ** -0.5}
-
-    report = run_experiment(plan, _error_injector=injector)
+    records = [
+        {
+            "variant": variant.tag,
+            "n": n,
+            "n_out": math.isqrt(n),
+            "replicate": rep,
+            "metric": "mmd_input",
+            "value": 2.0 * math.isqrt(n) ** -0.5,
+        }
+        for n in plan.sizes
+        for rep in range(plan.replicates)
+        for variant in plan.variants
+    ]
+    report = RateReport(plan=plan)
+    harness._aggregate(plan, plan.variants, ["mmd_input"], records, report)
     for variant in ("standard", "targetkt"):
         fit = report.fit_for(variant, "mmd_input")
         assert fit["slope"] == pytest.approx(-0.5, abs=1e-12)

@@ -70,6 +70,12 @@ def test_matern_limit_continuity():
         val = kn.kernel_eval(kn.matern(nu, 1.0), [0.0], [1e-8])
         assert abs(val - 1.0) < 1e-6
     assert kn.kernel_eval(kn.matern(2.5, 1.0), [0.0, 0.0], [0.0, 0.0]) == 1.0
+    # the squared separation overflows to inf: the limit 0 on the Bessel path
+    # (nu = 1.7 and 2.5 in d = 1) and the half-integer path (2.5 in d = 2)
+    with np.errstate(over="ignore"):
+        for nu, d in ((1.7, 1), (2.5, 1), (2.5, 2)):
+            far = kn.kernel_eval(kn.matern(nu, 1.0), np.zeros(d), np.full(d, 1e160))
+            assert far == 0.0
 
 
 def test_matern_halfinteger_matches_bessel_path():
@@ -197,6 +203,19 @@ def test_bspline_support_bound():
     for beta in (0, 1, 2, 3):
         for t in (beta + 1.0, -(beta + 1.0), beta + 1.5, -(beta + 4.0)):
             assert kn.bspline_univariate(beta, t) == 0.0
+    # far outside the support the alternating sum cancels catastrophically;
+    # inside it the values are the plain alternating sum, bit for bit
+    for beta in range(5):
+        order, half = 2 * beta + 2, beta + 1.0
+        far = half * np.logspace(0.0, 8.0 - np.log10(half), 400)
+        assert np.all(kn.bspline_univariate(beta, np.concatenate([far, -far])) == 0.0)
+        inside = np.linspace(-half, half, 2001)[1:-1]
+        plain = sum(
+            (-1) ** j * math.comb(order, j) * np.maximum(inside + half - j, 0.0) ** (order - 1)
+            for j in range(order + 1)
+        ) / math.factorial(order - 1)
+        assert np.array_equal(kn.bspline_univariate(beta, inside), plain)
+    assert kn.kernel_eval(kn.bspline(3, 1.0), [0.0], [1000.0]) == 0.0
 
 
 def test_bspline_even_symmetry():

