@@ -25,7 +25,6 @@ from .kernels import (
 )
 from .discrepancy import (
     DiscreteMeasure,
-    StaleCacheError,
     SwapCache,
     check_interpolation,
     gauss_interpolation_triple,

@@ -38,10 +38,6 @@ from .kernels import KernelSpec, gauss_power_exact, gram
 _CHUNK = 512  # side of the square Gram tiles
 
 
-class StaleCacheError(RuntimeError):
-    """A SwapCache was queried with an outdated generation token."""
-
-
 def _as_input(points) -> np.ndarray:
     """The input as an (n, d) float array; a 1-D input is n points in d = 1.
 
@@ -166,9 +162,7 @@ class SwapCache:
         cross[z]    = sum_{w in coreset} k(z, w) (updated per accepted swap)
 
     so the MMD^2 change from replacing coreset slot i with z follows in O(1)
-    per candidate and a full argmin scan over inputs is O(n).  A generation
-    counter increments on every applied swap; callers holding results from a
-    previous generation can detect staleness.
+    per candidate and a full argmin scan over inputs is O(n).
     """
 
     def __init__(
@@ -189,7 +183,6 @@ class SwapCache:
         self.cross = _kernel_sums(
             k, self.points, np.ones(len(self.coreset)), self.points[self.coreset]
         )
-        self.generation = 0
         self._last_column = (-1, None)
 
     @property
@@ -234,28 +227,11 @@ class SwapCache:
             k_new = gram(self.kernel, self.points, self.points[candidate][None, :])[:, 0]
             self.cross += k_new - k_old
             self.coreset[position] = candidate
-        self.generation += 1
 
 
-def mmd_swap_delta(
-    cache: SwapCache,
-    position: int,
-    candidate: int,
-    expected_generation: int | None = None,
-) -> float:
-    """O(1) MMD^2 delta for one candidate swap, with staleness detection.
-
-    Args:
-      cache: SwapCache for the (inputs, coreset) pair.
-      position: coreset slot to replace.
-      candidate: input index to place there.
-      expected_generation: if given, must match the cache's current
-        generation; a mismatch raises StaleCacheError.
-    """
-    if expected_generation is not None and expected_generation != cache.generation:
-        raise StaleCacheError(
-            f"cache at generation {cache.generation}, caller expected {expected_generation}"
-        )
+def mmd_swap_delta(cache: SwapCache, position: int, candidate: int) -> float:
+    """O(1) MMD^2 delta for replacing coreset slot `position` of the cache's
+    coreset by input point `candidate`."""
     return cache.swap_delta(position, candidate)
 
 

@@ -307,9 +307,10 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
     from scipy.special import gamma as _gamma_fn, kv as _bessel_kv
 
     t = np.asarray(t, dtype=float)
-    # the limits: 1 at t = 0, and 0 at t = inf, where a squared distance
-    # overflowed and the products below would read inf * 0 = NaN
-    far = np.isinf(t)
+    # the limits: 1 at t = 0, and exactly 0 from the cut-off on (t = inf
+    # included), where the products below would read inf * 0 = NaN once the
+    # power of t overflows and the exponential or K_a underflows
+    far = t >= _matern_far_cutoff(a)
     out = np.where(far, 0.0, 1.0)
     pos = (t > _MATERN_ZERO_CUTOFF) & ~far
     tp = t[pos]
@@ -328,6 +329,35 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
         c_a = 2.0 ** (1.0 - a) / _gamma_fn(a)
         out[pos] = c_a * tp ** a * _bessel_kv(a, tp)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _matern_far_cutoff(a: float) -> float:
+    """A t past which c_a t^a K_a(t) < 2^-1075, half the smallest subnormal,
+    so that the profile rounds to exactly 0 in double precision.
+
+    Bisects the log of the profile, log c_a + a log t + log K_a(t), with
+    K_a(t) = kve(a, t) e^{-t}; the profile decreases in t, so every t past
+    the returned upper end of the bracket is below the floor too.
+    """
+    from scipy.special import gammaln, kve
+
+    log_floor = -1075.0 * math.log(2.0)
+    log_c_a = (1.0 - a) * math.log(2.0) - gammaln(a)
+
+    def above_floor(t: float) -> bool:
+        return log_c_a + a * math.log(t) + math.log(kve(a, t)) - t >= log_floor
+
+    lo, hi = 1.0, 1024.0
+    while above_floor(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if above_floor(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 # ---------------------------------------------------------------------------

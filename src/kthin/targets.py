@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .discrepancy import _as_input
 from .kernels import KernelSpec, gram
 from .thinning import anchored_stride
 
@@ -169,7 +170,7 @@ def target_to_json_dict(target: TargetSpec) -> dict:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def ingest(path: str, format: str = "csv", burn_in: int = 0, thin_to: int | None = None) -> np.ndarray:
+def ingest(path: str, format: str = "csv", burn_in: int = 0) -> np.ndarray:
     """Load an (n, d) point array from disk.
 
     Args:
@@ -178,8 +179,6 @@ def ingest(path: str, format: str = "csv", burn_in: int = 0, thin_to: int | None
         binary layout (magic "KTPS", u32 n, u32 d, little-endian f64
         row-major payload).
       burn_in: rows to drop from the front before anything else.
-      thin_to: optionally standard-thin the remainder down to this many rows
-        (keeping the final row).
 
     Raises:
       IngestError: missing file, malformed rows, inconsistent width, or NaN
@@ -199,10 +198,6 @@ def ingest(path: str, format: str = "csv", burn_in: int = 0, thin_to: int | None
     if len(bad):
         r, c = bad[0]
         raise IngestError(f"non-finite value at row {int(r)}, column {int(c)} of {path}")
-    if thin_to is not None:
-        if thin_to < 1 or thin_to > len(data):
-            raise IngestError(f"cannot thin {len(data)} rows to {thin_to}")
-        data = _thin_to(data, thin_to)
     return data
 
 
@@ -318,11 +313,10 @@ def median_heuristic_bandwidth(points, seed: int = 0) -> float:
     """Median pairwise Euclidean distance.
 
     Exact for n <= 4096; larger sets use 2^20 uniformly sampled pairs
-    (seeded, deterministic).
+    (seeded, deterministic).  Input is read as by the thinning entry points:
+    1-D input is n points in d = 1, and NaN or inf coordinates are rejected.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    points = _as_input(points)
     n = len(points)
     if n < 2:
         raise ValueError(f"median heuristic needs at least 2 points, got {n}")

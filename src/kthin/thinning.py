@@ -1,28 +1,28 @@
 """Kernel thinning: randomized halving into candidate coresets, then
 selection and greedy refinement against a baseline.
 
-The pipeline has two stages.  The split stage consumes the input two points
-at a time and recursively halves it m times, keeping the within-pair
-assignment balanced through a probabilistic swap rule driven by running
-sub-Gaussian scale parameters; it emits 2^m candidate coresets of size
-floor(n / 2^m).  The swap stage picks the candidate (or a standard-thinning
-baseline) with the smallest MMD to the input and then sweeps the coreset
-once, replacing each element by whichever input point most reduces MMD.
-The returned coreset therefore never has larger MMD to the input than the
-baseline does.
+The pipeline has two stages.  The split stage halves the input m times:
+level j splits each of its 2^(j-1) parent coresets pair by pair, keeping
+the within-pair assignment balanced through a probabilistic swap rule driven
+by running sub-Gaussian scale parameters; it emits 2^m candidate coresets of
+size floor(n / 2^m).  The swap stage picks the candidate (or a
+standard-thinning baseline) with the smallest MMD to the input and then
+sweeps the coreset once, replacing each element by whichever input point
+most reduces MMD.  The returned coreset therefore never has larger MMD to
+the input than the baseline does.
 
 Randomness is confined to the split stage and drawn from counter-based
 streams keyed by (round, level, slot), so results are reproducible across
 platforms and independent of evaluation order.  The split draws every
-(round, level, slot) uniform up front in one vectorized Philox pass
-(`rng.swap_uniforms`), bit-identical to drawing each with `rng.swap_uniform`,
-and halves all slots of a level in one array operation.  Each aligned block
-of 2^m input points has its split-kernel columns against the input prefix
-computed once, in one array of at most 8 2^m n bytes, and all m levels read
-their kernel values from it instead of evaluating them again.  Swap
-decisions depend on the split kernel only through scale-free ratios, so the
-kernel's scale factor is divided out up front; c * k yields the same
-candidates as k under the same seed, bitwise.
+uniform up front in one vectorized Philox pass (`rng.swap_uniforms`),
+bit-identical to drawing each with `rng.swap_uniform`.  It then runs over
+aligned blocks of 2^m input points, and within a block level by level and
+pair by pair, halving all slots of a level in one array operation.  Each
+block has its split-kernel columns against the input prefix computed once,
+in one array of at most 8 2^m n bytes, and all m levels read their kernel
+values from it.  Swap decisions depend on the split kernel only through
+scale-free ratios, so the kernel's scale factor is divided out up front;
+c * k yields the same candidates as k under the same seed, bitwise.
 """
 
 from __future__ import annotations
@@ -121,27 +121,23 @@ class Coreset:
 # the split stage
 # ---------------------------------------------------------------------------
 
-def get_swap_params(sigma_sq: float, b_sq: float, delta_hat: float) -> tuple[float, float]:
-    """One step of the swap-threshold recursion.
+def get_swap_params(sigma_sq, b_sq, delta_hat: float):
+    """One step of the swap-threshold recursion, elementwise over arrays.
 
     Args:
-      sigma_sq: current squared sub-Gaussian scale for this (level, slot).
+      sigma_sq: current squared sub-Gaussian scale, one per (level, slot).
       b_sq: squared within-pair kernel distance k(x,x) + k(y,y) - 2k(x,y).
-      delta_hat: failure-probability budget for this step.
+      delta_hat: failure-probability budget for this step (a scalar).
 
     Returns:
       (threshold a, updated sigma_sq).  With sigma = 0 the update reduces to
-      sigma_sq = b_sq.
+      sigma_sq = b_sq; with b^2 = 0 both are 0/0 and the caller keeps sigma.
     """
-    log_term = _log_term(delta_hat)
-    a = max(math.sqrt(b_sq * sigma_sq * log_term), b_sq)
-    growth = max(0.0, 1.0 + (b_sq - 2.0 * a) * sigma_sq / (a * a))
-    return a, sigma_sq + b_sq * growth
-
-
-def _log_term(delta_hat: float) -> float:
     # clamped at 0: extreme schedules can push delta_hat above 2
-    return max(0.0, 2.0 * math.log(2.0 / delta_hat))
+    log_term = max(0.0, 2.0 * math.log(2.0 / delta_hat))
+    a = np.maximum(np.sqrt(b_sq * sigma_sq * log_term), b_sq)
+    growth = np.maximum(1.0 + (b_sq - 2.0 * a) * sigma_sq / (a * a), 0.0)
+    return a, sigma_sq + b_sq * growth
 
 
 def swap_probability(alpha: float, a: float) -> float:
@@ -157,16 +153,16 @@ _WEIGHTS_KEPT = np.array([[-1.0, 1.0], [1.0, -1.0]])
 _WEIGHTS_SWAPPED = -_WEIGHTS_KEPT
 
 
-def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = False) -> list[np.ndarray]:
+def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     """Divide the input into 2^m candidate coresets of size floor(n / 2^m).
 
     Consumes the input in consecutive pairs (x_{2i-1}, x_{2i}); with odd n
     the final point is skipped here (it stays eligible for the refinement
     stage).  Returns index arrays into `points`.
 
-    Round i halves, at every level j <= m with 2^(j-1) dividing i, the last
-    pair (x, x~) of each of the level's 2^(j-1) parent coresets; all slots of
-    a level are one array operation.  The pair splits against
+    Level j halves each of its 2^(j-1) parent coresets pair by pair, in
+    order: its t-th pair (x, x~) is the parent's points 2t - 1 and 2t, and
+    all slots of a level are one array operation.  The pair splits against
 
         alpha = sum_{y in right child} [k(y, x) - k(y, x~)]
                 - sum_{y in left child} [k(y, x) - k(y, x~)],
@@ -178,22 +174,24 @@ def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = Fal
     to, so alpha is one weighted sum over the parent's points already
     passed down.
 
-    The kernel values come from one `evaluate` call per input block.  Every
-    pair that any level halves in rounds 2^(m-1) q + 1 .. 2^(m-1) (q + 1)
-    lies in the block B = [2^m q, 2^m (q + 1)), so k(y, x) for x in B and
-    every y before B's end is computed once, at the start of those rounds,
-    and each level reads its values from it: level 1 by slicing, deeper
-    levels by one gather.  A block holds at most 2^m x n doubles, 8 2^m n
-    bytes (0.5 MB at n = 2048, m = 5; 2 MB at n = 4096, m = 6), and the
-    split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2.
+    The loops run block, then level, then pair.  An aligned block
+    B = [2^m q, 2^m (q + 1)) of input points feeds exactly the pairs
+    t in (2^(m-j) q, 2^(m-j) (q + 1)] of every level j, and those pairs
+    depend only on B's earlier levels, on the uniforms addressed by
+    (round, level, slot), and on sigma^2, which stays sequential in t within
+    each level; so this order makes the same decisions as consuming the
+    input pair by pair.  k(y, x) for x in B and every y before B's end comes
+    from one `evaluate` call, and each level reads its values from it:
+    level 1 by slicing, deeper levels by one gather.  A block holds at most
+    2^m x n doubles, 8 2^m n bytes (0.5 MB at n = 2048, m = 5; 2 MB at
+    n = 4096, m = 6), and the split evaluates sum_B |B| (end of B) kernel
+    entries, about n^2 / 2.
 
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
       points: (n, d) input array.
       cfg: thinning configuration; cfg.m halvings, counter-based randomness
         from cfg.seed.
-      _check_invariants: assert size and partition invariants of the
-        internal state after every round (debug builds / tests only).
     """
     points = _as_input(points)
     n, d = points.shape
@@ -213,62 +211,52 @@ def kt_split(k_split, points, cfg: ThinningConfig, _check_invariants: bool = Fal
     kernel.validate_dim(d)
     diag = kernel.sup_norm() + weight
     sched = cfg.delta_schedule
-    rounds = n // 2
+    used = 2 * (n // 2)
 
-    # Level j holds 2^j coresets of up to cap[j] points; level 0 is the
-    # input.  Siblings 2l and 2l+1 sit side by side in the (2^(j-1), 2, ...)
-    # views; unfilled index slots hold -1, which the invariants check.
-    cap = [2 * rounds >> j for j in range(m + 1)]
-    idx = [np.arange(2 * rounds)[None]]
-    for j in range(1, m + 1):
-        idx.append(np.full((2 ** (j - 1), 2, cap[j]), -1))
-    weights = [np.empty((2 ** j, cap[j], 2)) for j in range(m)]
+    # Level j holds 2^j coresets of used >> j points; level 0 is the input.
+    # Children 2l and 2l+1 of parent l are written side by side through a
+    # (2^(j-1), 2, used >> j) view.
+    idx = [np.arange(used)[None]] + [np.empty((2 ** j, used >> j), int) for j in range(1, m + 1)]
+    weights = [np.empty((2 ** j, used >> j, 2)) for j in range(m)]
     sigma_sq = [None] + [np.zeros(2 ** (j - 1)) for j in range(1, m + 1)]
-    uniforms = _split_uniforms(cfg.seed, rounds, m)
-    block_rounds = 2 ** (m - 1)  # rounds per input block of 2^m points
+    uniforms = _split_uniforms(cfg.seed, used // 2, m)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(1, rounds + 1):
-            if (i - 1) % block_rounds == 0:
-                s0 = 2 * i - 2
-                end = min(s0 + 2 * block_rounds, 2 * rounds)
-                # kb[w, y] = k(points[y], points[s0 + w]): the block's points
-                # against every input point up to the block's end
-                kb = evaluate(kernel, points[None, :end], points[s0:end, None])
-            # levels 1 .. 1 + (trailing zero bits of i) halve this round
-            for j in range(1, min(m, (i & -i).bit_length()) + 1):
-                t = i >> (j - 1)  # each parent now holds 2t points
-                c = 2 * t - 2  # ... of which c were passed down before
-                parent_idx = idx[j - 1].reshape(2 ** (j - 1), -1)[:, :c + 2]
-                pair_idx = parent_idx[:, c:]
-                # k(y, x) and k(y, x~) for every point y of each parent
-                if j == 1:
-                    k_y = kb[c - s0:c + 2 - s0, :c + 2].T[None]
-                else:
-                    k_y = kb.take((pair_idx[:, None, :] - s0) * end + parent_idx[:, :, None])
-                alpha = (k_y[:, :c] * weights[j - 1][:, :c]).sum(axis=(1, 2))
-                b_sq = np.maximum(diag + diag - 2.0 * k_y[:, c, 1], 0.0)
+        for s0 in range(0, used, 2 ** m):
+            end = min(s0 + 2 ** m, used)
+            # kb[w, y] = k(points[y], points[s0 + w]): the block's points
+            # against every input point up to the block's end
+            kb = evaluate(kernel, points[None, :end], points[s0:end, None])
+            for j in range(1, m + 1):
+                children = idx[j].reshape(2 ** (j - 1), 2, -1)
+                for t in range((s0 >> j) + 1, (end >> j) + 1):
+                    c = 2 * t - 2  # parent points passed down before this pair
+                    parent_idx = idx[j - 1][:, :c + 2]
+                    pair_idx = parent_idx[:, c:]
+                    # k(y, x) and k(y, x~) for every point y of each parent
+                    if j == 1:
+                        k_y = kb[c - s0:c + 2 - s0, :c + 2].T[None]
+                    else:
+                        k_y = kb.take((pair_idx[:, None, :] - s0) * end + parent_idx[:, :, None])
+                    alpha = (k_y[:, :c] * weights[j - 1][:, :c]).sum(axis=(1, 2))
+                    b_sq = np.maximum(diag + diag - 2.0 * k_y[:, c, 1], 0.0)
 
-                delta_hat = sched.value(t, n, m) * 2 ** (j - 1) / m
-                sig = sigma_sq[j]
-                a = np.maximum(np.sqrt(b_sq * sig * _log_term(delta_hat)), b_sq)
-                growth = np.maximum(1.0 + (b_sq - 2.0 * a) * sig / (a * a), 0.0)
-                # b^2 = 0: either assignment is equivalent and the threshold
-                # and scale update are 0/0, so the pair neither swaps nor
-                # updates sigma
-                moved = b_sq > 0.0
-                sigma_sq[j] = np.where(moved, sig + b_sq * growth, sig)
-                # u in [0, 1) falls below 0.5 (1 - alpha / a) exactly when it
-                # falls below swap_probability(alpha, a), its clamp to [0, 1]
-                swap = ((uniforms[j][t - 1] < 0.5 * (1.0 - alpha / a)) & moved)[:, None, None]
+                    delta_hat = sched.value(t, n, m) * 2 ** (j - 1) / m
+                    a, grown = get_swap_params(sigma_sq[j], b_sq, delta_hat)
+                    # b^2 = 0: either assignment is equivalent and the threshold
+                    # and scale update are 0/0, so the pair neither swaps nor
+                    # updates sigma
+                    moved = b_sq > 0.0
+                    sigma_sq[j] = np.where(moved, grown, sigma_sq[j])
+                    # u in [0, 1) falls below 0.5 (1 - alpha / a) exactly when it
+                    # falls below swap_probability(alpha, a), its clamp to [0, 1]
+                    swap = ((uniforms[j][t - 1] < 0.5 * (1.0 - alpha / a)) & moved)[:, None, None]
 
-                weights[j - 1][:, c:c + 2] = np.where(swap, _WEIGHTS_SWAPPED, _WEIGHTS_KEPT)
-                # children 2l and 2l+1 receive (x, x~), reversed on a swap
-                idx[j][:, :, t - 1] = np.where(swap[:, :, 0], pair_idx[:, ::-1], pair_idx)
-            if _check_invariants:
-                _assert_split_invariants(idx, consumed=2 * i)
+                    weights[j - 1][:, c:c + 2] = np.where(swap, _WEIGHTS_SWAPPED, _WEIGHTS_KEPT)
+                    # children 2l and 2l+1 receive (x, x~), reversed on a swap
+                    children[:, :, t - 1] = np.where(swap[:, :, 0], pair_idx[:, ::-1], pair_idx)
 
-    return list(idx[m].reshape(2 ** m, -1))
+    return list(idx[m])
 
 
 def _split_uniforms(seed: int, rounds: int, m: int) -> list:
@@ -287,19 +275,6 @@ def _split_uniforms(seed: int, rounds: int, m: int) -> list:
         grid[j - 1, :rounds >> (j - 1) << (j - 1)].reshape(-1, 2 ** (j - 1))
         for j in range(1, m + 1)
     ]
-
-
-def _assert_split_invariants(idx: list, consumed: int) -> None:
-    """After consuming `consumed` input points, each level-j coreset holds
-    floor(consumed / 2^j) of them, and sibling pairs partition the prefix of
-    their parent that has been passed down."""
-    for j in range(1, len(idx)):
-        filled = consumed >> j
-        assert (idx[j][:, :, :filled] >= 0).all(), (j, consumed)
-        assert (idx[j][:, :, filled:] == -1).all(), (j, consumed)
-        siblings = idx[j][:, :, :filled].reshape(2 ** (j - 1), 2 * filled)
-        parents = idx[j - 1].reshape(2 ** (j - 1), -1)[:, :2 * filled]
-        assert np.array_equal(np.sort(siblings, axis=1), np.sort(parents, axis=1)), (j, consumed)
 
 
 # ---------------------------------------------------------------------------

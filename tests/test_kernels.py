@@ -76,6 +76,10 @@ def test_matern_limit_continuity():
         for nu, d in ((1.7, 1), (2.5, 1), (2.5, 2)):
             far = kn.kernel_eval(kn.matern(nu, 1.0), np.zeros(d), np.full(d, 1e160))
             assert far == 0.0
+    # finite separations where the power of t overflows while K_a(t) or e^{-t}
+    # underflows: a = 3 and 5 on the Bessel path, a = 5.5 on the half-integer one
+    for nu, sep in ((3.5, 1e120), (3.5, 1e150), (5.5, 1e80), (6.0, 1e80)):
+        assert kn.kernel_eval(kn.matern(nu, 1.0), [0.0], [sep]) == 0.0
 
 
 def test_matern_halfinteger_matches_bessel_path():

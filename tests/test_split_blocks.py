@@ -40,7 +40,7 @@ def test_block_edges_match_scalar_oracle(m, kernel):
     for seed, (shape, n) in enumerate(sorted(_shapes(m).items())):
         x = np.random.default_rng([m, seed]).normal(size=(n, 2))
         cfg = ThinningConfig(m=m, seed=100 * m + seed)
-        got = kt_split(k, x, cfg, _check_invariants=True)
+        got = kt_split(k, x, cfg)
         want = oracle_split(k, x, cfg)
         assert len(got) == len(want) == 2 ** m
         for a, b in zip(got, want):

@@ -134,13 +134,6 @@ def test_binary_bad_magic(tmp_path):
         ingest(str(path), format="bin")
 
 
-def test_ingest_thin_to(tmp_path):
-    path = tmp_path / "pts.csv"
-    path.write_text("\n".join(str(i) for i in range(10)) + "\n")
-    data = ingest(str(path), thin_to=5)
-    assert data[:, 0].tolist() == [1.0, 3.0, 5.0, 7.0, 9.0]  # last row kept
-
-
 def test_external_target_split(tmp_path):
     path = tmp_path / "chain.csv"
     rows = np.arange(40, dtype=float)
@@ -246,6 +239,17 @@ def test_median_heuristic_subsample_close_to_exact():
 def test_median_heuristic_needs_two_points():
     with pytest.raises(ValueError):
         median_heuristic_bandwidth(np.zeros((1, 2)))
+
+
+def test_median_heuristic_reads_input_like_thinning():
+    # 1-D input is n points in d = 1; a NaN or inf point is rejected instead
+    # of yielding a NaN bandwidth
+    assert median_heuristic_bandwidth(np.array([0.0, 1.0, 3.0])) == 2.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite input value at row 1, column 0"):
+            median_heuristic_bandwidth(np.array([[0.0], [bad], [3.0]]))
+    with pytest.raises(ValueError, match=r"\(n, d\) array"):
+        median_heuristic_bandwidth(np.zeros((3, 1, 1)))
 
 
 def test_sqrt2d_rule():

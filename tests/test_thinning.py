@@ -133,12 +133,29 @@ def test_split_sizes_and_disjoint_candidates():
         assert len(np.unique(merged)) == len(merged)
 
 
-def test_split_state_invariants_every_round():
-    for seed in range(3):
-        kt_split(K, gauss_points(seed, 48), ThinningConfig(m=2, seed=seed),
-                 _check_invariants=True)
-        kt_split(K, gauss_points(seed, 21), ThinningConfig(m=1, seed=seed),
-                 _check_invariants=True)
+def _assert_partition_of_prefix(cands, n):
+    merged = np.concatenate(cands)
+    assert len(np.unique(merged)) == len(merged)
+    assert ((merged >= 0) & (merged < 2 * (n // 2))).all()
+    for c in cands:
+        assert (np.diff(c) > 0).all()
+
+
+def test_split_invariants_every_prefix():
+    # the oblivious schedule does not depend on n, so every prefix x[:size]
+    # is split as the full run split it up to that point: each candidate is
+    # the full run's candidate cut to floor(size / 2^m)
+    n = 101
+    x = gauss_points(4, n)
+    for m in (1, 2, 3):
+        cfg = ThinningConfig(m=m, delta_schedule=DeltaSchedule("oblivious"), seed=m)
+        full = kt_split(K, x, cfg)
+        _assert_partition_of_prefix(full, n)
+        for size in range(2 ** m, n):
+            cands = kt_split(K, x[:size], cfg)
+            _assert_partition_of_prefix(cands, size)
+            for a, b in zip(cands, full):
+                assert np.array_equal(a, b[:size // 2 ** m]), (m, size)
 
 
 def test_split_determinism():
