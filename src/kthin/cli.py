@@ -21,7 +21,7 @@ import numpy as np
 
 from .discrepancy import DiscreteMeasure, mmd
 from .harness import ExperimentPlan, run_experiment
-from .kernels import KernelError, NoClosedFormPowerError, from_json as kernel_from_json, power_kernel
+from .kernels import from_json as kernel_from_json, power_kernel
 from .targets import IngestError, ingest, target_from_json_dict
 from .thinning import (DeltaSchedule, ThinningConfig, generalized_kt, kt_plus, power_kt,
                        split_kernel_for, target_kt)
@@ -32,36 +32,42 @@ EXIT_DATA = 3
 EXIT_CONSTRAINT = 4
 
 
-def _load_points(spec: str, n: int | None, seed: int, fmt: str, burn_in: int) -> np.ndarray:
-    """Points from a file path, or from a JSON target spec like
+def _load_points(args, from_file: bool) -> np.ndarray:
+    """Points from a file path, or sampled from a JSON target spec like
     {"kind": "mog", "components": 8} (requires --n)."""
-    if os.path.exists(spec):
-        return ingest(spec, format=fmt, burn_in=burn_in)
+    if from_file:
+        return ingest(args.input, format=args.format or "csv", burn_in=args.burn_in or 0)
     try:
-        obj = json.loads(spec)
+        obj = json.loads(args.input)
     except json.JSONDecodeError:
         raise IngestError(
-            f"--input {spec!r} is neither an existing file nor a JSON target spec"
+            f"--input {args.input!r} is neither an existing file nor a JSON target spec"
         )
     target = target_from_json_dict(obj)
-    if n is None:
+    if args.n is None:
         raise IngestError("sampling a synthetic target requires --n")
-    return target.sample(n, seed)
+    return target.sample(args.n, args.seed)
 
 
-# the thin flags each variant would otherwise silently ignore
-_UNUSED_FLAGS = {"targetkt": ("alpha", "split_kernel"), "generalized": ("alpha",)}
+# the thin flags each variant, and each kind of input, would otherwise
+# silently ignore
+_UNUSED_FLAGS = {"--variant targetkt": ("alpha", "split_kernel"),
+                 "--variant generalized": ("alpha",),
+                 "an --input file": ("n",),
+                 "an --input target spec": ("format", "burn_in")}
 
 
 def _cmd_thin(args) -> int:
-    unused = [name for name in _UNUSED_FLAGS.get(args.variant, ())
-              if getattr(args, name) is not None]
-    if unused:
-        flags = " or ".join("--" + name.replace("_", "-") for name in unused)
-        print(f"usage error: --variant {args.variant} does not use {flags}", file=sys.stderr)
-        return EXIT_USAGE
+    from_file = os.path.exists(args.input)
+    for user in (f"--variant {args.variant}",
+                 "an --input " + ("file" if from_file else "target spec")):
+        unused = [name for name in _UNUSED_FLAGS.get(user, ()) if getattr(args, name) is not None]
+        if unused:
+            flags = " or ".join("--" + name.replace("_", "-") for name in unused)
+            print(f"usage error: {user} does not use {flags}", file=sys.stderr)
+            return EXIT_USAGE
     kernel = kernel_from_json(args.kernel)
-    points = _load_points(args.input, args.n, args.seed, args.format, args.burn_in)
+    points = _load_points(args, from_file)
     cfg = ThinningConfig(
         m=args.m,
         delta_schedule=DeltaSchedule(args.delta_rule, args.delta),
@@ -132,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "overrides the closed form for powerkt/ktplus)")
     p_thin.add_argument("-m", type=int, required=True, help="halvings; output floor(n/2^m)")
     p_thin.add_argument("--seed", type=int, default=0)
-    p_thin.add_argument("--n", type=int, default=None, help="sample size for synthetic input")
-    p_thin.add_argument("--format", default="csv", choices=["csv", "bin"])
-    p_thin.add_argument("--burn-in", type=int, default=0)
+    p_thin.add_argument("--n", type=int, default=None, help="sample size for a target spec")
+    p_thin.add_argument("--format", choices=["csv", "bin"], help="point file format (csv)")
+    p_thin.add_argument("--burn-in", type=int, help="point file rows to drop (0)")
     p_thin.add_argument("--delta", type=float, default=0.5)
     p_thin.add_argument("--delta-rule", default="known_n", choices=["known_n", "oblivious"])
     p_thin.add_argument("--out", required=True, help="output CSV of coreset indices")
@@ -167,13 +173,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoClosedFormPowerError as exc:
-        print(f"constraint error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
     except (IngestError, OSError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (KernelError, ValueError) as exc:
+    except ValueError as exc:  # KernelError and every spec value error
         print(f"constraint error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
 

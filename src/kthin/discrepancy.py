@@ -56,6 +56,16 @@ def _as_input(points) -> np.ndarray:
     return points
 
 
+def _as_indices(indices, n: int) -> np.ndarray:
+    """indices as a 1-D int array of entries in [0, n); anything else raises."""
+    out = np.asarray(indices)
+    if out.ndim != 1 or out.dtype.kind not in "iu" or (
+            len(out) and not 0 <= out.min() <= out.max() < n):
+        raise ValueError(f"indices must be a 1-D integer array of entries in [0, {n}), "
+                         f"got {out!r}")
+    return out.astype(int)
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """A finitely supported measure: points with non-negative weights summing to 1."""
@@ -174,8 +184,8 @@ class SwapCache:
     ):
         self.kernel = k
         self.points = np.asarray(points, dtype=float)
-        self.coreset = np.asarray(coreset, dtype=int).copy()
         n = len(self.points)
+        self.coreset = _as_indices(coreset, n)
         # every family attains its sup-norm on the diagonal, bitwise equal to
         # the Gram-path value at z = 0
         self.diag = np.full(n, k.sup_norm())

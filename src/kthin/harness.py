@@ -15,9 +15,11 @@ rerun of the same plan is byte-identical.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -36,6 +38,8 @@ from .targets import (
     ExternalTarget,
     TargetSpec,
     TestFunction,
+    fields_from_json,
+    fields_to_json,
     make_cif,
     make_rkhs_witness,
     median_heuristic_bandwidth,
@@ -55,9 +59,6 @@ from .thinning import (
     split_kernel_for,
     target_kt,
 )
-
-DEFAULT_SIZES = (16, 64, 256, 1024, 4096)
-SURROGATE_SIZE = 2 ** 15
 
 _VARIANT_IDS = {"standard": 0, "targetkt": 1, "powerkt": 2, "ktplus": 3, "rootkt": 4}
 _INPUT_SALT = 9001
@@ -106,7 +107,7 @@ class ExperimentPlan:
     target: TargetSpec
     kernel: KernelSpec
     variants: tuple[Variant, ...] = (Variant("standard"), Variant("targetkt"))
-    sizes: tuple[int, ...] = DEFAULT_SIZES
+    sizes: tuple[int, ...] = (16, 64, 256, 1024, 4096)
     replicates: int = 10
     delta: float = 0.5  # delta_i = delta / n
     seed: int = 0
@@ -114,15 +115,16 @@ class ExperimentPlan:
     aggregate: str = "mean"  # mean | median
     test_functions: tuple[str, ...] = ()
     metrics: tuple[str, ...] = ("mmd_input", "mmd_surrogate")
-    surrogate_size: int = SURROGATE_SIZE
+    surrogate_size: int = 2 ** 15
 
     def __post_init__(self):
+        if not self.variants or not self.sizes:
+            raise ValueError("a plan needs at least one variant and one size")
         for n in self.sizes:
-            m = _depth_for(n)
-            if 2 ** (2 * m) != n:
-                raise ValueError(f"size {n} is not a power of 4; output size sqrt(n) undefined")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            if not (isinstance(n, numbers.Integral) and n > 0 and 4 ** _depth_for(n) == n):
+                raise ValueError(f"size {n!r} is not a power of 4; output size sqrt(n) undefined")
+        if self.replicates < 1 or self.surrogate_size < 1:
+            raise ValueError("replicates and surrogate_size must be >= 1")
         if self.bandwidth_rule not in ("fixed", "sqrt2d", "median"):
             raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
         if self.aggregate not in ("mean", "median"):
@@ -130,44 +132,20 @@ class ExperimentPlan:
         for name in self.test_functions:
             if name not in ("rkhs_witness", "moment1", "moment2", "cif"):
                 raise ValueError(f"unknown test function {name!r}")
+        for name in self.metrics:
+            if name not in ("mmd_input", "mmd_surrogate"):
+                raise ValueError(f"unknown metric {name!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "target": target_to_json_dict(self.target),
-            "kernel": self.kernel.to_json_dict(),
-            "variants": [
-                {"name": v.name, **({"alpha": v.alpha} if v.alpha is not None else {})}
-                for v in self.variants
-            ],
-            "sizes": list(self.sizes),
-            "replicates": self.replicates,
-            "delta": self.delta,
-            "seed": self.seed,
-            "bandwidth_rule": self.bandwidth_rule,
-            "aggregate": self.aggregate,
-            "test_functions": list(self.test_functions),
-            "metrics": list(self.metrics),
-            "surrogate_size": self.surrogate_size,
-        }
+        return fields_to_json(self, target=target_to_json_dict,
+                              kernel=KernelSpec.to_json_dict, variants=fields_to_json)
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ExperimentPlan":
-        return ExperimentPlan(
-            target=target_from_json_dict(obj["target"]),
-            kernel=kernel_from_json_dict(obj["kernel"]),
-            variants=tuple(
-                Variant(v["name"], v.get("alpha")) for v in obj.get("variants", [])
-            ) or (Variant("standard"), Variant("targetkt")),
-            sizes=tuple(obj.get("sizes", DEFAULT_SIZES)),
-            replicates=int(obj.get("replicates", 10)),
-            delta=float(obj.get("delta", 0.5)),
-            seed=int(obj.get("seed", 0)),
-            bandwidth_rule=obj.get("bandwidth_rule", "fixed"),
-            aggregate=obj.get("aggregate", "mean"),
-            test_functions=tuple(obj.get("test_functions", ())),
-            metrics=tuple(obj.get("metrics", ("mmd_input", "mmd_surrogate"))),
-            surrogate_size=int(obj.get("surrogate_size", SURROGATE_SIZE)),
-        )
+        """Read the plan.json object; see `targets.fields_from_json` for the rules."""
+        return fields_from_json(ExperimentPlan, obj, target=target_from_json_dict,
+                                kernel=kernel_from_json_dict,
+                                variants=functools.partial(fields_from_json, Variant))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentPlan":
@@ -291,12 +269,7 @@ class RateReport:
         ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "plan": self.plan.to_json_dict(),
-            "rows": self.rows,
-            "fits": self.fits,
-            "skipped": self.skipped,
-        }
+        return fields_to_json(self, plan=ExperimentPlan.to_json_dict)
 
 
 def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateReport:
@@ -363,17 +336,16 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
                         input_means[name] - float(np.mean(fn(out_points)))
                     )
                 for metric in metrics:
-                    if metric in values:
-                        records.append(
-                            {
-                                "variant": variant.tag,
-                                "n": n,
-                                "n_out": n // 2 ** m,
-                                "replicate": rep,
-                                "metric": metric,
-                                "value": values[metric],
-                            }
-                        )
+                    records.append(
+                        {
+                            "variant": variant.tag,
+                            "n": n,
+                            "n_out": n // 2 ** m,
+                            "replicate": rep,
+                            "metric": metric,
+                            "value": values[metric],
+                        }
+                    )
 
     report = RateReport(plan=plan, skipped=skipped)
     _aggregate(plan, runnable, metrics, records, report)
@@ -402,8 +374,6 @@ def _aggregate(plan, variants, metrics, records, report: RateReport) -> None:
                         and r["n"] == n
                     ]
                 )
-                if len(vals) == 0:
-                    continue
                 center = float(np.mean(vals)) if plan.aggregate == "mean" else float(
                     np.median(vals)
                 )
@@ -430,10 +400,7 @@ def _aggregate(plan, variants, metrics, records, report: RateReport) -> None:
                 fit_out = fit_loglog(curve_outs, curve_means)
                 fit_in = fit_loglog(curve_ns, curve_means)
                 report.fits[f"{variant.tag}|{metric}"] = {
-                    "slope": fit_out["slope"],
-                    "intercept": fit_out["intercept"],
-                    "residual_rms": fit_out["residual_rms"],
-                    "slope_vs_input_n": fit_in["slope"],
+                    **fit_out, "slope_vs_input_n": fit_in["slope"]
                 }
 
 

@@ -213,26 +213,33 @@ def kernel_sum(*specs: KernelSpec) -> KernelSpec:
 
 
 def from_json_dict(obj: dict) -> KernelSpec:
-    """Parse the JSON object form {"family": ..., "params": {...}, "scale": ...}."""
+    """Parse the JSON object form {"family": ..., "params": {...}, "scale": ...},
+    or {"family": "sum", "components": [...], "scale": ...}.  Any other key is
+    rejected, and "scale" defaults to 1."""
     try:
         family = obj["family"]
     except (TypeError, KeyError):
         raise KernelError(f"kernel JSON must be an object with a 'family' key: {obj!r}")
-    scale = float(obj.get("scale", 1.0))
-    if family == "sum":
-        comps = tuple(from_json_dict(c) for c in obj.get("components", ()))
-        return kernel_sum(*comps).scaled(scale)
-    if family not in _PARAM_NAMES:
+    if family not in FAMILIES:
         raise KernelError(f"unknown kernel family {family!r}; expected one of {FAMILIES}")
-    params = obj.get("params", {})
-    ctor = {"gauss": gauss, "laplace": laplace, "matern": matern,
-            "imq": imq, "sinc": sinc, "bspline": bspline}[family]
+    body = "components" if family == "sum" else "params"
+    for key in obj:
+        if key not in ("family", body, "scale"):
+            raise KernelError(f"{family} kernel JSON has unknown key {key!r}; "
+                              f"its keys are family, {body} and scale")
     try:
-        return ctor(**params, scale=scale)
-    except TypeError:
-        raise KernelError(
-            f"bad parameters for {family}: expected {_PARAM_NAMES[family]}, got {params!r}"
-        )
+        scale = float(obj.get("scale", 1.0))
+        if family == "sum":
+            return kernel_sum(*[from_json_dict(c) for c in obj.get("components", ())]).scaled(scale)
+        ctor = {"gauss": gauss, "laplace": laplace, "matern": matern,
+                "imq": imq, "sinc": sinc, "bspline": bspline}[family]
+        return ctor(**obj.get("params", {}), scale=scale)
+    except KernelError:
+        raise
+    except (TypeError, ValueError):
+        raise KernelError(f"bad {family} kernel JSON: expected {body} "
+                          f"{_PARAM_NAMES.get(family, '[kernel objects]')} and a numeric scale, "
+                          f"got {obj!r}")
 
 
 def from_json(text: str) -> KernelSpec:
@@ -300,7 +307,10 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
     """c_a t^a K_a(t) for t >= 0, with the limit value 1 at t = 0.
 
     Half-integer orders a = p + 1/2 use the exact exponential-polynomial
-    form; other orders fall back to the scipy Bessel evaluation.
+    form; other orders fall back to the scipy Bessel evaluation.  Entries
+    where that direct form is not a positive finite number come from
+    `_matern_log_profile`: at large orders t^a or the polynomial overflows
+    while K_a(t) or e^{-t} underflows, or c_a leaves the normal float range.
     """
     # imported here: scipy.special is most of the package's import time, and
     # only the Matern family needs it
@@ -308,27 +318,60 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
 
     t = np.asarray(t, dtype=float)
     # the limits: 1 at t = 0, and exactly 0 from the cut-off on (t = inf
-    # included), where the products below would read inf * 0 = NaN once the
-    # power of t overflows and the exponential or K_a underflows
+    # included), where the profile rounds to 0 in double precision
     far = t >= _matern_far_cutoff(a)
     out = np.where(far, 0.0, 1.0)
     pos = (t > _MATERN_ZERO_CUTOFF) & ~far
     tp = t[pos]
     two_a = 2.0 * a
-    if abs(two_a - round(two_a)) < 1e-12 and int(round(two_a)) % 2 == 1:
-        # K_{p+1/2}(t) = sqrt(pi/(2t)) e^{-t} sum_k (p+k)!/(k!(p-k)!) (2t)^{-k},
-        # so c_a t^a K_a(t) = c_a sqrt(pi/2) e^{-t} sum_k coeff_k 2^{-k} t^{p-k}
-        p = int(round(a - 0.5))
-        poly = np.zeros_like(tp)
-        for k in range(p + 1):
-            coeff = math.factorial(p + k) / (math.factorial(k) * math.factorial(p - k))
-            poly += coeff * 2.0 ** (-k) * tp ** (p - k)
-        const = 2.0 ** (1.0 - a) / _gamma_fn(a) * math.sqrt(math.pi / 2.0)
-        out[pos] = const * np.exp(-tp) * poly
-    else:
-        c_a = 2.0 ** (1.0 - a) / _gamma_fn(a)
-        out[pos] = c_a * tp ** a * _bessel_kv(a, tp)
+    c_a = 2.0 ** (1.0 - a) / _gamma_fn(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c_a < 2.0 ** -1022:  # the smallest normal double
+            direct = np.full_like(tp, np.nan)
+        elif abs(two_a - round(two_a)) < 1e-12 and int(round(two_a)) % 2 == 1:
+            # K_{p+1/2}(t) = sqrt(pi/(2t)) e^{-t} sum_k (p+k)!/(k!(p-k)!) (2t)^{-k},
+            # so c_a t^a K_a(t) = c_a sqrt(pi/2) e^{-t} sum_k coeff_k 2^{-k} t^{p-k};
+            # coeff_k 2^{-k} as one division stays in float range wherever c_a does
+            p = int(round(a - 0.5))
+            poly = np.zeros_like(tp)
+            for k in range(p + 1):
+                coeff = math.factorial(p + k) / (math.factorial(k) * math.factorial(p - k) << k)
+                poly += coeff * tp ** (p - k)
+            direct = c_a * math.sqrt(math.pi / 2.0) * np.exp(-tp) * poly
+        else:
+            direct = c_a * tp ** a * _bessel_kv(a, tp)
+    ok = direct > 0.0
+    ok &= direct < np.inf
+    if not ok.all():
+        bad = ~ok
+        # clamped to the value at t = 0, which the log-domain sum can pass by
+        # rounding where the profile is 1 to double precision
+        direct[bad] = np.minimum(np.exp(_matern_log_profile(a, tp[bad])), 1.0)
+    out[pos] = direct
     return out
+
+
+def _matern_log_profile(a: float, t: np.ndarray) -> np.ndarray:
+    """log(c_a t^a K_a(t)) for t > 0 as log c_a + a log t + log kve(a, t) - t,
+    with kve(a, t) = K_a(t) e^t, so that no factor needs to be in float range.
+
+    Where kve(a, t) itself overflows (t small against a), its log climbs from
+    the orders b = a - floor(a) and b - 1 (K_{b-1} = K_{1-b}), whose kve stay
+    finite, up the recurrence K_{v+1} = K_{v-1} + (2v / t) K_v, carried as
+    the ratio r_v = K_{v+1} / K_v = 1 / r_{v-1} + 2v / t >= 1.
+    """
+    from scipy.special import gammaln, kve
+
+    log_kve = np.log(kve(a, t))
+    over = np.isinf(log_kve)
+    if over.any():
+        b, t_over = a - math.floor(a), t[over]
+        log_kve[over] = np.log(kve(b, t_over))
+        ratio = kve(b, t_over) / kve(1.0 - b, t_over)
+        for v in b + np.arange(math.floor(a)):
+            ratio = 1.0 / ratio + 2.0 * v / t_over
+            log_kve[over] += np.log(ratio)
+    return (1.0 - a) * math.log(2.0) - gammaln(a) + a * np.log(t) + log_kve - t
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,17 +379,11 @@ def _matern_far_cutoff(a: float) -> float:
     """A t past which c_a t^a K_a(t) < 2^-1075, half the smallest subnormal,
     so that the profile rounds to exactly 0 in double precision.
 
-    Bisects the log of the profile, log c_a + a log t + log K_a(t), with
-    K_a(t) = kve(a, t) e^{-t}; the profile decreases in t, so every t past
-    the returned upper end of the bracket is below the floor too.
+    Bisects `_matern_log_profile`; the profile decreases in t, so every t
+    past the returned upper end of the bracket is below the floor too.
     """
-    from scipy.special import gammaln, kve
-
-    log_floor = -1075.0 * math.log(2.0)
-    log_c_a = (1.0 - a) * math.log(2.0) - gammaln(a)
-
     def above_floor(t: float) -> bool:
-        return log_c_a + a * math.log(t) + math.log(kve(a, t)) - t >= log_floor
+        return _matern_log_profile(a, np.array([t]))[0] >= -1075.0 * math.log(2.0)
 
     lo, hi = 1.0, 1024.0
     while above_floor(hi):

@@ -15,6 +15,7 @@ exp(-(1/d) sum_j |x_j - u_j|) with u frozen uniform in the unit cube.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import struct
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .discrepancy import _as_input
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, _as_points, gram
 from .thinning import anchored_stride
 
 MOG_MEANS = np.array(
@@ -136,34 +137,64 @@ def _thin_to(points: np.ndarray, size: int) -> np.ndarray:
     return points[anchored_stride(n, size, n // size)]
 
 
-def target_from_json_dict(obj: dict) -> TargetSpec:
-    kind = obj.get("kind")
-    if kind == "gauss":
-        return GaussTarget(d=int(obj.get("d", 2)))
-    if kind == "mog":
-        return MogTarget(components=int(obj.get("components", 8)))
-    if kind == "external":
-        return ExternalTarget(
-            path=obj["path"],
-            format=obj.get("format", "csv"),
-            burn_in=int(obj.get("burn_in", 0)),
-            holdout_fraction=float(obj.get("holdout_fraction", 0.5)),
-        )
-    raise ValueError(f"unknown target kind {kind!r}")
+def fields_from_json(cls, obj, **parse):
+    """An instance of the dataclass cls from a JSON object keyed by its fields.
+
+    An absent key keeps its default, `int` and `float` fields are converted,
+    arrays become tuples, and `parse` maps a field name to the reader of its
+    value (of each element, for an array).  Anything else -- a value that is
+    not an object, an unknown or missing required key, a value that does not
+    convert -- raises ValueError naming the key.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} spec must be a JSON object, got {obj!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for f in fields.values():
+        if f.name not in obj and f.default is f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{cls.__name__} spec lacks the required key {f.name!r}")
+    kwargs = {}
+    for key, value in obj.items():
+        if key not in fields:
+            raise ValueError(f"{cls.__name__} spec has unknown key {key!r}; "
+                             f"its keys are {list(fields)}")
+        array = fields[key].type.startswith("tuple")
+        read = parse.get(key) or {"int": int, "float": float}.get(fields[key].type, lambda v: v)
+        try:
+            if array != isinstance(value, list):
+                raise ValueError(f"expected {'an array' if array else 'no array'}, got {value!r}")
+            kwargs[key] = tuple(map(read, value)) if array else read(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{cls.__name__} spec key {key!r}: {exc}") from exc
+    return cls(**kwargs)
+
+
+def fields_to_json(obj, **write) -> dict:
+    """The JSON object `fields_from_json` reads back into the dataclass obj:
+    each field that is not None, tuples as lists, and `write` mapping a field
+    name to the writer of its value (of each element, for a tuple)."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value, form = getattr(obj, f.name), write.get(f.name, lambda v: v)
+        if value is not None:
+            out[f.name] = [form(v) for v in value] if isinstance(value, tuple) else form(value)
+    return out
+
+
+TARGET_KINDS = {"gauss": GaussTarget, "mog": MogTarget, "external": ExternalTarget}
+
+
+def target_from_json_dict(obj) -> TargetSpec:
+    """Read {"kind": <a key of TARGET_KINDS>, <fields of that kind's class>}."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in TARGET_KINDS:
+        raise ValueError(f"target spec must be a JSON object with 'kind' one of "
+                         f"{list(TARGET_KINDS)}, got {obj!r}")
+    return fields_from_json(TARGET_KINDS[kind], {k: v for k, v in obj.items() if k != "kind"})
 
 
 def target_to_json_dict(target: TargetSpec) -> dict:
-    if isinstance(target, GaussTarget):
-        return {"kind": "gauss", "d": target.d}
-    if isinstance(target, MogTarget):
-        return {"kind": "mog", "components": target.components}
-    return {
-        "kind": "external",
-        "path": target.path,
-        "format": target.format,
-        "burn_in": target.burn_in,
-        "holdout_fraction": target.holdout_fraction,
-    }
+    kind = next(k for k, cls in TARGET_KINDS.items() if isinstance(target, cls))
+    return {"kind": kind, **fields_to_json(target)}
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +302,7 @@ class TestFunction:
     frozen: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
+        x = _as_points(x)
         if self.name == "moment1":
             return x[:, 0]
         if self.name == "moment2":

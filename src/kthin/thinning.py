@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .discrepancy import SwapCache, _as_input, kernel_row_means
+from .discrepancy import SwapCache, _as_indices, _as_input, kernel_row_means
 # gram is not called here; it stays a module attribute because
 # perfbench/spans.py traces the kernel boundary by wrapping
 # kthin.thinning.gram and kthin.thinning.gram_rows
@@ -88,8 +89,8 @@ class ThinningConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"thinning depth m must be >= 1, got {self.m}")
+        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"thinning depth m must be an integer >= 1, got {self.m!r}")
 
 
 @dataclass
@@ -104,9 +105,6 @@ class Coreset:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def points(self, input_points: np.ndarray) -> np.ndarray:
-        return np.asarray(input_points)[self.indices]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -321,6 +319,7 @@ def kt_swap(
     n = len(points)
     if not candidates:
         raise ValueError("kt_swap needs at least one candidate coreset")
+    candidates = [_as_indices(c, n) for c in candidates]
     sizes = {len(c) for c in candidates}
     if len(sizes) != 1:
         raise ValueError(f"candidate coresets differ in size: {sorted(sizes)}")

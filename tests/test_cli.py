@@ -72,6 +72,37 @@ def test_thin_rejects_flags_the_variant_ignores(tmp_path, capsys, variant, flags
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("from_file, flags, named", [
+    (True, ["--n", "64"], "an --input file does not use --n"),
+    (False, ["--n", "64", "--burn-in", "3"], "an --input target spec does not use --burn-in"),
+    (False, ["--n", "64", "--format", "csv"], "an --input target spec does not use --format"),
+    (False, ["--n", "64", "--format", "bin", "--burn-in", "0"],
+     "does not use --format or --burn-in"),
+])
+def test_thin_rejects_flags_the_input_ignores(tmp_path, capsys, from_file, flags, named):
+    src = str(tmp_path / "in.csv")
+    write_points(src, np.random.default_rng(0).normal(size=(16, 2)))
+    spec = src if from_file else '{"kind": "gauss", "d": 2}'
+    code = main(["thin", "--input", spec, "--kernel", GAUSS, "-m", "1",
+                 "--out", str(tmp_path / "c.csv"), *flags])
+    assert code == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("5", "'kind' one of"),
+    ('["mog"]', "'kind' one of"),
+    ('{"kind": "mog", "component": 4}', "unknown key 'component'"),
+    ('{"kind": "gauss", "d": null}', "key 'd'"),
+])
+def test_thin_malformed_target_spec_is_constraint_error(tmp_path, capsys, spec, named):
+    code = main(["thin", "--input", spec, "--n", "64", "--kernel", GAUSS, "-m", "1",
+                 "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_CONSTRAINT
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("variant", ["powerkt", "ktplus"])
 def test_thin_power_variants_default_alpha_is_one_half(tmp_path, variant):
     src = str(tmp_path / "in.csv")
@@ -144,6 +175,31 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert main(["experiment", "--plan", plan_path, "--out-dir", out_dir]) == EXIT_OK
     assert "slope" in capsys.readouterr().out
     assert json.loads(open(f"{out_dir}/report.json").read())["fits"]
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"kernel": None}, "required key 'kernel'"),
+    ({"replicate": 3}, "unknown key 'replicate'"),
+    ({"variants": [{"alpha": 0.5}]}, "required key 'name'"),
+    ({"target": {"kind": "external"}}, "required key 'path'"),
+    ({"kernel": {"family": "gauss", "params": {"sigma": 1.0}, "scael": 2.0}}, "unknown key 'scael'"),
+])
+def test_experiment_malformed_plan_is_constraint_error(tmp_path, capsys, change, named):
+    plan = {
+        "target": {"kind": "mog", "components": 4},
+        "kernel": {"family": "gauss", "params": {"sigma": 2.0}},
+        "sizes": [16],
+        "replicates": 1,
+        **change,
+    }
+    plan = {k: v for k, v in plan.items() if v is not None}
+    plan_path = str(tmp_path / "plan.json")
+    with open(plan_path, "w") as fh:
+        json.dump(plan, fh)
+    out_dir = str(tmp_path / "results")
+    assert main(["experiment", "--plan", plan_path, "--out-dir", out_dir]) == EXIT_CONSTRAINT
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_usage_error_exit_code():

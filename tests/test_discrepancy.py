@@ -285,6 +285,13 @@ def test_swap_delta_incumbent_is_exactly_zero():
         assert cache.swap_delta(pos, int(cache.coreset[pos])) == 0.0
 
 
+def test_swap_cache_rejects_malformed_coreset():
+    pts = np.random.default_rng(7).normal(size=(30, 2))
+    for bad in ([-3], [30], [1.0, 2.0], [[1, 2]], [True]):
+        with pytest.raises(ValueError, match=r"entries in \[0, 30\)"):
+            SwapCache(kn.gauss(1.0), pts, bad)
+
+
 def test_swap_delta_matches_full_recomputation():
     rng = np.random.default_rng(8)
     k = kn.laplace(1.3)

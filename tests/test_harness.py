@@ -43,6 +43,9 @@ def small_plan(**overrides):
 def test_plan_rejects_non_power_of_four_sizes():
     with pytest.raises(ValueError, match="power of 4"):
         small_plan(sizes=(16, 32))
+    for sizes in ((16.0,), (0,), (-16,)):
+        with pytest.raises(ValueError, match="power of 4"):
+            small_plan(sizes=sizes)
 
 
 def test_plan_json_round_trip():
@@ -54,6 +57,61 @@ def test_plan_json_round_trip():
     )
     again = ExperimentPlan.from_json(json.dumps(plan.to_json_dict()))
     assert again == plan
+
+
+def test_plan_json_defaults_and_exact_form():
+    # absent keys keep the dataclass defaults, and every field is written
+    plan = ExperimentPlan.from_json(
+        '{"target": {"kind": "mog"}, "kernel": {"family": "gauss", "params": {"sigma": 2}}}'
+    )
+    assert plan == ExperimentPlan(target=MogTarget(), kernel=kn.gauss(2.0))
+    assert json.dumps(plan.to_json_dict()) == (
+        '{"target": {"kind": "mog", "components": 8}, "kernel": {"family": "gauss", '
+        '"params": {"sigma": 2.0}, "scale": 1.0}, "variants": [{"name": "standard"}, '
+        '{"name": "targetkt"}], "sizes": [16, 64, 256, 1024, 4096], "replicates": 10, '
+        '"delta": 0.5, "seed": 0, "bandwidth_rule": "fixed", "aggregate": "mean", '
+        '"test_functions": [], "metrics": ["mmd_input", "mmd_surrogate"], '
+        '"surrogate_size": 32768}'
+    )
+    # int and float fields are converted: an integral delta is written as a float
+    again = ExperimentPlan.from_json_dict({**plan.to_json_dict(), "delta": 1, "replicates": 2.0})
+    assert again.to_json_dict()["delta"] == 1.0 and again.replicates == 2
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"replicate": 3}, "unknown key 'replicate'"),
+    ({"size": [16]}, "unknown key 'size'"),
+    ({"kernel": None}, "'family' key"),
+    ({"kernel": {"family": "gauss", "params": {"sigma": 1.0}, "scael": 2}}, "unknown key 'scael'"),
+    ({"target": {"kind": "mog", "component": 4}}, "unknown key 'component'"),
+    ({"target": {"kind": "external"}}, "required key 'path'"),
+    ({"variants": [{"alpha": 0.5}]}, "required key 'name'"),
+    ({"variants": [{"name": "powerkt", "alhpa": 0.5}]}, "unknown key 'alhpa'"),
+    ({"variants": [{"name": ["rootkt"]}]}, "key 'variants'"),
+    ({"variants": "standard"}, "key 'variants'"),
+    ({"sizes": 16}, "key 'sizes'"),
+    ({"sizes": ["16"]}, "power of 4"),
+    ({"replicates": None}, "key 'replicates'"),
+    ({"seed": [1]}, "key 'seed'"),
+    ({"surrogate_size": 0}, "surrogate_size must be >= 1"),
+    ({"metrics": ["mmd_inptu"]}, "unknown metric 'mmd_inptu'"),
+    ({"variants": []}, "at least one variant"),
+    ({"sizes": []}, "at least one variant and one size"),
+])
+def test_plan_json_rejects_malformed_specs(change, named):
+    obj = {**small_plan().to_json_dict(), **change}
+    with pytest.raises(ValueError, match=named):
+        ExperimentPlan.from_json_dict(obj)
+
+
+def test_plan_json_must_be_an_object_with_target_and_kernel():
+    for obj in ([], "plan", None):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            ExperimentPlan.from_json_dict(obj)
+    full = small_plan().to_json_dict()
+    for key in ("target", "kernel"):
+        with pytest.raises(ValueError, match=f"required key '{key}'"):
+            ExperimentPlan.from_json_dict({k: v for k, v in full.items() if k != key})
 
 
 def test_variant_validation_and_tags():

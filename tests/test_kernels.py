@@ -82,6 +82,21 @@ def test_matern_limit_continuity():
         assert kn.kernel_eval(kn.matern(nu, 1.0), [0.0], [sep]) == 0.0
 
 
+@pytest.mark.parametrize("nu, sep", [
+    # large orders: inf, NaN or OverflowError from the direct forms
+    (120.5, 500.0), (120.5, 900.0), (150.5, 1.0), (200.5, 1.0), (120.0, 500.0), (151.0, 1.0),
+    # K_a(t) underflows to 0 (t = 705, 800) or overflows (t = 1e-155) inside the cut-off
+    (1.5, 705.0), (101.0, 800.0), (2.7, 1e-155),
+])
+def test_matern_log_domain_fallback_matches_mpmath(nu, sep):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, t = mpmath.mpf(nu) - mpmath.mpf(1) / 2, mpmath.mpf(sep)
+        want = float(2 ** (1 - a) / mpmath.gamma(a) * t ** a * mpmath.besselk(a, t))
+    got = kn.kernel_eval(kn.matern(nu, 1.0), [0.0], [sep])
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_matern_halfinteger_matches_bessel_path():
     # closed forms and the scipy Bessel evaluation agree away from zero
     from scipy.special import kv, gamma
@@ -389,6 +404,20 @@ def test_json_errors():
         kn.from_json('{"family": "cauchy", "params": {}}')
     with pytest.raises(kn.KernelError):
         kn.from_json('{"family": "gauss", "params": {"wrong": 1.0}}')
+    # top-level keys outside family/params/scale (family/components/scale for
+    # a sum) are rejected by name, and a malformed scale is a KernelError
+    for text, key in [
+        ('{"family": "gauss", "params": {"sigma": 1.0}, "scael": 2.0}', "scael"),
+        ('{"family": "gauss", "components": []}', "components"),
+        ('{"family": "sum", "params": {}, "components": [{"family": "sinc"}]}', "params"),
+    ]:
+        with pytest.raises(kn.KernelError, match=f"unknown key '{key}'"):
+            kn.from_json(text)
+    for bad in ('null', '"two"', '[1.0]'):
+        with pytest.raises(kn.KernelError, match="numeric scale"):
+            kn.from_json('{"family": "gauss", "params": {"sigma": 1.0}, "scale": %s}' % bad)
+    with pytest.raises(kn.KernelError, match="numeric scale"):
+        kn.from_json('{"family": "sum", "components": 5}')
 
 
 def test_scipy_special_is_imported_only_for_matern():

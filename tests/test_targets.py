@@ -71,6 +71,29 @@ def test_sampler_determinism():
 def test_target_json_round_trip():
     for t in (GaussTarget(3), MogTarget(6), ExternalTarget("/tmp/x.csv", burn_in=5)):
         assert target_from_json_dict(target_to_json_dict(t)) == t
+    # absent keys keep the dataclass defaults; int and float fields convert
+    assert target_from_json_dict({"kind": "mog"}) == MogTarget()
+    ext = target_from_json_dict({"kind": "external", "path": "p.csv", "holdout_fraction": 0})
+    assert ext == ExternalTarget("p.csv", holdout_fraction=0.0)
+    assert isinstance(ext.holdout_fraction, float)
+    assert target_to_json_dict(ext) == {"kind": "external", "path": "p.csv", "format": "csv",
+                                        "burn_in": 0, "holdout_fraction": 0.0}
+
+
+@pytest.mark.parametrize("spec, named", [
+    ({"kind": "mog", "component": 4}, "unknown key 'component'"),
+    ({"kind": "gauss", "d": 2, "dim": 3}, "unknown key 'dim'"),
+    ({"kind": "external"}, "required key 'path'"),
+    ({"kind": "gauss", "d": "two"}, "key 'd'"),
+    ({"kind": "gauss", "d": [2]}, "key 'd'"),
+    ({"kind": "cauchy"}, "'kind' one of"),
+    ({"d": 2}, "'kind' one of"),
+    (5, "'kind' one of"),
+    ([{"kind": "gauss"}], "'kind' one of"),
+])
+def test_target_json_rejects_malformed_specs(spec, named):
+    with pytest.raises(ValueError, match=named):
+        target_from_json_dict(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +207,9 @@ def test_external_target_reads_its_file_once(tmp_path, monkeypatch):
 def test_moment_functions():
     assert moment1()(np.array([3.0, -1.0]))[0] == 3.0
     assert moment2()(np.array([3.0, -1.0]))[0] == 9.0
+    # input is read as by the kernels: 1-D is one point, 3-D is rejected
+    with pytest.raises(kn.KernelError, match=r"\(n, d\) array"):
+        moment1()(np.zeros((2, 2, 2)))
 
 
 def test_cif_at_its_center():

@@ -87,6 +87,10 @@ def test_delta_schedules():
 def test_config_validation_and_round_trip():
     with pytest.raises(ValueError):
         ThinningConfig(m=0)
+    for m in (2.0, "2", None):
+        with pytest.raises(ValueError, match="integer"):
+            ThinningConfig(m=m)
+    assert ThinningConfig(m=np.int64(2)).m == 2
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +309,20 @@ def test_swap_candidate_size_mismatch():
     x = gauss_points(30, 16)
     with pytest.raises(ValueError, match="differ in size"):
         kt_swap(K, x, [np.array([0, 1]), np.array([0, 1, 2])], ThinningConfig(m=3, seed=0))
+
+
+@pytest.mark.parametrize("bad", [
+    [-1, 3],  # -1 is also the swap cache's "no column kept" sentinel
+    [0, 16],
+    [0.0, 3.0],
+    [[0, 3]],
+    [True, False],
+])
+def test_swap_rejects_malformed_candidates(bad):
+    x = gauss_points(31, 16)
+    good = np.array([5, 9])
+    with pytest.raises(ValueError, match=r"1-D integer array of entries in \[0, 16\)"):
+        kt_swap(K, x, [good, bad], ThinningConfig(m=3, seed=0))
 
 
 def test_swap_allows_duplicates_in_output():
