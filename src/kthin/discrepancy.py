@@ -17,14 +17,15 @@ symmetric: only the tiles on and above the diagonal are evaluated, and each
 one above it adds to both its row block and its column block, which halves
 the kernel evaluations.
 
-Point arrays are coerced and validated once, by `_as_input`, which thinning
-uses too: empty input and NaN or inf coordinates are rejected at the
-boundary instead of surfacing as a NaN MMD.
+Point arrays are read by `kernels._as_points`, as everywhere in the
+package, so NaN or inf coordinates are rejected at the boundary instead of
+surfacing as a NaN MMD.
 
 The SwapCache supports the coreset refinement loop: given a fixed input set
 and a current coreset, it answers "how does MMD^2 change if coreset slot i
-is replaced by input point z" in O(1) per candidate after O(n) setup per
-accepted swap.
+is replaced by input point z".  Each query costs O(n), accepted or not: it
+builds the delta vector over all n candidates, plus one kernel column of n
+entries unless that column is cached; an accepted swap adds one more column.
 """
 
 from __future__ import annotations
@@ -33,27 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, gauss_power_exact, gram
+from .kernels import KernelSpec, _as_points, gauss_power_exact, gram
 
 _CHUNK = 512  # side of the square Gram tiles
-
-
-def _as_input(points) -> np.ndarray:
-    """The input as an (n, d) float array; a 1-D input is n points in d = 1.
-
-    Non-finite coordinates are rejected here: a NaN makes every swap
-    statistic and every MMD NaN, and the split would silently never swap.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2:
-        raise ValueError(f"points must be an (n, d) array, got shape {points.shape}")
-    finite = np.isfinite(points)
-    if not finite.all():
-        r, c = np.argwhere(~finite)[0]
-        raise ValueError(f"non-finite input value at row {int(r)}, column {int(c)}")
-    return points
 
 
 def _as_indices(indices, n: int) -> np.ndarray:
@@ -74,9 +57,7 @@ class DiscreteMeasure:
     weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        pts = _as_input(self.points)
-        if len(pts) == 0:
-            raise ValueError("a discrete measure needs at least one point")
+        pts = _as_points(self.points)
         object.__setattr__(self, "points", pts)
         if self.weights is None:
             w = np.full(len(pts), 1.0 / len(pts))
@@ -155,12 +136,13 @@ def integration_error(f, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
 
 def kernel_row_means(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     """(1/n) sum_y k(z, y) for every z in points, over the upper-triangle tiles."""
+    points = _as_points(points)
     n = len(points)
     return _kernel_sums(k, points, np.full(n, 1.0 / n))
 
 
 # ---------------------------------------------------------------------------
-# O(1) swap deltas for coreset refinement
+# swap deltas for coreset refinement
 # ---------------------------------------------------------------------------
 
 class SwapCache:
@@ -171,8 +153,8 @@ class SwapCache:
         row_mean[z] = (1/n) sum_y k(z, y)        (fixed for the run)
         cross[z]    = sum_{w in coreset} k(z, w) (updated per accepted swap)
 
-    so the MMD^2 change from replacing coreset slot i with z follows in O(1)
-    per candidate and a full argmin scan over inputs is O(n).
+    so the MMD^2 change from replacing coreset slot i with z is O(1)
+    arithmetic per candidate, done for all n candidates at once.
     """
 
     def __init__(
@@ -183,7 +165,7 @@ class SwapCache:
         row_mean: np.ndarray | None = None,
     ):
         self.kernel = k
-        self.points = np.asarray(points, dtype=float)
+        self.points = _as_points(points)
         n = len(self.points)
         self.coreset = _as_indices(coreset, n)
         # every family attains its sup-norm on the diagonal, bitwise equal to
@@ -200,7 +182,8 @@ class SwapCache:
         return len(self.coreset)
 
     def swap_delta(self, position: int, candidate: int) -> float:
-        """MMD^2(inputs, coreset with [position] = candidate) - MMD^2(current)."""
+        """MMD^2(inputs, coreset with [position] = candidate) - MMD^2(current),
+        at the O(n) cost of the slot's whole delta vector (see the module)."""
         return float(self._delta_vector(position)[candidate])
 
     def _delta_vector(self, position: int) -> np.ndarray:
@@ -240,8 +223,8 @@ class SwapCache:
 
 
 def mmd_swap_delta(cache: SwapCache, position: int, candidate: int) -> float:
-    """O(1) MMD^2 delta for replacing coreset slot `position` of the cache's
-    coreset by input point `candidate`."""
+    """MMD^2 delta for replacing coreset slot `position` of the cache's
+    coreset by input point `candidate`; O(n), as `SwapCache.swap_delta`."""
     return cache.swap_delta(position, candidate)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,8 @@ class KernelSpec:
     """A kernel family tag, its parameters, and a positive scale multiplier.
 
     Build instances through the module-level constructors (`gauss`,
-    `laplace`, ...) which validate parameters eagerly.  Values are immutable
-    and safe to share across threads; evaluation is pure.
+    `laplace`, ...).  Values are immutable and safe to share across threads;
+    evaluation is pure.
     """
 
     family: str
@@ -63,10 +64,22 @@ class KernelSpec:
     scale: float = 1.0
     components: tuple = field(default=(), repr=False)
 
+    def __post_init__(self):
+        """The one check of kernel parameters, which the constructors, the
+        JSON reader, `scaled`, `normalized` and `with_lengthscale` all pass
+        through: see `_checked`, and a sum needs at least one component."""
+        names = _PARAM_NAMES.get(self.family, ())
+        if self.family not in FAMILIES or len(self.params) != len(names):
+            raise KernelError(f"expected a family of {FAMILIES} with its parameters, "
+                              f"got {self.family!r} with {self.params}")
+        object.__setattr__(self, "scale", _checked(self.family, "scale", self.scale))
+        object.__setattr__(self, "params", tuple(
+            _checked(self.family, name, v) for name, v in zip(names, self.params)))
+        if self.family == "sum" and not self.components:
+            raise KernelError("a sum kernel needs at least one component")
+
     def scaled(self, c: float) -> "KernelSpec":
         """The kernel c * k for c > 0."""
-        if c <= 0:
-            raise KernelError(f"scale must be positive, got {c}")
         return KernelSpec(self.family, self.params, self.scale * c, self.components)
 
     def normalized(self) -> "KernelSpec":
@@ -166,49 +179,46 @@ _PARAM_NAMES = {
 }
 
 
+def _checked(family: str, name: str, value):
+    """Parameter `name` as a float (beta as an int) if it is finite, theta
+    != 0, beta an integer >= 0 (0, the triangle kernel, is a power of
+    bspline(1, .)), and the scale or any other parameter > 0."""
+    in_domain = isinstance(value, numbers.Real) and math.isfinite(value) and (
+        value != 0 if name == "theta" else
+        value >= 0 and value == int(value) if name == "beta" else
+        value > 0)
+    if not in_domain:
+        rule = {"theta": "!= 0", "beta": "an integer >= 0"}.get(name, "> 0")
+        raise KernelError(f"{family} kernel {name} must be finite and {rule}, got {value!r}")
+    return int(value) if name == "beta" else float(value)
+
+
 def gauss(sigma: float, scale: float = 1.0) -> KernelSpec:
-    if sigma <= 0:
-        raise KernelError(f"gauss requires sigma > 0, got {sigma}")
-    return KernelSpec("gauss", (float(sigma),), float(scale))
+    return KernelSpec("gauss", (sigma,), scale)
 
 
 def laplace(sigma: float, scale: float = 1.0) -> KernelSpec:
-    if sigma <= 0:
-        raise KernelError(f"laplace requires sigma > 0, got {sigma}")
-    return KernelSpec("laplace", (float(sigma),), float(scale))
+    return KernelSpec("laplace", (sigma,), scale)
 
 
 def matern(nu: float, gamma: float, scale: float = 1.0) -> KernelSpec:
-    if nu <= 0 or gamma <= 0:
-        raise KernelError(f"matern requires nu > 0 and gamma > 0, got nu={nu}, gamma={gamma}")
-    return KernelSpec("matern", (float(nu), float(gamma)), float(scale))
+    return KernelSpec("matern", (nu, gamma), scale)
 
 
 def imq(nu: float, gamma: float, scale: float = 1.0) -> KernelSpec:
-    if nu <= 0 or gamma <= 0:
-        raise KernelError(f"imq requires nu > 0 and gamma > 0, got nu={nu}, gamma={gamma}")
-    return KernelSpec("imq", (float(nu), float(gamma)), float(scale))
+    return KernelSpec("imq", (nu, gamma), scale)
 
 
 def sinc(theta: float, scale: float = 1.0) -> KernelSpec:
-    if theta == 0:
-        raise KernelError("sinc requires theta != 0")
-    return KernelSpec("sinc", (float(theta),), float(scale))
+    return KernelSpec("sinc", (theta,), scale)
 
 
 def bspline(beta: int, gamma: float, scale: float = 1.0) -> KernelSpec:
-    # beta = 0 (the triangle kernel) arises as a power of bspline(1, .)
-    if int(beta) != beta or beta < 0:
-        raise KernelError(f"bspline requires integer beta >= 0, got {beta}")
-    if gamma <= 0:
-        raise KernelError(f"bspline requires gamma > 0, got {gamma}")
-    return KernelSpec("bspline", (int(beta), float(gamma)), float(scale))
+    return KernelSpec("bspline", (beta, gamma), scale)
 
 
 def kernel_sum(*specs: KernelSpec) -> KernelSpec:
     """The pointwise sum of the given kernels."""
-    if not specs:
-        raise KernelError("kernel_sum needs at least one component")
     return KernelSpec("sum", (), 1.0, tuple(specs))
 
 
@@ -264,9 +274,7 @@ def bspline_univariate(beta: int, t) -> np.ndarray | float:
 
     Compactly supported on [-(beta + 1), beta + 1] and even in t.
     """
-    if int(beta) != beta or beta < 0:
-        raise KernelError(f"bspline_univariate requires integer beta >= 0, got {beta}")
-    order = 2 * int(beta) + 2
+    order = 2 * _checked("bspline", "beta", beta) + 2
     return _cardinal_bspline(order, np.asarray(t, dtype=float))
 
 
@@ -402,11 +410,25 @@ def _matern_far_cutoff(a: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _as_points(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    """x as an (n, d) float array with n, d >= 1; 1-D input is n points in d = 1.
+
+    Every function that takes points reads them here.  Other input is a
+    ValueError naming the shape, or the row and column of a NaN or inf,
+    which would make every MMD NaN and stop the split from ever swapping.
+    """
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise ValueError(f"points must be an (n, d) array of numbers: {exc}") from None
     if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise KernelError(f"points must be a (n, d) array, got shape {x.shape}")
+        x = x[:, None]
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError(f"points must be an (n, d) array of at least one point and one "
+                         f"coordinate, got shape {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite input value at row {int(r)}, column {int(c)}")
     return x
 
 
@@ -465,7 +487,7 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = _sinc_univariate(k.theta * (x[..., 0] - y[..., 0]))
         for j in range(1, x.shape[-1]):
             out *= _sinc_univariate(k.theta * (x[..., j] - y[..., j]))
-    elif fam == "bspline":
+    else:  # bspline
         # evaluate at |z_j|: h is even, and this keeps Grams exactly symmetric
         center = _bspline_center(k.beta)
         order = 2 * k.beta + 2
@@ -476,8 +498,6 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 _cardinal_bspline(order, np.abs(k.gamma * (x[..., j] - y[..., j])))
                 / center
             )
-    else:
-        raise KernelError(f"unknown family {fam!r}")
     if k.scale != 1.0:
         out *= k.scale
     return out
@@ -603,8 +623,8 @@ class IdentityPerturbedKernel:
     """
 
     def __init__(self, base: KernelSpec, weight: float = 1.0):
-        if weight <= 0:
-            raise KernelError(f"identity weight must be positive, got {weight}")
+        if not 0.0 < weight < math.inf:
+            raise KernelError(f"identity weight must be finite and positive, got {weight}")
         self.base = base
         self.weight = float(weight)
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .discrepancy import _as_input
 from .kernels import KernelSpec, _as_points, gram
 from .thinning import anchored_stride
 
@@ -52,6 +52,10 @@ class GaussTarget:
     """Standard Gaussian on R^d."""
 
     d: int = 2
+
+    def __post_init__(self):
+        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+            raise ValueError(f"gauss target dimension d must be an integer >= 1, got {self.d!r}")
 
     @property
     def dim(self) -> int:
@@ -100,6 +104,8 @@ class ExternalTarget:
     holdout_fraction: float = 0.5
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
 
@@ -209,30 +215,30 @@ def ingest(path: str, format: str = "csv", burn_in: int = 0) -> np.ndarray:
       format: "csv" for headerless numeric rows, or "bin" for the flat
         binary layout (magic "KTPS", u32 n, u32 d, little-endian f64
         row-major payload).
-      burn_in: rows to drop from the front before anything else.
+      burn_in: rows to drop from the front before anything else (>= 0).
 
     Raises:
-      IngestError: missing file, malformed rows, inconsistent width, or NaN
-        cells (reported with their row and column).
+      IngestError: missing file, malformed rows, inconsistent width, a
+        negative burn_in, no rows or columns left, or NaN cells (reported
+        with their row and column after burn-in).
     """
+    if burn_in < 0:
+        raise IngestError(f"burn_in must be >= 0, got {burn_in}")
     if format == "csv":
         data = _read_csv(path)
     elif format == "bin":
         data = _read_binary(path)
     else:
         raise IngestError(f"unknown format {format!r}; expected 'csv' or 'bin'")
-    if burn_in:
-        if burn_in >= len(data):
-            raise IngestError(f"burn_in={burn_in} discards all {len(data)} rows")
-        data = data[burn_in:]
-    bad = np.argwhere(~np.isfinite(data))
-    if len(bad):
-        r, c = bad[0]
-        raise IngestError(f"non-finite value at row {int(r)}, column {int(c)} of {path}")
-    return data
+    if burn_in and burn_in >= len(data):
+        raise IngestError(f"burn_in={burn_in} discards all {len(data)} rows")
+    try:
+        return _as_points(data[burn_in:])
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
-def _read_csv(path: str) -> np.ndarray:
+def _read_csv(path: str) -> list[list[float]]:
     rows = []
     width = None
     try:
@@ -257,7 +263,7 @@ def _read_csv(path: str) -> np.ndarray:
                 raise IngestError(f"{path}:{lineno}: non-numeric cell in {line!r}")
     if not rows:
         raise IngestError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return rows
 
 
 def _read_binary(path: str) -> np.ndarray:
@@ -276,12 +282,11 @@ def _read_binary(path: str) -> np.ndarray:
 
 def write_binary(path: str, points: np.ndarray) -> None:
     """Write the flat binary layout understood by `ingest(format='bin')`."""
-    points = np.ascontiguousarray(points, dtype="<f8")
-    n, d = points.shape
+    points = _as_points(points)
     with open(path, "wb") as handle:
         handle.write(_BINARY_MAGIC)
-        handle.write(struct.pack("<II", n, d))
-        handle.write(points.tobytes())
+        handle.write(struct.pack("<II", *points.shape))
+        handle.write(points.astype("<f8").tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +308,8 @@ class TestFunction:
 
     def __call__(self, x) -> np.ndarray:
         x = _as_points(x)
+        if self.frozen is not None and x.shape[1] != len(self.frozen):
+            raise ValueError(f"{self.name} takes {len(self.frozen)}-D points, got {x.shape}")
         if self.name == "moment1":
             return x[:, 0]
         if self.name == "moment2":
@@ -342,10 +349,9 @@ def median_heuristic_bandwidth(points, seed: int = 0) -> float:
     """Median pairwise Euclidean distance.
 
     Exact for n <= 4096; larger sets use 2^20 uniformly sampled pairs
-    (seeded, deterministic).  Input is read as by the thinning entry points:
-    1-D input is n points in d = 1, and NaN or inf coordinates are rejected.
+    (seeded, deterministic).  Input is read by `kernels._as_points`.
     """
-    points = _as_input(points)
+    points = _as_points(points)
     n = len(points)
     if n < 2:
         raise ValueError(f"median heuristic needs at least 2 points, got {n}")

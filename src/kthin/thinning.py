@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .discrepancy import SwapCache, _as_indices, _as_input, kernel_row_means
+from .discrepancy import SwapCache, _as_indices, kernel_row_means
 # gram is not called here; it stays a module attribute because
 # perfbench/spans.py traces the kernel boundary by wrapping
 # kthin.thinning.gram and kthin.thinning.gram_rows
@@ -43,6 +43,7 @@ from .kernels import (  # noqa: F401
     IdentityPerturbedKernel,
     KernelSpec,
     KernelError,
+    _as_points,
     evaluate,
     gram,
     gram_rows,
@@ -191,7 +192,7 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
       cfg: thinning configuration; cfg.m halvings, counter-based randomness
         from cfg.seed.
     """
-    points = _as_input(points)
+    points = _as_points(points)
     n, d = points.shape
     if n < 2:
         raise ValueError(f"kt_split needs at least 2 points, got {n}")
@@ -315,7 +316,7 @@ def kt_swap(
     the input, whose MMDs to it are equal in exact arithmetic, so rounding
     decides which of them is selected.
     """
-    points = _as_input(points)
+    points = _as_points(points)
     n = len(points)
     if not candidates:
         raise ValueError("kt_swap needs at least one candidate coreset")
@@ -414,7 +415,7 @@ def split_kernel_for(variant: str, k: KernelSpec, dim: int,
 
 def generalized_kt(k_split, k_target: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
     """Split with k_split, then select and refine with k_target."""
-    points = _as_input(points)
+    points = _as_points(points)
     candidates = kt_split(k_split, points, cfg)
     out = kt_swap(k_target, points, candidates, cfg)
     out.provenance.update(_sigma_diagnostics(len(points), cfg.m, cfg.delta_schedule, k_split.sup_norm()))
@@ -425,7 +426,7 @@ def _variant_kt(variant: str, k: KernelSpec, points, cfg: ThinningConfig,
                 alpha: float | None = None, split_kernel=None) -> Coreset:
     """Generalized KT with the variant's split kernel, refined with k, and the
     variant (and the alpha of a power variant) recorded in the provenance."""
-    points = _as_input(points)
+    points = _as_points(points)
     k_split = split_kernel_for(variant, k, points.shape[1], alpha, split_kernel)
     out = generalized_kt(k_split, k, points, cfg)
     out.provenance["variant"] = variant

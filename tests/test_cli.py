@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 import subprocess
 import sys
 
@@ -103,6 +104,40 @@ def test_thin_malformed_target_spec_is_constraint_error(tmp_path, capsys, spec, 
     assert named in capsys.readouterr().err
 
 
+def test_thin_zero_dimensional_gauss_target_is_constraint_error(tmp_path, capsys):
+    code = main(["thin", "--input", '{"kind": "gauss", "d": 0}', "--n", "8", "--kernel", GAUSS,
+                 "-m", "1", "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_CONSTRAINT
+    assert "dimension d must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_thin_negative_kernel_scale_is_constraint_error(tmp_path, capsys):
+    kernel = '{"family": "gauss", "params": {"sigma": 1.0}, "scale": -1}'
+    code = main(["thin", "--input", '{"kind": "gauss", "d": 2}', "--n", "16", "--kernel", kernel,
+                 "-m", "1", "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_CONSTRAINT
+    assert "gauss kernel scale must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, d", [(5, 0), (0, 3)])
+def test_thin_empty_binary_file_is_data_error(tmp_path, capsys, n, d):
+    src = tmp_path / "in.bin"
+    src.write_bytes(b"KTPS" + struct.pack("<II", n, d))
+    code = main(["thin", "--input", str(src), "--format", "bin", "--kernel", GAUSS,
+                 "-m", "1", "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_DATA
+    assert f"got shape ({n}, {d})" in capsys.readouterr().err
+
+
+def test_thin_negative_burn_in_is_data_error(tmp_path, capsys):
+    src = str(tmp_path / "in.csv")
+    write_points(src, np.arange(8.0).reshape(4, 2))
+    code = main(["thin", "--input", src, "--burn-in", "-1", "--kernel", GAUSS,
+                 "-m", "1", "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_DATA
+    assert "burn_in must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("variant", ["powerkt", "ktplus"])
 def test_thin_power_variants_default_alpha_is_one_half(tmp_path, variant):
     src = str(tmp_path / "in.csv")
@@ -200,6 +235,19 @@ def test_experiment_malformed_plan_is_constraint_error(tmp_path, capsys, change,
     assert main(["experiment", "--plan", plan_path, "--out-dir", out_dir]) == EXIT_CONSTRAINT
     assert named in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
+
+
+def test_experiment_negative_burn_in_is_constraint_error(tmp_path, capsys):
+    src = str(tmp_path / "chain.csv")
+    write_points(src, np.arange(64.0).reshape(32, 2))
+    plan = {"target": {"kind": "external", "path": src, "burn_in": -1},
+            "kernel": {"family": "gauss", "params": {"sigma": 2.0}}, "sizes": [4]}
+    plan_path = str(tmp_path / "plan.json")
+    with open(plan_path, "w") as fh:
+        json.dump(plan, fh)
+    code = main(["experiment", "--plan", plan_path, "--out-dir", str(tmp_path / "results")])
+    assert code == EXIT_CONSTRAINT
+    assert "burn_in must be >= 0" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -125,9 +125,11 @@ def test_nan_mmd_is_not_clamped_to_zero():
     # that reaches the square root stays NaN instead of reading as MMD 0
     assert math.isnan(discrepancy._clamped_sqrt(float("nan")))
     assert discrepancy._clamped_sqrt(-1e-17) == 0.0
+    # and a NaN reference no longer gets that far: it is rejected where read
     ref = np.zeros((4, 1))
     ref[1, 0] = np.nan
-    assert math.isnan(_ReferenceMMD(kn.gauss(1.0), ref).mmd_to(np.zeros((2, 1))))
+    with pytest.raises(ValueError, match="non-finite input value at row 1, column 0"):
+        _ReferenceMMD(kn.gauss(1.0), ref)
 
 
 def test_reference_mmd_matches_mmd_points():

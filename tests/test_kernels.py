@@ -1,5 +1,6 @@
 """Kernel family evaluation, invariants, and power/sum constructions."""
 
+import json
 import math
 import os
 import subprocess
@@ -126,6 +127,61 @@ def test_invalid_parameters_rejected_at_construction():
         kn.imq(1.0, -2.0)
     with pytest.raises(kn.KernelError):
         kn.bspline(1.5, 1.0)
+
+
+# per parameter, the finite values outside its domain
+_OUT_OF_DOMAIN = {"sigma": (0.0, -1.0), "nu": (0.0, -2.0), "gamma": (0.0, -1.0),
+                  "theta": (0.0,), "beta": (-1, 1.5)}
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+def test_every_path_to_a_kernel_rejects_bad_parameters(spec):
+    # the constructor, kernel JSON and direct KernelSpec construction all
+    # meet the one check in KernelSpec.__post_init__, and it names the value
+    ctor = getattr(kn, spec.family)
+    good = dict(zip(kn._PARAM_NAMES[spec.family], spec.params))
+    cases = [("scale", v) for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+    cases += [(name, v) for name in good
+              for v in (math.nan, math.inf, -math.inf) + _OUT_OF_DOMAIN[name]]
+    for name, bad in cases:
+        params = {**good, name: bad} if name in good else good
+        scale = bad if name == "scale" else 1.0
+        text = json.dumps({"family": spec.family, "params": params, "scale": scale})
+        for build in (lambda: ctor(**params, scale=scale),
+                      lambda: kn.from_json(text),
+                      lambda: kn.KernelSpec(spec.family, tuple(params.values()), scale)):
+            with pytest.raises(kn.KernelError, match=f"{spec.family} kernel {name} must be"):
+                build()
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(kn.KernelError, match="scale"):
+            spec.scaled(bad)
+    with pytest.raises(kn.KernelError, match="must be finite"):
+        spec.with_lengthscale(math.inf)
+
+
+def test_sum_kernel_checks():
+    with pytest.raises(kn.KernelError, match="at least one component"):
+        kn.kernel_sum()
+    with pytest.raises(kn.KernelError, match="at least one component"):
+        kn.from_json('{"family": "sum", "components": []}')
+    with pytest.raises(kn.KernelError, match="sum kernel scale must be"):
+        kn.from_json('{"family": "sum", "components": [{"family": "sinc", '
+                     '"params": {"theta": 1.0}}], "scale": -1}')
+    with pytest.raises(kn.KernelError, match="expected a family"):
+        kn.KernelSpec("cauchy")
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0, -1.0])
+def test_identity_weight_must_be_finite_and_positive(weight):
+    with pytest.raises(kn.KernelError, match="identity weight"):
+        kn.identity_perturbed(kn.gauss(1.0), weight)
+
+
+def test_gram_reads_one_dimensional_input_as_a_column():
+    x = np.random.default_rng(2).normal(size=9)
+    for spec in ALL_FAMILIES:
+        assert np.array_equal(kn.gram(spec, x), kn.gram(spec, x[:, None]))
+        assert kn.gram(spec, x).shape == (9, 9)
 
 
 def test_matern_smoothness_checked_at_use_site():

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -116,6 +117,21 @@ def test_csv_burn_in(tmp_path):
     assert data[0].tolist() == [2.0, 3.0]
 
 
+def test_negative_burn_in_rejected(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_text("0,1\n2,3\n4,5\n")
+    with pytest.raises(IngestError, match="burn_in must be >= 0"):
+        ingest(str(path), burn_in=-1)
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        ExternalTarget(str(path), burn_in=-1)
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.5, "2"])
+def test_gauss_target_dimension_must_be_a_positive_integer(d):
+    with pytest.raises(ValueError, match="dimension d must be an integer >= 1"):
+        GaussTarget(d)
+
+
 def test_csv_nan_rejected_with_location(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("0,1\n2,nan\n4,5\n")
@@ -148,6 +164,14 @@ def test_binary_round_trip(tmp_path):
     write_binary(path, pts)
     back = ingest(path, format="bin")
     assert np.array_equal(back, pts)
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (3, 0)])
+def test_binary_without_points_or_coordinates_rejected(tmp_path, n, d):
+    path = tmp_path / "pts.bin"
+    path.write_bytes(b"KTPS" + struct.pack("<II", n, d))
+    with pytest.raises(IngestError, match=rf"at least one point and one coordinate, got shape \({n}, {d}\)"):
+        ingest(str(path), format="bin")
 
 
 def test_binary_bad_magic(tmp_path):
@@ -207,24 +231,27 @@ def test_external_target_reads_its_file_once(tmp_path, monkeypatch):
 def test_moment_functions():
     assert moment1()(np.array([3.0, -1.0]))[0] == 3.0
     assert moment2()(np.array([3.0, -1.0]))[0] == 9.0
-    # input is read as by the kernels: 1-D is one point, 3-D is rejected
-    with pytest.raises(kn.KernelError, match=r"\(n, d\) array"):
+    # input is read by kernels._as_points: 1-D is n points in d = 1, 3-D is rejected
+    with pytest.raises(ValueError, match=r"\(n, d\) array"):
         moment1()(np.zeros((2, 2, 2)))
 
 
 def test_cif_at_its_center():
     f = make_cif(dim=3, seed=0)
-    assert f(f.frozen)[0] == 1.0
+    assert f(f.frozen[None, :])[0] == 1.0
     # hand value: exp(-(1/d) sum |x_j - u_j|)
-    x = f.frozen + np.array([0.3, -0.6, 0.0])
+    x = f.frozen[None, :] + np.array([0.3, -0.6, 0.0])
     assert f(x)[0] == pytest.approx(math.exp(-0.3), rel=1e-12)
+    # 1-D input is n points in d = 1, not one point: a dimension mismatch
+    with pytest.raises(ValueError, match=r"takes 3-D points, got \(3, 1\)"):
+        f(f.frozen)
 
 
 def test_rkhs_witness_formula_and_freezing():
     f = make_rkhs_witness(kn.gauss(1.0), GaussTarget(2), seed=3)
     g = make_rkhs_witness(kn.gauss(1.0), GaussTarget(2), seed=3)
     assert np.array_equal(f.frozen, g.frozen)  # drawn once per seed
-    x = f.frozen + np.array([1.0, 1.0])  # |x - X'| = sqrt(2)
+    x = f.frozen[None, :] + np.array([1.0, 1.0])  # |x - X'| = sqrt(2)
     assert f(x)[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
