@@ -37,7 +37,6 @@ from .kernels import (
 from .targets import (
     ExternalTarget,
     TargetSpec,
-    TestFunction,
     fields_from_json,
     fields_to_json,
     make_cif,
@@ -130,7 +129,7 @@ class ExperimentPlan:
         if self.aggregate not in ("mean", "median"):
             raise ValueError(f"unknown aggregate {self.aggregate!r}")
         for name in self.test_functions:
-            if name not in ("rkhs_witness", "moment1", "moment2", "cif"):
+            if name not in _TEST_FUNCTIONS:
                 raise ValueError(f"unknown test function {name!r}")
         for name in self.metrics:
             if name not in ("mmd_input", "mmd_surrogate"):
@@ -191,20 +190,15 @@ class _ReferenceMMD:
         return _clamped_sqrt(self.self_term + out_self - 2.0 * cross)
 
 
-def _make_test_functions(plan: ExperimentPlan, k: KernelSpec) -> dict[str, TestFunction]:
-    out = {}
-    for name in plan.test_functions:
-        if name == "rkhs_witness":
-            out[name] = make_rkhs_witness(
-                k, plan.target, rng.derive_seed(plan.seed, _WITNESS_SALT)
-            )
-        elif name == "cif":
-            out[name] = make_cif(plan.target.dim, rng.derive_seed(plan.seed, _CIF_SALT))
-        elif name == "moment1":
-            out[name] = moment1()
-        else:
-            out[name] = moment2()
-    return out
+# each test function's maker, from the plan and the resolved kernel; the makers
+# are looked up at call time, where perfbench/spans.py wraps them
+_TEST_FUNCTIONS = {
+    "rkhs_witness": lambda plan, k: make_rkhs_witness(
+        k, plan.target, rng.derive_seed(plan.seed, _WITNESS_SALT)),
+    "moment1": lambda plan, k: moment1(),
+    "moment2": lambda plan, k: moment2(),
+    "cif": lambda plan, k: make_cif(plan.target.dim, rng.derive_seed(plan.seed, _CIF_SALT)),
+}
 
 
 def _thin(variant: Variant, k: KernelSpec, points: np.ndarray, cfg: ThinningConfig) -> Coreset:
@@ -291,9 +285,10 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
         runnable.append(variant)
 
     metrics = list(plan.metrics) + [f"ierr_{n}" for n in plan.test_functions]
-    test_fns = _make_test_functions(plan, kernel)
+    test_fns = {name: _TEST_FUNCTIONS[name](plan, kernel) for name in plan.test_functions}
 
-    surrogate_ref: _ReferenceMMD | None = None
+    # metric name -> reference sample: the surrogate's for the run, the input's per cell
+    refs: dict[str, _ReferenceMMD] = {}
     if "mmd_surrogate" in plan.metrics:
         if isinstance(plan.target, ExternalTarget):
             surr = plan.target.holdout(plan.surrogate_size)
@@ -301,7 +296,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
             surr = plan.target.sample(
                 plan.surrogate_size, rng.derive_seed(plan.seed, _SURROGATE_SALT)
             )
-        surrogate_ref = _ReferenceMMD(kernel, surr)
+        refs["mmd_surrogate"] = _ReferenceMMD(kernel, surr)
 
     records: list[dict] = []
     for n in plan.sizes:
@@ -310,11 +305,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
             points = plan.target.sample(
                 n, rng.derive_seed(plan.seed, n, rep, _INPUT_SALT)
             )
-            input_ref = (
-                _ReferenceMMD(kernel, points)
-                if "mmd_input" in plan.metrics
-                else None
-            )
+            if "mmd_input" in plan.metrics:
+                refs["mmd_input"] = _ReferenceMMD(kernel, points)
             input_means = {
                 name: float(np.mean(fn(points))) for name, fn in test_fns.items()
             }
@@ -326,26 +318,13 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
                 )
                 coreset = _thin(variant, kernel, points, cfg)
                 out_points = points[coreset.indices]
-                values = {}
-                if input_ref is not None:
-                    values["mmd_input"] = input_ref.mmd_to(out_points)
-                if surrogate_ref is not None:
-                    values["mmd_surrogate"] = surrogate_ref.mmd_to(out_points)
-                for name, fn in test_fns.items():
-                    values[f"ierr_{name}"] = abs(
-                        input_means[name] - float(np.mean(fn(out_points)))
-                    )
-                for metric in metrics:
-                    records.append(
-                        {
-                            "variant": variant.tag,
-                            "n": n,
-                            "n_out": n // 2 ** m,
-                            "replicate": rep,
-                            "metric": metric,
-                            "value": values[metric],
-                        }
-                    )
+                values = [refs[name].mmd_to(out_points) for name in plan.metrics] + [
+                    abs(input_means[name] - float(np.mean(fn(out_points))))
+                    for name, fn in test_fns.items()
+                ]
+                records += [{"variant": variant.tag, "n": n, "n_out": n // 2 ** m,
+                             "replicate": rep, "metric": metric, "value": value}
+                            for metric, value in zip(metrics, values)]
 
     report = RateReport(plan=plan, skipped=skipped)
     _aggregate(plan, runnable, metrics, records, report)
@@ -361,44 +340,29 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
 
 
 def _aggregate(plan, variants, metrics, records, report: RateReport) -> None:
+    groups: dict[tuple, list] = {}
+    for r in records:
+        groups.setdefault((r["variant"], r["metric"], r["n"]), []).append(r["value"])
+    n_outs = {n: n // 2 ** _depth_for(n) for n in plan.sizes}
+    center = np.mean if plan.aggregate == "mean" else np.median
     for variant in variants:
         for metric in metrics:
-            curve_ns, curve_outs, curve_means = [], [], []
+            rows = []
             for n in plan.sizes:
-                vals = np.array(
-                    [
-                        r["value"]
-                        for r in records
-                        if r["variant"] == variant.tag
-                        and r["metric"] == metric
-                        and r["n"] == n
-                    ]
-                )
-                center = float(np.mean(vals)) if plan.aggregate == "mean" else float(
-                    np.median(vals)
-                )
+                vals = np.array(groups[variant.tag, metric, n])
                 stderr = (
                     float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
                     if len(vals) > 1
                     else 0.0
                 )
-                n_out = n // 2 ** _depth_for(n)
-                report.rows.append(
-                    {
-                        "variant": variant.tag,
-                        "metric": metric,
-                        "n": n,
-                        "n_out": n_out,
-                        plan.aggregate: center,
-                        "stderr": stderr,
-                    }
-                )
-                curve_ns.append(n)
-                curve_outs.append(n_out)
-                curve_means.append(center)
-            if len(curve_means) >= 2 and all(v > 0 for v in curve_means):
-                fit_out = fit_loglog(curve_outs, curve_means)
-                fit_in = fit_loglog(curve_ns, curve_means)
+                rows.append({"variant": variant.tag, "metric": metric, "n": n,
+                             "n_out": n_outs[n], plan.aggregate: float(center(vals)),
+                             "stderr": stderr})
+            report.rows += rows
+            means = [row[plan.aggregate] for row in rows]
+            if len(means) >= 2 and all(v > 0 for v in means):
+                fit_out = fit_loglog([row["n_out"] for row in rows], means)
+                fit_in = fit_loglog(plan.sizes, means)
                 report.fits[f"{variant.tag}|{metric}"] = {
                     **fit_out, "slope_vs_input_n": fit_in["slope"]
                 }

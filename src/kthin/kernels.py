@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,17 +181,19 @@ _PARAM_NAMES = {
 
 
 def _checked(family: str, name: str, value):
-    """Parameter `name` as a float (beta as an int) if it is finite, theta
-    != 0, beta an integer >= 0 (0, the triangle kernel, is a power of
-    bspline(1, .)), and the scale or any other parameter > 0."""
-    in_domain = isinstance(value, numbers.Real) and math.isfinite(value) and (
-        value != 0 if name == "theta" else
-        value >= 0 and value == int(value) if name == "beta" else
-        value > 0)
+    """Parameter `name` as a float (beta as an int) if `_as_number` reads it
+    as a finite number, theta != 0, beta >= 0 (0, the triangle kernel, is a
+    power of bspline(1, .)), and the scale or any other parameter > 0."""
+    try:
+        number = _as_number(value, int if name == "beta" else float)
+        in_domain = (number != 0 if name == "theta" else
+                     number >= 0 if name == "beta" else number > 0)
+    except ValueError:
+        in_domain = False
     if not in_domain:
         rule = {"theta": "!= 0", "beta": "an integer >= 0"}.get(name, "> 0")
         raise KernelError(f"{family} kernel {name} must be finite and {rule}, got {value!r}")
-    return int(value) if name == "beta" else float(value)
+    return number
 
 
 def gauss(sigma: float, scale: float = 1.0) -> KernelSpec:
@@ -238,9 +241,10 @@ def from_json_dict(obj: dict) -> KernelSpec:
             raise KernelError(f"{family} kernel JSON has unknown key {key!r}; "
                               f"its keys are family, {body} and scale")
     try:
-        scale = float(obj.get("scale", 1.0))
+        scale = obj.get("scale", 1.0)
         if family == "sum":
-            return kernel_sum(*[from_json_dict(c) for c in obj.get("components", ())]).scaled(scale)
+            comps = tuple(from_json_dict(c) for c in obj.get("components", ()))
+            return KernelSpec("sum", (), scale, comps)
         ctor = {"gauss": gauss, "laplace": laplace, "matern": matern,
                 "imq": imq, "sinc": sinc, "bspline": bspline}[family]
         return ctor(**obj.get("params", {}), scale=scale)
@@ -296,7 +300,7 @@ def _bspline_center(beta: int) -> float:
     """h_beta(0), the per-coordinate normalizer of the bspline family.
 
     Memoized: `evaluate` divides by it on every call, and the split calls
-    `evaluate` once per step.
+    `evaluate` once per block of 2^m input points.
     """
     return float(_cardinal_bspline(2 * beta + 2, np.asarray(0.0)))
 
@@ -430,6 +434,24 @@ def _as_points(x) -> np.ndarray:
         r, c = np.argwhere(~finite)[0]
         raise ValueError(f"non-finite input value at row {int(r)}, column {int(c)}")
     return x
+
+
+def _as_number(value, kind: type = float):
+    """value as a float, or as an int for kind int, if it is a finite JSON
+    number.
+
+    Every numeric field of a kernel, target, plan or variant JSON object is
+    read here: a float field takes any finite number, an int field an
+    integer or a whole-number float (2.0 reads as 2).  A bool, a string, NaN,
+    an infinity, a number past the float range, or a fractional value for an
+    int is a ValueError.
+    """
+    finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+        -sys.float_info.max <= value <= sys.float_info.max)
+    if not finite or kind is int and not float(value).is_integer():
+        raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .kernels import KernelSpec, _as_points, gram
+from .kernels import KernelSpec, _as_number, _as_points, gram
 from .thinning import anchored_stride
 
 MOG_MEANS = np.array(
@@ -146,11 +146,12 @@ def _thin_to(points: np.ndarray, size: int) -> np.ndarray:
 def fields_from_json(cls, obj, **parse):
     """An instance of the dataclass cls from a JSON object keyed by its fields.
 
-    An absent key keeps its default, `int` and `float` fields are converted,
-    arrays become tuples, and `parse` maps a field name to the reader of its
-    value (of each element, for an array).  Anything else -- a value that is
-    not an object, an unknown or missing required key, a value that does not
-    convert -- raises ValueError naming the key.
+    An absent key keeps its default, `int` and `float` fields (`float | None`
+    included) are read by `kernels._as_number`, arrays become tuples, and
+    `parse` maps a field name to the reader of its value (of each element,
+    for an array).  Anything else -- a value that is not an object, an
+    unknown or missing required key, a value that does not convert -- raises
+    ValueError naming the key.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} spec must be a JSON object, got {obj!r}")
@@ -164,7 +165,8 @@ def fields_from_json(cls, obj, **parse):
             raise ValueError(f"{cls.__name__} spec has unknown key {key!r}; "
                              f"its keys are {list(fields)}")
         array = fields[key].type.startswith("tuple")
-        read = parse.get(key) or {"int": int, "float": float}.get(fields[key].type, lambda v: v)
+        kind = {"int": int, "float": float, "float | None": float}.get(fields[key].type)
+        read = parse.get(key) or (functools.partial(_as_number, kind=kind) if kind else lambda v: v)
         try:
             if array != isinstance(value, list):
                 raise ValueError(f"expected {'an array' if array else 'no array'}, got {value!r}")

@@ -14,10 +14,10 @@ the input than the baseline does.
 Randomness is confined to the split stage and drawn from counter-based
 streams keyed by (round, level, slot), so results are reproducible across
 platforms and independent of evaluation order.  The split draws every
-uniform up front in one vectorized Philox pass (`rng.swap_uniforms`),
-bit-identical to drawing each with `rng.swap_uniform`.  It then runs over
-aligned blocks of 2^m input points, and within a block level by level and
-pair by pair, halving all slots of a level in one array operation.  Each
+uniform up front, one vectorized Philox pass (`rng.swap_uniforms`) per
+level, bit-identical to drawing each with `rng.swap_uniform`.  It then runs
+over aligned blocks of 2^m input points, and within a block level by level
+and pair by pair, halving all slots of a level in one array operation.  Each
 block has its split-kernel columns against the input prefix computed once,
 in one array of at most 8 2^m n bytes, and all m levels read their kernel
 values from it.  Swap decisions depend on the split kernel only through
@@ -260,18 +260,10 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
 
 def _split_uniforms(seed: int, rounds: int, m: int) -> list:
     """uniforms[j][t - 1, l - 1] = swap_uniform(seed, t 2^(j-1), j, l), the
-    draw of slot l at the t-th halving of level j, from one Philox pass.
-
-    Level j's visits are numbered k = 0, 1, ... in (round, slot) order, so
-    visit k is slot (k mod 2^(j-1)) + 1 of round k - (k mod 2^(j-1)) + 2^(j-1).
-    """
-    visit = np.arange(rounds)
-    level = np.arange(1, m + 1)[:, None]
-    width = 1 << (level - 1)
-    slot = visit & (width - 1)
-    grid = rng.swap_uniforms(seed, visit - slot + width, level, slot + 1)
+    draw of slot l at the t-th halving of level j, one Philox pass per level."""
     return [None] + [
-        grid[j - 1, :rounds >> (j - 1) << (j - 1)].reshape(-1, 2 ** (j - 1))
+        rng.swap_uniforms(seed, np.arange(1, (rounds >> (j - 1)) + 1)[:, None] << (j - 1), j,
+                          np.arange(1, 2 ** (j - 1) + 1))
         for j in range(1, m + 1)
     ]
 

@@ -119,6 +119,21 @@ def test_thin_negative_kernel_scale_is_constraint_error(tmp_path, capsys):
     assert "gauss kernel scale must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kernel, named", [
+    ({"family": "gauss", "params": {"sigma": 1.0}, "scale": "2"}, "gauss kernel scale"),
+    ({"family": "gauss", "params": {"sigma": 1.0}, "scale": True}, "gauss kernel scale"),
+    ({"family": "gauss", "params": {"sigma": True}}, "gauss kernel sigma"),
+    ({"family": "bspline", "params": {"beta": True, "gamma": 1.0}}, "bspline kernel beta"),
+    ({"family": "bspline", "params": {"beta": 10 ** 400, "gamma": 1.0}}, "bspline kernel beta"),
+    ({"family": "sum", "components": [json.loads(GAUSS)], "scale": "3"}, "sum kernel scale"),
+])
+def test_thin_non_numeric_kernel_value_is_constraint_error(tmp_path, capsys, kernel, named):
+    code = main(["thin", "--input", '{"kind": "gauss", "d": 2}', "--n", "16",
+                 "--kernel", json.dumps(kernel), "-m", "1", "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_CONSTRAINT
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n, d", [(5, 0), (0, 3)])
 def test_thin_empty_binary_file_is_data_error(tmp_path, capsys, n, d):
     src = tmp_path / "in.bin"
@@ -218,6 +233,16 @@ def test_experiment_subcommand(tmp_path, capsys):
     ({"variants": [{"alpha": 0.5}]}, "required key 'name'"),
     ({"target": {"kind": "external"}}, "required key 'path'"),
     ({"kernel": {"family": "gauss", "params": {"sigma": 1.0}, "scael": 2.0}}, "unknown key 'scael'"),
+    # numbers are JSON numbers, and an int field takes only whole ones
+    ({"target": {"kind": "gauss", "d": 2.5}}, "key 'd': expected an integer, got 2.5"),
+    ({"target": {"kind": "gauss", "d": "2"}}, "key 'd': expected an integer, got '2'"),
+    ({"target": {"kind": "mog", "components": "8"}}, "key 'components': expected an integer"),
+    ({"replicates": 2.9}, "key 'replicates': expected an integer, got 2.9"),
+    ({"seed": True}, "key 'seed': expected an integer, got True"),
+    ({"delta": "0.5"}, "key 'delta': expected a finite number, got '0.5'"),
+    ({"delta": 10 ** 400}, "key 'delta': expected a finite number"),
+    ({"variants": [{"name": "powerkt", "alpha": "0.5"}]}, "key 'alpha': expected a finite number"),
+    ({"variants": [{"name": "powerkt", "alpha": True}]}, "key 'alpha': expected a finite number"),
 ])
 def test_experiment_malformed_plan_is_constraint_error(tmp_path, capsys, change, named):
     plan = {

@@ -212,6 +212,27 @@ def test_run_writes_csv_and_report(tmp_path):
     assert report.fits  # non-empty
 
 
+def test_raw_rows_and_report_rows_and_fits_keep_their_order(tmp_path):
+    # raw.csv: size, replicate, variant, then the plan's metrics in plan order
+    # and ierr_* in test-function order; report rows: variant, metric, size
+    plan = small_plan(metrics=("mmd_surrogate", "mmd_input"), surrogate_size=256,
+                      test_functions=("moment2", "cif"), sizes=(16, 64))
+    out = str(tmp_path / "exp")
+    report = run_experiment(plan, out_dir=out)
+    metrics = ["mmd_surrogate", "mmd_input", "ierr_moment2", "ierr_cif"]
+    with open(os.path.join(out, "raw.csv")) as fh:
+        raw = [(int(r["n"]), int(r["replicate"]), r["variant"], r["metric"])
+               for r in csv.DictReader(fh)]
+    assert raw == [(n, rep, v.tag, metric) for n in plan.sizes for rep in range(plan.replicates)
+                   for v in plan.variants for metric in metrics]
+    with open(os.path.join(out, "report.json")) as fh:
+        rows = json.load(fh)["rows"]
+    assert [(r["variant"], r["metric"], r["n"], r["n_out"]) for r in rows] == [
+        (v.tag, metric, n, math.isqrt(n)) for v in plan.variants for metric in metrics
+        for n in plan.sizes]
+    assert list(report.fits) == [f"{v.tag}|{metric}" for v in plan.variants for metric in metrics]
+
+
 def test_replicate_determinism_byte_identical(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     run_experiment(small_plan(), out_dir=a)

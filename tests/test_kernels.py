@@ -461,7 +461,8 @@ def test_json_errors():
     with pytest.raises(kn.KernelError):
         kn.from_json('{"family": "gauss", "params": {"wrong": 1.0}}')
     # top-level keys outside family/params/scale (family/components/scale for
-    # a sum) are rejected by name, and a malformed scale is a KernelError
+    # a sum) are rejected by name, and a scale that is not a JSON number
+    # reaches the parameter check as it is
     for text, key in [
         ('{"family": "gauss", "params": {"sigma": 1.0}, "scael": 2.0}', "scael"),
         ('{"family": "gauss", "components": []}', "components"),
@@ -469,8 +470,8 @@ def test_json_errors():
     ]:
         with pytest.raises(kn.KernelError, match=f"unknown key '{key}'"):
             kn.from_json(text)
-    for bad in ('null', '"two"', '[1.0]'):
-        with pytest.raises(kn.KernelError, match="numeric scale"):
+    for bad in ('null', '"two"', '[1.0]', '"2"', 'true'):
+        with pytest.raises(kn.KernelError, match="gauss kernel scale must be finite and > 0"):
             kn.from_json('{"family": "gauss", "params": {"sigma": 1.0}, "scale": %s}' % bad)
     with pytest.raises(kn.KernelError, match="numeric scale"):
         kn.from_json('{"family": "sum", "components": 5}')
