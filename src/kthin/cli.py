@@ -79,6 +79,7 @@ def _cmd_thin(args) -> int:
     elif args.variant == "generalized":
         k_split = split_kernel_for("generalized", kernel, points.shape[1], split_kernel=split)
         coreset = generalized_kt(k_split, kernel, points, cfg)
+        coreset.provenance["variant"] = "generalized"
     else:
         front = power_kt if args.variant == "powerkt" else kt_plus
         alpha = 0.5 if args.alpha is None else args.alpha

@@ -134,6 +134,12 @@ class ExperimentPlan:
         for name in self.metrics:
             if name not in ("mmd_input", "mmd_surrogate"):
                 raise ValueError(f"unknown metric {name!r}")
+        # _aggregate groups by (variant tag, metric, n): a repeat would pool copies
+        for key, entries in (("sizes", self.sizes), ("variants", [v.tag for v in self.variants]),
+                             ("metrics", self.metrics), ("test_functions", self.test_functions)):
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    raise ValueError(f"key {key!r} repeats {entry!r}")
 
     def to_json_dict(self) -> dict:
         return fields_to_json(self, target=target_to_json_dict,

@@ -144,14 +144,6 @@ def swap_probability(alpha: float, a: float) -> float:
     return min(1.0, max(0.0, 0.5 * (1.0 - alpha / a)))
 
 
-# the weights a parent records for its pair (x, x~), one row per point and
-# one column per kernel argument: alpha takes +(k(y, x) - k(y, x~)) for
-# points y that went right and -(k(y, x) - k(y, x~)) for those that went
-# left, and x goes left unless the pair swaps
-_WEIGHTS_KEPT = np.array([[-1.0, 1.0], [1.0, -1.0]])
-_WEIGHTS_SWAPPED = -_WEIGHTS_KEPT
-
-
 def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     """Divide the input into 2^m candidate coresets of size floor(n / 2^m).
 
@@ -169,9 +161,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     which equals the parent/left-child form of the algorithm (the pair's own
     terms cancel).  It never meets a pair's own index, so the identity
     perturbation only adds 2w to b^2 = k(x, x) + k(x~, x~) - 2 k(x, x~).
-    Each level keeps, per point, the signed weights of the child it went
-    to, so alpha is one weighted sum over the parent's points already
-    passed down.
+    The split computes alpha as written, from the points each child already
+    holds.
 
     The loops run block, then level, then pair.  An aligned block
     B = [2^m q, 2^m (q + 1)) of input points feeds exactly the pairs
@@ -180,8 +171,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     (round, level, slot), and on sigma^2, which stays sequential in t within
     each level; so this order makes the same decisions as consuming the
     input pair by pair.  k(y, x) for x in B and every y before B's end comes
-    from one `evaluate` call, and each level reads its values from it:
-    level 1 by slicing, deeper levels by one gather.  A block holds at most
+    from one `evaluate` call, and each pair reads its values from it with
+    one gather over the children built so far.  A block holds at most
     2^m x n doubles, 8 2^m n bytes (0.5 MB at n = 2048, m = 5; 2 MB at
     n = 4096, m = 6), and the split evaluates sum_B |B| (end of B) kernel
     entries, about n^2 / 2.
@@ -216,7 +207,6 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     # Children 2l and 2l+1 of parent l are written side by side through a
     # (2^(j-1), 2, used >> j) view.
     idx = [np.arange(used)[None]] + [np.empty((2 ** j, used >> j), int) for j in range(1, m + 1)]
-    weights = [np.empty((2 ** j, used >> j, 2)) for j in range(m)]
     sigma_sq = [None] + [np.zeros(2 ** (j - 1)) for j in range(1, m + 1)]
     uniforms = _split_uniforms(cfg.seed, used // 2, m)
 
@@ -229,16 +219,15 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
             for j in range(1, m + 1):
                 children = idx[j].reshape(2 ** (j - 1), 2, -1)
                 for t in range((s0 >> j) + 1, (end >> j) + 1):
-                    c = 2 * t - 2  # parent points passed down before this pair
-                    parent_idx = idx[j - 1][:, :c + 2]
-                    pair_idx = parent_idx[:, c:]
-                    # k(y, x) and k(y, x~) for every point y of each parent
-                    if j == 1:
-                        k_y = kb[c - s0:c + 2 - s0, :c + 2].T[None]
-                    else:
-                        k_y = kb.take((pair_idx[:, None, :] - s0) * end + parent_idx[:, :, None])
-                    alpha = (k_y[:, :c] * weights[j - 1][:, :c]).sum(axis=(1, 2))
-                    b_sq = np.maximum(diag + diag - 2.0 * k_y[:, c, 1], 0.0)
+                    pair_idx = idx[j - 1][:, 2 * t - 2:2 * t]
+                    rows = pair_idx - s0
+                    # k_y[l, p, h, i] = k(y, pair member p) for the i-th point y
+                    # of child h of parent l, over the t - 1 points each child
+                    # already holds
+                    k_y = kb.take(rows[:, :, None, None] * end + children[:, None, :, :t - 1])
+                    per_child = (k_y[:, 0] - k_y[:, 1]).sum(axis=2)
+                    alpha = per_child[:, 1] - per_child[:, 0]
+                    b_sq = np.maximum(diag + diag - 2.0 * kb[rows[:, 1], pair_idx[:, 0]], 0.0)
 
                     delta_hat = sched.value(t, n, m) * 2 ** (j - 1) / m
                     a, grown = get_swap_params(sigma_sq[j], b_sq, delta_hat)
@@ -249,11 +238,10 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
                     sigma_sq[j] = np.where(moved, grown, sigma_sq[j])
                     # u in [0, 1) falls below 0.5 (1 - alpha / a) exactly when it
                     # falls below swap_probability(alpha, a), its clamp to [0, 1]
-                    swap = ((uniforms[j][t - 1] < 0.5 * (1.0 - alpha / a)) & moved)[:, None, None]
+                    swap = ((uniforms[j][t - 1] < 0.5 * (1.0 - alpha / a)) & moved)[:, None]
 
-                    weights[j - 1][:, c:c + 2] = np.where(swap, _WEIGHTS_SWAPPED, _WEIGHTS_KEPT)
                     # children 2l and 2l+1 receive (x, x~), reversed on a swap
-                    children[:, :, t - 1] = np.where(swap[:, :, 0], pair_idx[:, ::-1], pair_idx)
+                    children[:, :, t - 1] = np.where(swap, pair_idx[:, ::-1], pair_idx)
 
     return list(idx[m])
 

@@ -56,6 +56,22 @@ def test_thin_generalized_requires_split_kernel(tmp_path):
     assert code == EXIT_CONSTRAINT
 
 
+@pytest.mark.parametrize("variant, flags", [
+    ("targetkt", []),
+    ("powerkt", ["--alpha", "0.5"]),
+    ("ktplus", ["--alpha", "0.5"]),
+    ("generalized", ["--split-kernel", '{"family": "laplace", "params": {"sigma": 1.0}}']),
+])
+def test_thin_sidecar_names_its_variant(tmp_path, variant, flags):
+    src = str(tmp_path / "in.csv")
+    write_points(src, np.random.default_rng(2).normal(size=(32, 2)))
+    out = str(tmp_path / "c.csv")
+    assert main(["thin", "--input", src, "--kernel", GAUSS, "--variant", variant,
+                 "-m", "2", "--seed", "5", "--out", out, *flags]) == EXIT_OK
+    side = json.loads(open(str(tmp_path / "c.json")).read())
+    assert side["provenance"]["variant"] == variant
+
+
 @pytest.mark.parametrize("variant, flags, named", [
     ("targetkt", ["--alpha", "0.7"], "--alpha"),
     ("targetkt", ["--split-kernel", GAUSS], "--split-kernel"),
@@ -243,6 +259,7 @@ def test_experiment_subcommand(tmp_path, capsys):
     ({"delta": 10 ** 400}, "key 'delta': expected a finite number"),
     ({"variants": [{"name": "powerkt", "alpha": "0.5"}]}, "key 'alpha': expected a finite number"),
     ({"variants": [{"name": "powerkt", "alpha": True}]}, "key 'alpha': expected a finite number"),
+    ({"metrics": ["mmd_input", "mmd_input"]}, "key 'metrics' repeats 'mmd_input'"),
 ])
 def test_experiment_malformed_plan_is_constraint_error(tmp_path, capsys, change, named):
     plan = {

@@ -97,6 +97,13 @@ def test_plan_json_defaults_and_exact_form():
     ({"metrics": ["mmd_inptu"]}, "unknown metric 'mmd_inptu'"),
     ({"variants": []}, "at least one variant"),
     ({"sizes": []}, "at least one variant and one size"),
+    # a repeated entry would pool its copies into one aggregated row
+    ({"sizes": [16, 16, 64]}, "key 'sizes' repeats 16"),
+    ({"variants": [{"name": "standard"}, {"name": "standard"}]}, "key 'variants' repeats 'standard'"),
+    ({"variants": [{"name": "powerkt", "alpha": 0.5}, {"name": "powerkt", "alpha": 0.5}]},
+     "key 'variants' repeats 'powerkt"),
+    ({"metrics": ["mmd_input", "mmd_input"]}, "key 'metrics' repeats 'mmd_input'"),
+    ({"test_functions": ["moment1", "moment1"]}, "key 'test_functions' repeats 'moment1'"),
 ])
 def test_plan_json_rejects_malformed_specs(change, named):
     obj = {**small_plan().to_json_dict(), **change}

@@ -34,7 +34,7 @@ def _shapes(m):
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
 def test_block_edges_match_scalar_oracle(m, kernel):
     k = KERNELS[kernel]
     for seed, (shape, n) in enumerate(sorted(_shapes(m).items())):
