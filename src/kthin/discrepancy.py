@@ -7,15 +7,16 @@ closed-form kernel double sums
             - 2 sum_ij w_i v_j k(x_i, y_j),
 
 clamped at zero before the square root to absorb negative rounding dust.
-Every kernel sum in the package -- the MMD terms, the input row means and
-the swap cache's coreset cross-sums -- runs through one loop,
-`_kernel_sums`, which forms the weighted sums sum_j w_j k(x_i, y_j) over
-square _CHUNK x _CHUNK tiles of the Gram matrix, one 2 MB tile at a time,
-so the full matrix is never materialized and the working set stays in
-cache.  Against the points themselves (y = x) the Gram matrix is
-symmetric: only the tiles on and above the diagonal are evaluated, and each
-one above it adds to both its row block and its column block, which halves
-the kernel evaluations.
+Every kernel sum in the package -- the MMD terms, the input row means,
+kt_swap's candidate self-terms, the harness's coreset self-terms and the
+swap cache's coreset cross-sums -- runs through one loop, `_kernel_sums`,
+which forms the weighted sums sum_j w_j k(x_i, y_j) over square
+_CHUNK x _CHUNK tiles of the Gram matrix, one 2 MB tile at a time, so the
+full matrix is never materialized and the working set stays in cache.
+Against the points themselves (y = x) the Gram matrix is symmetric: only
+the tiles on and above the diagonal are evaluated, and each one above it
+adds to both its row block and its column block, which halves the kernel
+evaluations.
 
 Point arrays are read by `kernels._as_points`, as everywhere in the
 package, so NaN or inf coordinates are rejected at the boundary instead of
@@ -181,11 +182,6 @@ class SwapCache:
     def out_size(self) -> int:
         return len(self.coreset)
 
-    def swap_delta(self, position: int, candidate: int) -> float:
-        """MMD^2(inputs, coreset with [position] = candidate) - MMD^2(current),
-        at the O(n) cost of the slot's whole delta vector (see the module)."""
-        return float(self._delta_vector(position)[candidate])
-
     def _delta_vector(self, position: int) -> np.ndarray:
         # delta(z) = (g(z) - g(old)) / s^2 - 2 (r(z) - r(old)) / s with
         # g(z) = 2 (cross(z) - k(z, old)) + k(z, z); exactly 0 at z = old
@@ -223,9 +219,10 @@ class SwapCache:
 
 
 def mmd_swap_delta(cache: SwapCache, position: int, candidate: int) -> float:
-    """MMD^2 delta for replacing coreset slot `position` of the cache's
-    coreset by input point `candidate`; O(n), as `SwapCache.swap_delta`."""
-    return cache.swap_delta(position, candidate)
+    """MMD^2(inputs, coreset with [position] = candidate) - MMD^2(current) for
+    the cache's coreset, at the O(n) cost of the slot's whole delta vector
+    (see the module)."""
+    return float(cache._delta_vector(position)[candidate])
 
 
 # ---------------------------------------------------------------------------

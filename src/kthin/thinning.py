@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .discrepancy import SwapCache, _as_indices, kernel_row_means
-# gram is not called here; it stays a module attribute because
+from .discrepancy import SwapCache, _as_indices, _quadratic_form, kernel_row_means
+# gram and gram_rows are not called here; they stay module attributes because
 # perfbench/spans.py traces the kernel boundary by wrapping
 # kthin.thinning.gram and kthin.thinning.gram_rows
 from .kernels import (  # noqa: F401
@@ -319,8 +319,7 @@ def kt_swap(
     pool = [base] + list(candidates)
     mmd_sqs = []
     for c in pool:
-        s = float(len(c))
-        coreset_self = float(gram_rows(k, points, c, c).sum()) / (s * s)
+        coreset_self = _quadratic_form(k, points[c], np.full(len(c), 1.0 / len(c)))
         cross = 2.0 * float(row_mean[c].mean())
         mmd_sqs.append(max(0.0, input_self + coreset_self - cross))
     chosen = int(np.argmin(mmd_sqs))

@@ -17,6 +17,7 @@ from kthin.discrepancy import (
     kernel_row_means,
     mmd,
     mmd_points,
+    mmd_swap_delta,
 )
 from kthin.harness import _ReferenceMMD
 
@@ -133,13 +134,15 @@ def test_nan_mmd_is_not_clamped_to_zero():
 
 
 def test_reference_mmd_matches_mmd_points():
-    # the harness's cached self-term against the uncached path, over tiles
+    # the harness's cached self-term against the uncached path, over tiles;
+    # the second coreset spans two tiles of its own self-term
     rng = np.random.default_rng(5)
     k = kn.laplace(1.3)
-    ref, out = rng.normal(size=(_CHUNK + 77, 2)), rng.normal(size=(40, 2))
-    assert _ReferenceMMD(k, ref).mmd_to(out) == pytest.approx(
-        mmd_points(k, ref, out), rel=1e-12
-    )
+    ref = rng.normal(size=(_CHUNK + 77, 2))
+    reference = _ReferenceMMD(k, ref)
+    for s in (40, _CHUNK + 100):
+        out = rng.normal(size=(s, 2))
+        assert reference.mmd_to(out) == pytest.approx(mmd_points(k, ref, out), rel=1e-12)
 
 
 def test_mmd_brute_force_equivalence():
@@ -284,7 +287,7 @@ def test_swap_delta_incumbent_is_exactly_zero():
     pts = rng.normal(size=(30, 2))
     cache = SwapCache(kn.gauss(1.0), pts, np.array([3, 11, 19, 27]))
     for pos in range(4):
-        assert cache.swap_delta(pos, int(cache.coreset[pos])) == 0.0
+        assert mmd_swap_delta(cache, pos, int(cache.coreset[pos])) == 0.0
 
 
 def test_swap_cache_rejects_malformed_coreset():
@@ -307,7 +310,7 @@ def test_swap_delta_matches_full_recomputation():
         modified = cache.coreset.copy()
         modified[pos] = z
         expect = _full_mmd_sq(k, pts, modified) - base
-        assert cache.swap_delta(pos, z) == pytest.approx(expect, abs=1e-10)
+        assert mmd_swap_delta(cache, pos, z) == pytest.approx(expect, abs=1e-10)
 
 
 def test_swap_argmin_matches_full_recomputation():
@@ -336,7 +339,7 @@ def test_swap_cache_updates_track_recomputation():
         pos = int(rng.integers(0, cache.out_size))
         z = int(rng.integers(0, 30))
         before = _full_mmd_sq(k, pts, cache.coreset)
-        delta = cache.swap_delta(pos, z)
+        delta = mmd_swap_delta(cache, pos, z)
         cache.apply_swap(pos, z)
         after = _full_mmd_sq(k, pts, cache.coreset)
         assert after - before == pytest.approx(delta, abs=1e-10)

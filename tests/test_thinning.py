@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from kthin import kernels as kn
-from kthin.discrepancy import DiscreteMeasure, SwapCache, mmd, mmd_points
+from kthin import thinning
+from kthin.discrepancy import _CHUNK, DiscreteMeasure, SwapCache, mmd, mmd_points
 from kthin.thinning import (
     DeltaSchedule,
     ThinningConfig,
@@ -303,6 +304,45 @@ def test_swap_baseline_domination_quick():
         assert mmd(K, p, DiscreteMeasure(x[out.indices])) <= (
             mmd(K, p, DiscreteMeasure(x[base])) + 1e-12
         )
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_selection_mmds_match_mmd_points(m):
+    # the tiled selection against the plain MMD, with coresets of s > _CHUNK
+    x = gauss_points(32, 2400)
+    cfg = ThinningConfig(m=m, seed=6)
+    cands = kt_split(K, x, cfg)
+    assert len(cands[0]) > _CHUNK
+    pool = [baseline_thin(len(x), m)] + cands
+    got = kt_swap(K, x, cands, cfg).provenance["selection_mmds"]
+    assert len(got) == len(pool)
+    for value, c in zip(got, pool):
+        assert value == pytest.approx(mmd_points(K, x, x[c]), rel=1e-12)
+
+
+def test_swap_selection_evaluates_only_tiles_and_columns(monkeypatch):
+    # at m = 1 the coresets have s = n / 2 points: each self-term runs over
+    # 512^2 tiles instead of one s x s Gram, and gram_rows is never called
+    n = 2048
+    x = gauss_points(33, n)
+    cfg = ThinningConfig(m=1, seed=7)
+    cands = kt_split(K, x, cfg)
+    shapes = []
+    inner = kn.evaluate
+
+    def recording(k, a, b):
+        out = inner(k, a, b)
+        shapes.append(out.shape)
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("kt_swap called gram_rows")
+
+    monkeypatch.setattr(kn, "evaluate", recording)
+    monkeypatch.setattr(thinning, "gram_rows", forbidden)
+    kt_swap(K, x, cands, cfg)
+    assert shapes
+    assert max(math.prod(shape) for shape in shapes) <= max(_CHUNK**2, n)
 
 
 def test_swap_candidate_size_mismatch():
