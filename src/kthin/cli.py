@@ -49,10 +49,11 @@ def _load_points(args, from_file: bool) -> np.ndarray:
     return target.sample(args.n, args.seed)
 
 
-# the thin flags each variant, and each kind of input, would otherwise
-# silently ignore
+# the thin flags each variant, an explicit split kernel and each kind of
+# input would otherwise silently ignore
 _UNUSED_FLAGS = {"--variant targetkt": ("alpha", "split_kernel"),
                  "--variant generalized": ("alpha",),
+                 "--split-kernel": ("alpha",),
                  "an --input file": ("n",),
                  "an --input target spec": ("format", "burn_in")}
 
@@ -60,6 +61,7 @@ _UNUSED_FLAGS = {"--variant targetkt": ("alpha", "split_kernel"),
 def _cmd_thin(args) -> int:
     from_file = os.path.exists(args.input)
     for user in (f"--variant {args.variant}",
+                 "--split-kernel" if args.split_kernel is not None else None,
                  "an --input " + ("file" if from_file else "target spec")):
         unused = [name for name in _UNUSED_FLAGS.get(user, ()) if getattr(args, name) is not None]
         if unused:
@@ -133,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thin.add_argument("--variant", default="targetkt",
                         choices=["targetkt", "powerkt", "ktplus", "generalized"])
     p_thin.add_argument("--alpha", type=float, default=None,
-                        help="power exponent for powerkt/ktplus (default 0.5)")
+                        help="power exponent for powerkt/ktplus without --split-kernel "
+                             "(default 0.5)")
     p_thin.add_argument("--split-kernel", default=None,
                         help="explicit split kernel JSON (required for generalized; "
                              "overrides the closed form for powerkt/ktplus)")

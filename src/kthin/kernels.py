@@ -37,6 +37,9 @@ FAMILIES = ("gauss", "laplace", "matern", "imq", "sinc", "bspline", "sum")
 _SINC_TAYLOR_CUTOFF = 1e-8
 # radii below this evaluate the Matern family at its limit value 1
 _MATERN_ZERO_CUTOFF = 1e-290
+# the largest bspline beta whose alternating sum stays within 1e-9 h_beta(0) of
+# de Boor's evaluation (1.4e-10 at 5, 2.1e-9 at 6; it overflows from 85 on)
+_BSPLINE_MAX_BETA = 5
 
 
 class KernelError(ValueError):
@@ -101,22 +104,17 @@ class KernelSpec:
         return self.scale
 
     def with_lengthscale(self, length: float) -> "KernelSpec":
-        """The same kernel at length scale `length`: sigma = length for gauss
-        and laplace, gamma = 1 / length for matern, imq and bspline, theta =
-        1 / length for sinc, and each component of a sum rescaled alike.
-        Shape parameters (nu, beta) and scale multipliers are kept."""
+        """The same kernel at length scale `length`: the last parameter, a
+        width, becomes `length` if it is sigma and 1 / length if it is gamma
+        or theta; each component of a sum is rescaled alike.  Shape
+        parameters (nu, beta) and scale multipliers are kept."""
         if not length > 0:
             raise KernelError(f"length scale must be positive, got {length}")
         if self.family == "sum":
             comps = tuple(c.with_lengthscale(length) for c in self.components)
             return KernelSpec("sum", (), self.scale, comps)
-        if self.family in ("gauss", "laplace"):
-            params = (length,)
-        elif self.family == "sinc":
-            params = (1.0 / length,)
-        else:  # matern, imq, bspline: (shape, gamma)
-            params = (self.params[0], 1.0 / length)
-        return KernelSpec(self.family, params, self.scale)
+        width = length if _PARAM_NAMES[self.family][-1] == "sigma" else 1.0 / length
+        return KernelSpec(self.family, self.params[:-1] + (width,), self.scale)
 
     # -- parameter accessors ------------------------------------------------
 
@@ -182,16 +180,18 @@ _PARAM_NAMES = {
 
 def _checked(family: str, name: str, value):
     """Parameter `name` as a float (beta as an int) if `_as_number` reads it
-    as a finite number, theta != 0, beta >= 0 (0, the triangle kernel, is a
-    power of bspline(1, .)), and the scale or any other parameter > 0."""
+    as a finite number, theta != 0, 0 <= beta <= _BSPLINE_MAX_BETA (0, the
+    triangle kernel, is a power of bspline(1, .)), and the scale or any other
+    parameter > 0."""
     try:
         number = _as_number(value, int if name == "beta" else float)
         in_domain = (number != 0 if name == "theta" else
-                     number >= 0 if name == "beta" else number > 0)
+                     0 <= number <= _BSPLINE_MAX_BETA if name == "beta" else number > 0)
     except ValueError:
         in_domain = False
     if not in_domain:
-        rule = {"theta": "!= 0", "beta": "an integer >= 0"}.get(name, "> 0")
+        rule = {"theta": "!= 0",
+                "beta": f"an integer from 0 to {_BSPLINE_MAX_BETA}"}.get(name, "> 0")
         raise KernelError(f"{family} kernel {name} must be finite and {rule}, got {value!r}")
     return number
 
@@ -245,15 +245,16 @@ def from_json_dict(obj: dict) -> KernelSpec:
         if family == "sum":
             comps = tuple(from_json_dict(c) for c in obj.get("components", ()))
             return KernelSpec("sum", (), scale, comps)
-        ctor = {"gauss": gauss, "laplace": laplace, "matern": matern,
-                "imq": imq, "sinc": sinc, "bspline": bspline}[family]
-        return ctor(**obj.get("params", {}), scale=scale)
+        names, params = _PARAM_NAMES[family], obj.get("params", {})
+        if set(params) == set(names):
+            return KernelSpec(family, tuple(params[name] for name in names), scale)
     except KernelError:
         raise
     except (TypeError, ValueError):
-        raise KernelError(f"bad {family} kernel JSON: expected {body} "
-                          f"{_PARAM_NAMES.get(family, '[kernel objects]')} and a numeric scale, "
-                          f"got {obj!r}")
+        pass
+    raise KernelError(f"bad {family} kernel JSON: expected {body} "
+                      f"{_PARAM_NAMES.get(family, '[kernel objects]')} and a numeric scale, "
+                      f"got {obj!r}")
 
 
 def from_json(text: str) -> KernelSpec:
@@ -279,12 +280,9 @@ def bspline_univariate(beta: int, t) -> np.ndarray | float:
     Compactly supported on [-(beta + 1), beta + 1] and even in t.
     """
     order = 2 * _checked("bspline", "beta", beta) + 2
-    return _cardinal_bspline(order, np.asarray(t, dtype=float))
-
-
-def _cardinal_bspline(order: int, t: np.ndarray) -> np.ndarray | float:
     half = order / 2.0
-    acc = np.zeros_like(t, dtype=float)
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros_like(t)
     sign = 1.0
     for j in range(order + 1):
         acc += sign * math.comb(order, j) * np.maximum(t + half - j, 0.0) ** (order - 1)
@@ -302,12 +300,11 @@ def _bspline_center(beta: int) -> float:
     Memoized: `evaluate` divides by it on every call, and the split calls
     `evaluate` once per block of 2^m input points.
     """
-    return float(_cardinal_bspline(2 * beta + 2, np.asarray(0.0)))
+    return bspline_univariate(beta, 0.0)
 
 
 def _sinc_univariate(t: np.ndarray) -> np.ndarray:
-    # evaluate at |t|: sin(t)/t is even, and this keeps Grams exactly symmetric
-    t = np.abs(np.asarray(t, dtype=float))
+    """sin(t) / t for t >= 0, by its Taylor expansion near 0."""
     small = t < _SINC_TAYLOR_CUTOFF
     safe = np.where(small, 1.0, t)
     out = np.sin(safe) / safe
@@ -493,10 +490,7 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = evaluate(k.components[0], x, y)
         for c in k.components[1:]:
             out += evaluate(c, x, y)
-        if k.scale != 1.0:
-            out *= k.scale
-        return out
-    if fam == "gauss":
+    elif fam == "gauss":
         out = np.exp(_sq_dists(x, y) / (-2.0 * k.sigma**2))
     elif fam == "laplace":
         out = np.exp(-np.sqrt(_sq_dists(x, y)) / k.sigma)
@@ -505,21 +499,17 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = _matern_profile(a, k.gamma * np.sqrt(_sq_dists(x, y)))
     elif fam == "imq":
         out = (1.0 + _sq_dists(x, y) / k.gamma**2) ** (-k.nu)
-    elif fam == "sinc":
-        out = _sinc_univariate(k.theta * (x[..., 0] - y[..., 0]))
+    else:  # sinc, bspline: a product over coordinates of an even profile
+        if fam == "sinc":
+            width, profile = k.theta, _sinc_univariate
+        else:
+            width, center = k.gamma, _bspline_center(k.beta)
+            profile = lambda t: bspline_univariate(k.beta, t) / center
+        # evaluate at |width z_j|: the profile is even, and this keeps Grams
+        # exactly symmetric
+        out = profile(np.abs(width * (x[..., 0] - y[..., 0])))
         for j in range(1, x.shape[-1]):
-            out *= _sinc_univariate(k.theta * (x[..., j] - y[..., j]))
-    else:  # bspline
-        # evaluate at |z_j|: h is even, and this keeps Grams exactly symmetric
-        center = _bspline_center(k.beta)
-        order = 2 * k.beta + 2
-        out = _cardinal_bspline(order, np.abs(k.gamma * (x[..., 0] - y[..., 0])))
-        out /= center
-        for j in range(1, x.shape[-1]):
-            out *= (
-                _cardinal_bspline(order, np.abs(k.gamma * (x[..., j] - y[..., j])))
-                / center
-            )
+            out *= profile(np.abs(width * (x[..., j] - y[..., j])))
     if k.scale != 1.0:
         out *= k.scale
     return out
@@ -571,8 +561,9 @@ def power_kernel(k: KernelSpec, alpha: float, dim: int | None = None) -> PowerKe
         (imq always; matern when alpha*nu <= d/2; bspline when the reduced
         order is not an even non-negative integer).
     """
-    if not 0.5 <= alpha <= 1.0:
-        raise KernelError(f"alpha must lie in [1/2, 1], got {alpha}")
+    _check_alpha(alpha)
+    if dim is not None and not (isinstance(dim, numbers.Integral) and dim >= 1):
+        raise KernelError(f"power_kernel dim must be an integer >= 1, got {dim!r}")
     if alpha == 1.0:
         return PowerKernelPair(k, k, 1.0)
     fam = k.family
@@ -609,6 +600,12 @@ def power_kernel(k: KernelSpec, alpha: float, dim: int | None = None) -> PowerKe
         f"no closed-form power kernel for family {fam!r}; "
         "supply an explicit split kernel instead"
     )
+
+
+def _check_alpha(alpha: float) -> None:
+    """Raise KernelError unless alpha, a power kernel's exponent, is in [1/2, 1]."""
+    if not 0.5 <= alpha <= 1.0:
+        raise KernelError(f"alpha must lie in [1/2, 1], got {alpha}")
 
 
 def ktplus_kernel(k: KernelSpec, k_alpha: KernelSpec) -> KernelSpec:

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import numbers
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,48 +300,40 @@ def write_binary(path: str, points: np.ndarray) -> None:
 class TestFunction:
     """A named integrand: one of rkhs_witness, moment1, moment2, cif.
 
-    The frozen array holds X' for the witness and u for the continuous
-    integrand family; it is drawn once and reused across sample sizes and
-    replicates.
+    `integrand` maps an (n, d) array to its n values.  The frozen array holds
+    X' for the witness and u for the continuous integrand family, and fixes
+    d; it is drawn once and reused across sample sizes and replicates.
     """
 
     name: str
-    kernel: KernelSpec | None = None
+    integrand: Callable[[np.ndarray], np.ndarray]
     frozen: np.ndarray | None = None
 
     def __call__(self, x) -> np.ndarray:
         x = _as_points(x)
         if self.frozen is not None and x.shape[1] != len(self.frozen):
             raise ValueError(f"{self.name} takes {len(self.frozen)}-D points, got {x.shape}")
-        if self.name == "moment1":
-            return x[:, 0]
-        if self.name == "moment2":
-            return x[:, 0] ** 2
-        if self.name == "rkhs_witness":
-            return gram(self.kernel, self.frozen[None, :], x)[0]
-        if self.name == "cif":
-            return np.exp(-np.abs(x - self.frozen[None, :]).mean(axis=1))
-        raise ValueError(f"unknown test function {self.name!r}")
+        return self.integrand(x)
 
 
 def make_rkhs_witness(kernel: KernelSpec, target: TargetSpec, seed: int) -> TestFunction:
     """f = k(X', .) with X' = 2X for one frozen draw X from the target."""
-    x = target.sample(1, rng.derive_seed(seed, 201))[0]
-    return TestFunction("rkhs_witness", kernel=kernel, frozen=2.0 * x)
+    x_prime = 2.0 * target.sample(1, rng.derive_seed(seed, 201))[0]
+    return TestFunction("rkhs_witness", lambda x: gram(kernel, x_prime[None, :], x)[0], x_prime)
 
 
 def make_cif(dim: int, seed: int) -> TestFunction:
     """The continuous-integrand-family benchmark with u frozen uniform on [0,1]^d."""
     u = rng.substream(seed, 202).random(dim)
-    return TestFunction("cif", frozen=u)
+    return TestFunction("cif", lambda x: np.exp(-np.abs(x - u[None, :]).mean(axis=1)), u)
 
 
 def moment1() -> TestFunction:
-    return TestFunction("moment1")
+    return TestFunction("moment1", lambda x: x[:, 0])
 
 
 def moment2() -> TestFunction:
-    return TestFunction("moment2")
+    return TestFunction("moment2", lambda x: x[:, 0] ** 2)
 
 
 # ---------------------------------------------------------------------------

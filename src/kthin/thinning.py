@@ -44,6 +44,7 @@ from .kernels import (  # noqa: F401
     KernelSpec,
     KernelError,
     _as_points,
+    _check_alpha,
     evaluate,
     gram,
     gram_rows,
@@ -377,7 +378,8 @@ def split_kernel_for(variant: str, k: KernelSpec, dim: int,
 
     Raises NoClosedFormPowerError when powerkt or ktplus needs a closed form
     that k lacks in dimension dim, and KernelError for generalized without
-    `split_kernel` or an unknown variant.
+    `split_kernel`, an unknown variant, or powerkt or ktplus with alpha
+    outside [1/2, 1], with or without `split_kernel`.
     """
     if variant == "targetkt":
         return k
@@ -387,6 +389,7 @@ def split_kernel_for(variant: str, k: KernelSpec, dim: int,
         return split_kernel
     if variant not in ("powerkt", "ktplus"):
         raise KernelError(f"unknown KT variant {variant!r}")
+    _check_alpha(alpha)
     if split_kernel is None:
         split_kernel = power_kernel(k, alpha, dim=dim).power
     return split_kernel if variant == "powerkt" else ktplus_kernel(k, split_kernel)

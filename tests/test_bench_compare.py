@@ -14,6 +14,7 @@ def _record(label, ops=3):
         run = {"digests": [{"indices": f"d{i}"} for i in range(n)]}
         if trace == 1:
             run["counts"] = {"kernels.calls": 235, "rng.draws": 0}
+            run["calls_op0"] = {"kthin.discrepancy.gram": 170, "kthin.thinning.gram_rows": 65}
         return {"run": run, "result": {"metrics": {"op_s": {"unit": "s", "value": 0.5}}}}
 
     return {"label": label,
@@ -53,3 +54,13 @@ def test_a_differing_digest_or_count_fails(tmp_path):
     proc = _compare(tmp_path, old, count)
     assert proc.returncode == 1
     assert "DIFFER: kernels.calls 235 -> 236" in proc.stdout
+
+    # the same totals with the work moved from one traced name to another
+    moved = copy.deepcopy(old)
+    calls = moved["workloads"]["split"]["trace1"]["run"]["calls_op0"]
+    calls["kthin.discrepancy.gram"] = 235
+    del calls["kthin.thinning.gram_rows"]
+    proc = _compare(tmp_path, old, moved)
+    assert proc.returncode == 1
+    assert ("DIFFER: kthin.discrepancy.gram 170 -> 235; kthin.thinning.gram_rows 65 -> None"
+            in proc.stdout)

@@ -89,6 +89,25 @@ def test_thin_rejects_flags_the_variant_ignores(tmp_path, capsys, variant, flags
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("variant, alpha", [("powerkt", "7"), ("ktplus", "0.1")])
+def test_thin_rejects_alpha_with_a_split_kernel(tmp_path, capsys, variant, alpha):
+    # an explicit split kernel replaces the alpha-power kernel, so alpha is unused
+    src = str(tmp_path / "in.csv")
+    write_points(src, np.random.default_rng(0).normal(size=(16, 2)))
+    code = main(["thin", "--input", src, "--kernel", GAUSS, "--variant", variant, "--alpha", alpha,
+                 "--split-kernel", GAUSS, "-m", "1", "--out", str(tmp_path / "c.csv")])
+    assert code == EXIT_USAGE
+    assert "--split-kernel does not use --alpha" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_powerkernel_dimension_below_one_is_constraint_error(capsys):
+    code = main(["powerkernel", "--kernel", '{"family": "laplace", "params": {"sigma": 1.0}}',
+                 "--alpha", "0.75", "--dim", "0"])
+    assert code == EXIT_CONSTRAINT
+    assert "power_kernel dim must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("from_file, flags, named", [
     (True, ["--n", "64"], "an --input file does not use --n"),
     (False, ["--n", "64", "--burn-in", "3"], "an --input target spec does not use --burn-in"),
@@ -142,6 +161,7 @@ def test_thin_negative_kernel_scale_is_constraint_error(tmp_path, capsys):
     ({"family": "bspline", "params": {"beta": True, "gamma": 1.0}}, "bspline kernel beta"),
     ({"family": "bspline", "params": {"beta": 10 ** 400, "gamma": 1.0}}, "bspline kernel beta"),
     ({"family": "sum", "components": [json.loads(GAUSS)], "scale": "3"}, "sum kernel scale"),
+    ({"family": "bspline", "params": {"beta": 85, "gamma": 1.0}}, "bspline kernel beta"),
 ])
 def test_thin_non_numeric_kernel_value_is_constraint_error(tmp_path, capsys, kernel, named):
     code = main(["thin", "--input", '{"kind": "gauss", "d": 2}', "--n", "16",

@@ -131,7 +131,7 @@ def test_invalid_parameters_rejected_at_construction():
 
 # per parameter, the finite values outside its domain
 _OUT_OF_DOMAIN = {"sigma": (0.0, -1.0), "nu": (0.0, -2.0), "gamma": (0.0, -1.0),
-                  "theta": (0.0,), "beta": (-1, 1.5)}
+                  "theta": (0.0,), "beta": (-1, 1.5, 6)}
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
@@ -293,6 +293,21 @@ def test_bspline_support_bound():
     assert kn.kernel_eval(kn.bspline(3, 1.0), [0.0], [1000.0]) == 0.0
 
 
+def test_bspline_matches_de_boor_up_to_the_largest_accepted_beta():
+    # the alternating sum loses about a digit per order: up to the bound it is
+    # within 1e-9 h_beta(0) of de Boor's recursion, and past it beta is rejected
+    from scipy.interpolate import BSpline
+
+    for beta in range(kn._BSPLINE_MAX_BETA + 1):
+        half = beta + 1.0
+        t = np.linspace(-half, half, 20001)[1:-1]
+        oracle = BSpline.basis_element(np.arange(-half, half + 1.0), extrapolate=False)(t)
+        error = np.max(np.abs(kn.bspline_univariate(beta, t) - oracle))
+        assert error < 1e-9 * kn._bspline_center(beta)
+    with pytest.raises(kn.KernelError, match="bspline kernel beta must be finite and an integer"):
+        kn.bspline_univariate(kn._BSPLINE_MAX_BETA + 1, 0.0)
+
+
 def test_bspline_even_symmetry():
     ts = np.linspace(-3.0, 3.0, 61)
     for beta in (1, 2):
@@ -359,6 +374,12 @@ def test_laplace_power_constraint():
 def test_matern_power_constraint():
     with pytest.raises(kn.NoClosedFormPowerError):
         kn.power_kernel(kn.matern(1.2, 1.0), 0.5, dim=2)
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.5, "2"])
+def test_power_kernel_rejects_a_dimension_below_one(dim):
+    with pytest.raises(kn.KernelError, match="power_kernel dim must be an integer >= 1"):
+        kn.power_kernel(kn.laplace(1.0), 0.75, dim=dim)
 
 
 def test_bspline_power():

@@ -425,6 +425,9 @@ def test_split_kernel_for_each_variant():
     assert split_kernel_for("ktplus", K, 2, 0.5) == kn.ktplus_kernel(K, half)
     assert split_kernel_for("ktplus", K, 2, 0.5, explicit) == kn.ktplus_kernel(K, explicit)
     assert split_kernel_for("generalized", K, 2, split_kernel=explicit) == explicit
+    for variant, alpha in (("powerkt", 7.0), ("ktplus", 0.1)):  # checked with a split kernel too
+        with pytest.raises(kn.KernelError, match="alpha must lie in"):
+            split_kernel_for(variant, K, 2, alpha, explicit)
     with pytest.raises(kn.KernelError, match="requires an explicit split kernel"):
         split_kernel_for("generalized", K, 2)
     with pytest.raises(kn.NoClosedFormPowerError):

@@ -6,10 +6,12 @@ Usage, from the root of a kthin checkout:
 
 For each workload in both records it prints the operation indices the two
 share (per trace run), whether every output digest of those operations is
-equal in both trace runs, whether the exact counts of the trace-1 runs are
-equal, and each end-to-end metric of the trace-0 runs, old -> new.
+equal in both trace runs, whether the exact counts of the trace-1 runs and
+their per-name call counts of operation 0 are equal, and each end-to-end
+metric of the trace-0 runs, old -> new.
 
-Exits 1 when a shared digest or an exact count differs, 0 otherwise.
+Exits 1 when a shared digest, an exact count or a call count differs, 0
+otherwise.
 Timings are printed, never judged: they vary from run to run.
 """
 
@@ -29,9 +31,15 @@ def _digest_diffs(old: dict, new: dict) -> list[str]:
 
 
 def _count_diffs(old: dict, new: dict) -> list[str]:
-    a, b = old["run"]["counts"], new["run"]["counts"]
-    return [f"{key} {a.get(key)} -> {b.get(key)}"
-            for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+    """'key old -> new' for every exact count, and every per-name call count
+    of operation 0, that differs: work that moves between traced names shows
+    here even when the totals agree."""
+    diffs = []
+    for field in ("counts", "calls_op0"):
+        a, b = old["run"][field], new["run"][field]
+        diffs += [f"{key} {a.get(key)} -> {b.get(key)}"
+                  for key in sorted(a.keys() | b.keys()) if a.get(key) != b.get(key)]
+    return diffs
 
 
 def compare_workload(old: dict, new: dict) -> tuple[list[str], bool]:
