@@ -35,7 +35,6 @@ from .discrepancy import (
 )
 from .thinning import (
     Coreset,
-    DeltaSchedule,
     ThinningConfig,
     baseline_thin,
     generalized_kt,

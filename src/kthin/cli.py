@@ -23,8 +23,8 @@ from .discrepancy import DiscreteMeasure, mmd
 from .harness import ExperimentPlan, run_experiment
 from .kernels import from_json as kernel_from_json, power_kernel
 from .targets import IngestError, ingest, target_from_json_dict
-from .thinning import (DeltaSchedule, ThinningConfig, generalized_kt, kt_plus, power_kt,
-                       split_kernel_for, target_kt)
+from .thinning import (ThinningConfig, generalized_kt, kt_plus, power_kt, split_kernel_for,
+                       target_kt)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,11 +70,7 @@ def _cmd_thin(args) -> int:
             return EXIT_USAGE
     kernel = kernel_from_json(args.kernel)
     points = _load_points(args, from_file)
-    cfg = ThinningConfig(
-        m=args.m,
-        delta_schedule=DeltaSchedule(args.delta_rule, args.delta),
-        seed=args.seed,
-    )
+    cfg = ThinningConfig(m=args.m, seed=args.seed, delta=args.delta, delta_rule=args.delta_rule)
     split = kernel_from_json(args.split_kernel) if args.split_kernel else None
     if args.variant == "targetkt":
         coreset = target_kt(kernel, points, cfg)
@@ -84,7 +80,7 @@ def _cmd_thin(args) -> int:
         coreset.provenance["variant"] = "generalized"
     else:
         front = power_kt if args.variant == "powerkt" else kt_plus
-        alpha = 0.5 if args.alpha is None else args.alpha
+        alpha = 0.5 if args.alpha is None and split is None else args.alpha
         coreset = front(kernel, points, cfg, alpha=alpha, split_kernel=split)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(coreset.to_csv())

@@ -52,7 +52,6 @@ from .targets import (
 )
 from .thinning import (
     Coreset,
-    DeltaSchedule,
     ThinningConfig,
     baseline_thin,
     kt_plus,
@@ -318,11 +317,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
                 name: float(np.mean(fn(points))) for name, fn in test_fns.items()
             }
             for variant in runnable:
-                cfg = ThinningConfig(
-                    m=m,
-                    delta_schedule=DeltaSchedule("known_n", plan.delta),
-                    seed=rng.derive_seed(plan.seed, n, rep, *variant._seed_parts()),
-                )
+                seed = rng.derive_seed(plan.seed, n, rep, *variant._seed_parts())
+                cfg = ThinningConfig(m=m, seed=seed, delta=plan.delta)
                 coreset = _thin(variant, kernel, points, cfg)
                 out_points = points[coreset.indices]
                 values = [refs[name].mmd_to(out_points) for name in plan.metrics] + [

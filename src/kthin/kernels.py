@@ -603,8 +603,8 @@ def power_kernel(k: KernelSpec, alpha: float, dim: int | None = None) -> PowerKe
 
 
 def _check_alpha(alpha: float) -> None:
-    """Raise KernelError unless alpha, a power kernel's exponent, is in [1/2, 1]."""
-    if not 0.5 <= alpha <= 1.0:
+    """Raise KernelError unless alpha, a power kernel's exponent, is a number in [1/2, 1]."""
+    if not isinstance(alpha, numbers.Real) or not 0.5 <= alpha <= 1.0:
         raise KernelError(f"alpha must lie in [1/2, 1], got {alpha}")
 
 

@@ -10,6 +10,8 @@ Philox4x64-10 block function itself, so a whole array of addressed draws
 costs one vectorized pass instead of one generator per draw.
 """
 
+import numbers
+
 import numpy as np
 
 # Philox4x64-10 (Salmon et al., SC 2011).  The multipliers, split into 32-bit
@@ -27,7 +29,10 @@ _SHIFT32 = np.uint64(32)
 
 
 def _as_u64(value) -> int:
-    # wrap negatives / large ints into the uint64 ring
+    """An integer seed or key wrapped into the uint64 ring; anything else,
+    a bool, a float or a string included, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"seeds and stream keys must be integers, got {value!r}")
     return int(value) & 0xFFFFFFFFFFFFFFFF
 
 

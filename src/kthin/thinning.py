@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,45 +54,39 @@ from .kernels import (  # noqa: F401
 
 
 @dataclass(frozen=True)
-class DeltaSchedule:
-    """Per-round failure probabilities delta_i for i = 1..floor(n/2).
-
-    rule "known_n" gives delta_i = delta / n (requires the input length up
-    front); rule "oblivious" gives
-    delta_i = m * delta / (2^(m+2) * (i+1) * log^2(i+1)) and is valid for
-    any stopping time.
-    """
-
-    rule: str = "known_n"
-    delta: float = 0.5
-
-    def __post_init__(self):
-        if self.rule not in ("known_n", "oblivious"):
-            raise ValueError(f"unknown delta schedule rule {self.rule!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-    def value(self, i: int, n: int, m: int) -> float:
-        if self.rule == "known_n":
-            return self.delta / n
-        return m * self.delta / (2 ** (m + 2) * (i + 1) * math.log(i + 1) ** 2)
-
-
-@dataclass(frozen=True)
 class ThinningConfig:
-    """Thinning depth, failure-probability schedule, and seed.
+    """Thinning depth, seed, and per-round failure probabilities.
 
-    The output size is floor(n / 2^m).  Kernels are passed to the thinning
-    operations directly rather than stored here.
+    The output size is floor(n / 2^m).  `delta_rule` "known_n" gives each
+    round i = 1..floor(n/2) the budget delta_i = delta / n (it needs the
+    input length up front); "oblivious" gives
+    delta_i = m * delta / (2^(m+2) * (i+1) * log^2(i+1)), valid for any
+    stopping time.  The seed must be an integer; negative and large ones wrap
+    modulo 2^64.  Kernels are passed to the thinning operations directly
+    rather than stored here.
     """
 
     m: int = 1
-    delta_schedule: DeltaSchedule = field(default_factory=DeltaSchedule)
     seed: int = 0
+    delta: float = 0.5
+    delta_rule: str = "known_n"
 
     def __post_init__(self):
         if not isinstance(self.m, numbers.Integral) or self.m < 1:
             raise ValueError(f"thinning depth m must be an integer >= 1, got {self.m!r}")
+        rng._as_u64(self.seed)
+        if self.delta_rule not in ("known_n", "oblivious"):
+            raise ValueError(f"unknown delta rule {self.delta_rule!r}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+
+    def deltas(self, n: int) -> list[float]:
+        """[delta_1, ..., delta_floor(n/2)] for an input of n points."""
+        if self.delta_rule == "known_n":
+            return [self.delta / n] * (n // 2)
+        m = self.m
+        return [m * self.delta / (2 ** (m + 2) * (i + 1) * math.log(i + 1) ** 2)
+                for i in range(1, n // 2 + 1)]
 
 
 @dataclass
@@ -181,8 +175,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
       points: (n, d) input array.
-      cfg: thinning configuration; cfg.m halvings, counter-based randomness
-        from cfg.seed.
+      cfg: thinning configuration; cfg.m halvings, round t's failure budget
+        cfg.deltas(n)[t - 1], counter-based randomness from cfg.seed.
     """
     points = _as_points(points)
     n, d = points.shape
@@ -201,7 +195,7 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
         raise KernelError(f"unsupported split kernel type {type(k_split).__name__}")
     kernel.validate_dim(d)
     diag = kernel.sup_norm() + weight
-    sched = cfg.delta_schedule
+    deltas = cfg.deltas(n)
     used = 2 * (n // 2)
 
     # Level j holds 2^j coresets of used >> j points; level 0 is the input.
@@ -230,7 +224,7 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
                     alpha = per_child[:, 1] - per_child[:, 0]
                     b_sq = np.maximum(diag + diag - 2.0 * kb[rows[:, 1], pair_idx[:, 0]], 0.0)
 
-                    delta_hat = sched.value(t, n, m) * 2 ** (j - 1) / m
+                    delta_hat = deltas[t - 1] * 2 ** (j - 1) / m
                     a, grown = get_swap_params(sigma_sq[j], b_sq, delta_hat)
                     # b^2 = 0: either assignment is equivalent and the threshold
                     # and scale update are 0/0, so the pair neither swaps nor
@@ -348,21 +342,18 @@ def kt_swap(
 # the full pipeline and its front-ends
 # ---------------------------------------------------------------------------
 
-def _sigma_diagnostics(n: int, m: int, sched: DeltaSchedule, k_sup: float) -> dict:
+def _sigma_diagnostics(n: int, cfg: ThinningConfig, k_sup: float) -> dict:
     """High-probability bound parameters of the split stage, for reporting only.
 
     p_sg is reported with the conventional choice delta' = delta / 2.
     """
-    delta_star = min(sched.value(i, n, m) for i in range(1, n // 2 + 1))
+    m, deltas = cfg.m, cfg.deltas(n)
     sigma_m = (
         2.0 / math.sqrt(3.0) * 2 ** m / n
-        * math.sqrt(k_sup * max(0.0, math.log(6 * m / (2 ** m * delta_star))))
+        * math.sqrt(k_sup * max(0.0, math.log(6 * m / (2 ** m * min(deltas)))))
     )
-    level_sum = sum(
-        2 ** (j - 1) / m * sum(sched.value(i, n, m) for i in range(1, n // 2 ** j + 1))
-        for j in range(1, m + 1)
-    )
-    p_sg = 1.0 - sched.delta / 2.0 - level_sum
+    level_sum = sum(2 ** (j - 1) / m * sum(deltas[:n // 2 ** j]) for j in range(1, m + 1))
+    p_sg = 1.0 - cfg.delta / 2.0 - level_sum
     return {"sigma_m": sigma_m, "p_sg": p_sg}
 
 
@@ -379,7 +370,8 @@ def split_kernel_for(variant: str, k: KernelSpec, dim: int,
     Raises NoClosedFormPowerError when powerkt or ktplus needs a closed form
     that k lacks in dimension dim, and KernelError for generalized without
     `split_kernel`, an unknown variant, or powerkt or ktplus with alpha
-    outside [1/2, 1], with or without `split_kernel`.
+    missing or outside [1/2, 1] where the power kernel is built from it, or
+    given beside `split_kernel` and outside [1/2, 1].
     """
     if variant == "targetkt":
         return k
@@ -389,9 +381,10 @@ def split_kernel_for(variant: str, k: KernelSpec, dim: int,
         return split_kernel
     if variant not in ("powerkt", "ktplus"):
         raise KernelError(f"unknown KT variant {variant!r}")
-    _check_alpha(alpha)
     if split_kernel is None:
         split_kernel = power_kernel(k, alpha, dim=dim).power
+    elif alpha is not None:
+        _check_alpha(alpha)
     return split_kernel if variant == "powerkt" else ktplus_kernel(k, split_kernel)
 
 
@@ -400,19 +393,20 @@ def generalized_kt(k_split, k_target: KernelSpec, points, cfg: ThinningConfig) -
     points = _as_points(points)
     candidates = kt_split(k_split, points, cfg)
     out = kt_swap(k_target, points, candidates, cfg)
-    out.provenance.update(_sigma_diagnostics(len(points), cfg.m, cfg.delta_schedule, k_split.sup_norm()))
+    out.provenance.update(_sigma_diagnostics(len(points), cfg, k_split.sup_norm()))
     return out
 
 
 def _variant_kt(variant: str, k: KernelSpec, points, cfg: ThinningConfig,
                 alpha: float | None = None, split_kernel=None) -> Coreset:
     """Generalized KT with the variant's split kernel, refined with k, and the
-    variant (and the alpha of a power variant) recorded in the provenance."""
+    variant (and the alpha the split kernel was built from) recorded in the
+    provenance."""
     points = _as_points(points)
     k_split = split_kernel_for(variant, k, points.shape[1], alpha, split_kernel)
     out = generalized_kt(k_split, k, points, cfg)
     out.provenance["variant"] = variant
-    if variant != "targetkt":
+    if variant != "targetkt" and split_kernel is None:
         out.provenance["alpha"] = alpha
     return out
 

@@ -203,6 +203,19 @@ def test_thin_power_variants_default_alpha_is_one_half(tmp_path, variant):
     assert json.loads(outputs[0][1])["provenance"]["alpha"] == 0.5
 
 
+@pytest.mark.parametrize("variant", ["powerkt", "ktplus"])
+def test_thin_sidecar_has_no_alpha_beside_a_split_kernel(tmp_path, variant):
+    # the explicit split kernel replaces the alpha-power kernel, so the run used no alpha
+    src = str(tmp_path / "in.csv")
+    write_points(src, np.random.default_rng(3).normal(size=(32, 2)))
+    assert main(["thin", "--input", src, "--kernel", GAUSS, "--variant", variant,
+                 "--split-kernel", '{"family": "laplace", "params": {"sigma": 1.0}}',
+                 "-m", "2", "--out", str(tmp_path / "c.csv")]) == EXIT_OK
+    provenance = json.loads(open(str(tmp_path / "c.json")).read())["provenance"]
+    assert provenance["variant"] == variant
+    assert "alpha" not in provenance
+
+
 def test_mmd_twelve_digits(tmp_path, capsys):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_points(a, np.array([[0.0]]))

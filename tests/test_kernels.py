@@ -382,6 +382,12 @@ def test_power_kernel_rejects_a_dimension_below_one(dim):
         kn.power_kernel(kn.laplace(1.0), 0.75, dim=dim)
 
 
+@pytest.mark.parametrize("alpha", [None, "0.5"])
+def test_power_kernel_rejects_an_alpha_that_is_not_a_number(alpha):
+    with pytest.raises(kn.KernelError, match="alpha must lie in"):
+        kn.power_kernel(kn.gauss(1.0), alpha)
+
+
 def test_bspline_power():
     pair = kn.power_kernel(kn.bspline(1, 1.0), 0.5)
     assert pair.power == kn.bspline(0, 1.0)  # the triangle kernel, order 2

@@ -1,9 +1,9 @@
-"""The JSON examples in README.md, read through the library's strict readers.
+"""The examples in README.md, run or read through the library's strict readers.
 
-Every example the README shows -- the plan.json block, each object in the
-Kernel JSON block and each single-quoted --kernel or --input argument of the
-command-line examples -- must parse, so the documented formats cannot drift
-from what the readers accept.
+The Python quickstart must run, and every JSON example the README shows --
+the plan.json block, each object in the Kernel JSON block and each
+single-quoted --kernel or --input argument of the command-line examples --
+must parse, so the documented API and formats cannot drift from the code.
 """
 
 import json
@@ -17,13 +17,19 @@ from kthin.targets import target_from_json_dict
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
-def _json_block_after(heading: str) -> str:
+def _block_after(heading: str, language: str = "json") -> str:
     section = README.split(f"\n{heading}\n", 1)[1]
-    return re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_python_quickstart_runs(capsys):
+    exec(compile(_block_after("## Python quickstart", "python"), "README.md", "exec"), {})
+    size, accepted = capsys.readouterr().out.splitlines()[0].split()
+    assert size == "32" and int(accepted) >= 0
 
 
 def test_plan_json_example_reads_as_a_plan():
-    plan = ExperimentPlan.from_json(_json_block_after("## plan.json"))
+    plan = ExperimentPlan.from_json(_block_after("## plan.json"))
     assert [v.tag for v in plan.variants] == [
         "standard", "targetkt", "rootkt", "powerkt(a=0.7)", "ktplus(a=0.5)"
     ]
@@ -31,7 +37,7 @@ def test_plan_json_example_reads_as_a_plan():
 
 
 def test_kernel_json_examples_read_as_kernels():
-    block, decoder, families = _json_block_after("## Kernel JSON").strip(), json.JSONDecoder(), []
+    block, decoder, families = _block_after("## Kernel JSON").strip(), json.JSONDecoder(), []
     while block:
         obj, end = decoder.raw_decode(block)
         families.append(kernel_from_json(json.dumps(obj)).family)

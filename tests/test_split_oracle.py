@@ -14,7 +14,7 @@ import pytest
 from kthin import kernels as kn
 from kthin import rng
 from kthin.kernels import IdentityPerturbedKernel, gram_rows
-from kthin.thinning import DeltaSchedule, ThinningConfig, get_swap_params, kt_split, swap_probability
+from kthin.thinning import ThinningConfig, get_swap_params, kt_split, swap_probability
 
 
 class _Evaluator:
@@ -58,7 +58,7 @@ def oracle_split(k_split, points, cfg, stats=None):
     n = len(points)
     m = cfg.m
     ev = _Evaluator(k_split, points)
-    sched = cfg.delta_schedule
+    deltas = cfg.deltas(n)
     coresets = [[[] for _ in range(2 ** j)] for j in range(m + 1)]
     sigma_sq = [np.zeros(2 ** max(j - 1, 0)) for j in range(m + 1)]
     for i in range(1, n // 2 + 1):
@@ -78,7 +78,7 @@ def oracle_split(k_split, points, cfg, stats=None):
                     left_child.append(x)
                     coresets[j][2 * l + 1].append(xt)
                     continue
-                delta_i = sched.value(len(parent) // 2, n, m)
+                delta_i = deltas[len(parent) // 2 - 1]
                 a, sigma_sq[j][l] = get_swap_params(
                     float(sigma_sq[j][l]), b_sq, delta_i * 2 ** (j - 1) / m
                 )
@@ -143,7 +143,7 @@ def _instance(case):
             near = gen.random(n // 2) < 0.5
             seconds[near] = firsts[near] + 1e-3 * gen.normal(size=(int(near.sum()), d))
     rule = "oblivious" if case % 2 else "known_n"
-    cfg = ThinningConfig(m=m, delta_schedule=DeltaSchedule(rule, float(gen.uniform(0.05, 0.9))),
+    cfg = ThinningConfig(m=m, delta=float(gen.uniform(0.05, 0.9)), delta_rule=rule,
                          seed=int(gen.integers(-2 ** 63, 2 ** 63)))
     return _family_kernel(family, d, gen), x, cfg
 

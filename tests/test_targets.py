@@ -67,6 +67,11 @@ def test_sampler_determinism():
     assert np.array_equal(a, b)
     c = MogTarget(4).sample(500, seed=43)
     assert not np.array_equal(a, c)
+    # a seed that is not an integer is rejected, not truncated
+    for target in (MogTarget(4), GaussTarget(2)):
+        for seed in (42.7, True, "42"):
+            with pytest.raises(ValueError, match="must be integers"):
+                target.sample(5, seed=seed)
 
 
 def test_target_json_round_trip():

@@ -10,7 +10,6 @@ from kthin import kernels as kn
 from kthin import thinning
 from kthin.discrepancy import _CHUNK, DiscreteMeasure, SwapCache, mmd, mmd_points
 from kthin.thinning import (
-    DeltaSchedule,
     ThinningConfig,
     anchored_stride,
     baseline_thin,
@@ -72,17 +71,17 @@ def test_swap_probability_range_and_half():
 
 
 def test_delta_schedules():
-    known = DeltaSchedule("known_n", 0.5)
-    assert known.value(3, n=100, m=2) == pytest.approx(0.005)
-    obl = DeltaSchedule("oblivious", 0.5)
+    assert ThinningConfig(m=2, delta=0.5).deltas(101) == [0.5 / 101] * 50
+    obl = ThinningConfig(m=3, delta=0.5, delta_rule="oblivious").deltas(100)
+    assert len(obl) == 50
     i, m = 7, 3
     expect = m * 0.5 / (2 ** (m + 2) * (i + 1) * math.log(i + 1) ** 2)
-    assert obl.value(i, n=100, m=m) == pytest.approx(expect)
-    assert 0.0 < obl.value(1, 100, 3) < 1.0
-    with pytest.raises(ValueError):
-        DeltaSchedule("known_n", 1.5)
-    with pytest.raises(ValueError):
-        DeltaSchedule("weekly", 0.5)
+    assert obl[i - 1] == pytest.approx(expect)
+    assert all(0.0 < v < 1.0 for v in obl)
+    with pytest.raises(ValueError, match="delta must lie in"):
+        ThinningConfig(delta=1.5)
+    with pytest.raises(ValueError, match="unknown delta rule"):
+        ThinningConfig(delta_rule="weekly")
 
 
 def test_config_validation_and_round_trip():
@@ -92,6 +91,17 @@ def test_config_validation_and_round_trip():
         with pytest.raises(ValueError, match="integer"):
             ThinningConfig(m=m)
     assert ThinningConfig(m=np.int64(2)).m == 2
+    # a seed that is not an integer fails when the config is built, instead
+    # of being truncated to one that is
+    for seed in (1.7, 1.0, True, "1", None, np.float64(1.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            ThinningConfig(seed=seed)
+    # integer seeds of any size wrap modulo 2^64
+    x = gauss_points(49, 16)
+    for seed, wrapped in ((-1, 2 ** 64 - 1), (2 ** 64 + 3, np.uint64(3))):
+        a = target_kt(K, x, ThinningConfig(m=2, seed=seed))
+        b = target_kt(K, x, ThinningConfig(m=2, seed=wrapped))
+        assert np.array_equal(a.indices, b.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +163,7 @@ def test_split_invariants_every_prefix():
     n = 101
     x = gauss_points(4, n)
     for m in (1, 2, 3):
-        cfg = ThinningConfig(m=m, delta_schedule=DeltaSchedule("oblivious"), seed=m)
+        cfg = ThinningConfig(m=m, seed=m, delta_rule="oblivious")
         full = kt_split(K, x, cfg)
         _assert_partition_of_prefix(full, n)
         for size in range(2 ** m, n):
@@ -425,6 +435,11 @@ def test_split_kernel_for_each_variant():
     assert split_kernel_for("ktplus", K, 2, 0.5) == kn.ktplus_kernel(K, half)
     assert split_kernel_for("ktplus", K, 2, 0.5, explicit) == kn.ktplus_kernel(K, explicit)
     assert split_kernel_for("generalized", K, 2, split_kernel=explicit) == explicit
+    # without a split kernel alpha is required; beside one it may be left out
+    for variant in ("powerkt", "ktplus"):
+        with pytest.raises(kn.KernelError, match="alpha must lie in .* got None"):
+            split_kernel_for(variant, K, 2)
+    assert split_kernel_for("powerkt", K, 2, split_kernel=explicit) == explicit
     for variant, alpha in (("powerkt", 7.0), ("ktplus", 0.1)):  # checked with a split kernel too
         with pytest.raises(kn.KernelError, match="alpha must lie in"):
             split_kernel_for(variant, K, 2, alpha, explicit)
