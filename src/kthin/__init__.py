@@ -28,7 +28,6 @@ from .discrepancy import (
     SwapCache,
     check_interpolation,
     gauss_interpolation_triple,
-    integration_error,
     mmd,
     mmd_points,
     mmd_swap_delta,

@@ -12,7 +12,11 @@ kt_swap's candidate self-terms, the harness's coreset self-terms and the
 swap cache's coreset cross-sums -- runs through one loop, `_kernel_sums`,
 which forms the weighted sums sum_j w_j k(x_i, y_j) over square
 _CHUNK x _CHUNK tiles of the Gram matrix, one 2 MB tile at a time, so the
-full matrix is never materialized and the working set stays in cache.
+full matrix is never materialized and the working set stays in cache.  The
+one exception is target KT's input row means: its split stage has already
+evaluated the lower triangle of the same Gram matrix block by block, so
+`thinning.generalized_kt` takes them from the split's row sums instead of
+calling `kernel_row_means`.
 Against the points themselves (y = x) the Gram matrix is symmetric: only
 the tiles on and above the diagonal are evaluated, and each one above it
 adds to both its row block and its column block, which halves the kernel
@@ -126,13 +130,6 @@ def mmd(k: KernelSpec, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
 def mmd_points(k: KernelSpec, x, y) -> float:
     """MMD between the uniform empirical measures of two point arrays."""
     return mmd(k, DiscreteMeasure(x), DiscreteMeasure(y))
-
-
-def integration_error(f, p: DiscreteMeasure, q: DiscreteMeasure) -> float:
-    """|E_p f - E_q f| where f maps a point array (n, d) to values (n,)."""
-    fp = float(p.weights @ np.asarray(f(p.points), dtype=float))
-    fq = float(q.weights @ np.asarray(f(q.points), dtype=float))
-    return abs(fp - fq)
 
 
 def kernel_row_means(k: KernelSpec, points: np.ndarray) -> np.ndarray:

@@ -16,13 +16,21 @@ streams keyed by (round, level, slot), so results are reproducible across
 platforms and independent of evaluation order.  The split draws every
 uniform up front, one vectorized Philox pass (`rng.swap_uniforms`) per
 level, bit-identical to drawing each with `rng.swap_uniform`.  It then runs
-over aligned blocks of 2^m input points, and within a block level by level
-and pair by pair, halving all slots of a level in one array operation.  Each
-block has its split-kernel columns against the input prefix computed once,
-in one array of at most 8 2^m n bytes, and all m levels read their kernel
-values from it.  Swap decisions depend on the split kernel only through
+over aligned blocks of 2^m input points, and within a block level by level.
+Each block has its split-kernel columns against the input prefix computed
+once, in one array of at most 8 2^m n bytes, and all m levels read their
+kernel values from it.  A level first runs the scale recursion over all of
+the block's pairs, which needs only their squared kernel distances, and
+then decides the pairs in order, halving all slots of a level in one array
+operation.  Swap decisions depend on the split kernel only through
 scale-free ratios, so the kernel's scale factor is divided out up front;
 c * k yields the same candidates as k under the same seed, bitwise.
+
+The blocks cover the lower triangle of the split kernel's Gram matrix, so
+the split also adds up its row sums.  When the split kernel is the target
+kernel up to scale (target KT, or generalized KT with k_split = c * k), the
+swap stage takes its row means from those sums and the whole pipeline
+evaluates about n^2 / 2 kernel entries instead of n^2.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from .kernels import (  # noqa: F401
     IdentityPerturbedKernel,
     KernelSpec,
     KernelError,
+    _as_number,
     _as_points,
     _check_alpha,
     evaluate,
@@ -72,13 +81,19 @@ class ThinningConfig:
     delta_rule: str = "known_n"
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral) or self.m < 1:
+        # m and delta are read as JSON numbers are: a bool, a string or a
+        # non-finite value fails here, naming its field
+        m = _number(self.m, int) if isinstance(self.m, numbers.Integral) else None
+        if m is None or m < 1:
             raise ValueError(f"thinning depth m must be an integer >= 1, got {self.m!r}")
         rng._as_u64(self.seed)
         if self.delta_rule not in ("known_n", "oblivious"):
             raise ValueError(f"unknown delta rule {self.delta_rule!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        delta = _number(self.delta, float)
+        if delta is None or not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "delta", delta)
 
     def deltas(self, n: int) -> list[float]:
         """[delta_1, ..., delta_floor(n/2)] for an input of n points."""
@@ -87,6 +102,14 @@ class ThinningConfig:
         m = self.m
         return [m * self.delta / (2 ** (m + 2) * (i + 1) * math.log(i + 1) ** 2)
                 for i in range(1, n // 2 + 1)]
+
+
+def _number(value, kind: type):
+    """value through `kernels._as_number`, or None where that rejects it."""
+    try:
+        return _as_number(value, kind)
+    except ValueError:
+        return None
 
 
 @dataclass
@@ -115,28 +138,41 @@ class Coreset:
 # the split stage
 # ---------------------------------------------------------------------------
 
-def get_swap_params(sigma_sq, b_sq, delta_hat: float):
-    """One step of the swap-threshold recursion, elementwise over arrays.
+def get_swap_params(sigma_sq: float, b_sq: float, delta_hat: float) -> tuple[float, float]:
+    """One step of the swap-threshold recursion, on Python floats.
 
     Args:
-      sigma_sq: current squared sub-Gaussian scale, one per (level, slot).
-      b_sq: squared within-pair kernel distance k(x,x) + k(y,y) - 2k(x,y).
-      delta_hat: failure-probability budget for this step (a scalar).
+      sigma_sq: current squared sub-Gaussian scale of one (level, slot), >= 0.
+      b_sq: squared within-pair kernel distance k(x,x) + k(y,y) - 2k(x,y), >= 0.
+      delta_hat: failure-probability budget for this step.
 
     Returns:
       (threshold a, updated sigma_sq).  With sigma = 0 the update reduces to
-      sigma_sq = b_sq; with b^2 = 0 both are 0/0 and the caller keeps sigma.
+      sigma_sq = b_sq.  With b^2 = 0 either assignment of the pair is
+      equivalent: the result is (0.0, sigma_sq), sigma unchanged, and the
+      caller does not swap.
     """
+    if b_sq == 0.0:
+        return 0.0, sigma_sq
     # clamped at 0: extreme schedules can push delta_hat above 2
     log_term = max(0.0, 2.0 * math.log(2.0 / delta_hat))
-    a = np.maximum(np.sqrt(b_sq * sigma_sq * log_term), b_sq)
-    growth = np.maximum(1.0 + (b_sq - 2.0 * a) * sigma_sq / (a * a), 0.0)
+    a = max(math.sqrt(b_sq * sigma_sq * log_term), b_sq)
+    growth = max(1.0 + (b_sq - 2.0 * a) * sigma_sq / (a * a), 0.0)
     return a, sigma_sq + b_sq * growth
 
 
 def swap_probability(alpha: float, a: float) -> float:
     """min(1, (1 - alpha/a)_+ / 2): always in [0, 1], and 1/2 when alpha = 0."""
     return min(1.0, max(0.0, 0.5 * (1.0 - alpha / a)))
+
+
+def _split_base(k_split) -> tuple[KernelSpec, float]:
+    """(the split kernel's base divided by its sup-norm, its identity weight)."""
+    if isinstance(k_split, IdentityPerturbedKernel):
+        return k_split.base.normalized(), k_split.weight
+    if isinstance(k_split, KernelSpec):
+        return k_split.normalized(), 0.0
+    raise KernelError(f"unsupported split kernel type {type(k_split).__name__}")
 
 
 def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
@@ -165,12 +201,17 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     depend only on B's earlier levels, on the uniforms addressed by
     (round, level, slot), and on sigma^2, which stays sequential in t within
     each level; so this order makes the same decisions as consuming the
-    input pair by pair.  k(y, x) for x in B and every y before B's end comes
-    from one `evaluate` call, and each pair reads its values from it with
-    one gather over the children built so far.  A block holds at most
-    2^m x n doubles, 8 2^m n bytes (0.5 MB at n = 2048, m = 5; 2 MB at
-    n = 4096, m = 6), and the split evaluates sum_B |B| (end of B) kernel
-    entries, about n^2 / 2.
+    input pair by pair.  The threshold a and sigma^2 depend on the pairs'
+    b^2 alone, so each level runs its scale recursion over all of the
+    block's pairs first and then decides them in order.  k(y, x) for x in B
+    and every y before B's end comes from one `evaluate` call, and each pair
+    reads its values from it with one gather over the children built so
+    far.  A block holds at most 2^m x n doubles, 8 2^m n bytes (0.5 MB at
+    n = 2048, m = 5; 2 MB at n = 4096, m = 6).  The split evaluates
+    sum_B |B| (end of B) kernel entries, about n^2 / 2, and adds up the
+    blocks' row sums as it goes: when the split kernel is the target kernel
+    up to scale, `generalized_kt` takes the swap stage's row means from them
+    (with one more kernel column for the last point when n is odd).
 
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
@@ -178,6 +219,14 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
       cfg: thinning configuration; cfg.m halvings, round t's failure budget
         cfg.deltas(n)[t - 1], counter-based randomness from cfg.seed.
     """
+    return _split(k_split, points, cfg)[0]
+
+
+def _split(k_split, points, cfg: ThinningConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """`kt_split`'s candidates, and the blocks' row sums of the split
+    kernel's normalized base (`_split_base`): sum_y k(x, y) over every y in
+    the first 2 floor(n / 2) points, for every x (0 for the last point of
+    an odd input, which is in no block)."""
     points = _as_points(points)
     n, d = points.shape
     if n < 2:
@@ -187,12 +236,7 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
         raise ValueError(f"m={m} too large for n={n}: output would be empty")
     # the scale factor is divided out: the swap ratio and the scale recursion
     # are invariant to positive rescaling, and this makes that exact
-    if isinstance(k_split, IdentityPerturbedKernel):
-        kernel, weight = k_split.base.normalized(), k_split.weight
-    elif isinstance(k_split, KernelSpec):
-        kernel, weight = k_split.normalized(), 0.0
-    else:
-        raise KernelError(f"unsupported split kernel type {type(k_split).__name__}")
+    kernel, weight = _split_base(k_split)
     kernel.validate_dim(d)
     diag = kernel.sup_norm() + weight
     deltas = cfg.deltas(n)
@@ -202,43 +246,59 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     # Children 2l and 2l+1 of parent l are written side by side through a
     # (2^(j-1), 2, used >> j) view.
     idx = [np.arange(used)[None]] + [np.empty((2 ** j, used >> j), int) for j in range(1, m + 1)]
-    sigma_sq = [None] + [np.zeros(2 ** (j - 1)) for j in range(1, m + 1)]
+    sigma_sq = [None] + [[0.0] * 2 ** (j - 1) for j in range(1, m + 1)]
     uniforms = _split_uniforms(cfg.seed, used // 2, m)
+    sums = np.zeros(n)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s0 in range(0, used, 2 ** m):
-            end = min(s0 + 2 ** m, used)
-            # kb[w, y] = k(points[y], points[s0 + w]): the block's points
-            # against every input point up to the block's end
-            kb = evaluate(kernel, points[None, :end], points[s0:end, None])
-            for j in range(1, m + 1):
-                children = idx[j].reshape(2 ** (j - 1), 2, -1)
-                for t in range((s0 >> j) + 1, (end >> j) + 1):
-                    pair_idx = idx[j - 1][:, 2 * t - 2:2 * t]
-                    rows = pair_idx - s0
-                    # k_y[l, p, h, i] = k(y, pair member p) for the i-th point y
-                    # of child h of parent l, over the t - 1 points each child
-                    # already holds
-                    k_y = kb.take(rows[:, :, None, None] * end + children[:, None, :, :t - 1])
-                    per_child = (k_y[:, 0] - k_y[:, 1]).sum(axis=2)
-                    alpha = per_child[:, 1] - per_child[:, 0]
-                    b_sq = np.maximum(diag + diag - 2.0 * kb[rows[:, 1], pair_idx[:, 0]], 0.0)
+    for s0 in range(0, used, 2 ** m):
+        end = min(s0 + 2 ** m, used)
+        # kb[w, y] = k(points[y], points[s0 + w]): the block's points
+        # against every input point up to the block's end, which is the
+        # block's rows of the lower triangle and its columns of the upper
+        kb = evaluate(kernel, points[None, :end], points[s0:end, None])
+        sums[s0:end] += kb.sum(1)
+        sums[:s0] += kb[:, :s0].sum(0)
+        for j in range(1, m + 1):
+            slots, t0, t1 = 2 ** (j - 1), (s0 >> j) + 1, (end >> j) + 1
+            children = idx[j].reshape(slots, 2, -1)
+            # pairs[l, i] = (x, x~) of slot l's pair t0 + i, and base its
+            # members' row offsets into the flat kb
+            pairs = idx[j - 1][:, 2 * t0 - 2:2 * t1 - 2].reshape(slots, t1 - t0, 2)
+            base = (pairs - s0) * end
+            b_sq = np.maximum(diag + diag - 2.0 * kb.take(base[..., 1] + pairs[..., 0]), 0.0)
 
-                    delta_hat = deltas[t - 1] * 2 ** (j - 1) / m
-                    a, grown = get_swap_params(sigma_sq[j], b_sq, delta_hat)
-                    # b^2 = 0: either assignment is equivalent and the threshold
-                    # and scale update are 0/0, so the pair neither swaps nor
-                    # updates sigma
-                    moved = b_sq > 0.0
-                    sigma_sq[j] = np.where(moved, grown, sigma_sq[j])
-                    # u in [0, 1) falls below 0.5 (1 - alpha / a) exactly when it
-                    # falls below swap_probability(alpha, a), its clamp to [0, 1]
-                    swap = ((uniforms[j][t - 1] < 0.5 * (1.0 - alpha / a)) & moved)[:, None]
+            # the scale recursion, sequential in t within each slot
+            delta_hats = [deltas[t - 1] * 2 ** (j - 1) / m for t in range(t0, t1)]
+            thresholds = []
+            for l, row in enumerate(b_sq.tolist()):
+                s, a_row = sigma_sq[j][l], []
+                for b, delta_hat in zip(row, delta_hats):
+                    a, s = get_swap_params(s, b, delta_hat)
+                    a_row.append(a)
+                sigma_sq[j][l] = s
+                thresholds.append(a_row)
+            # b^2 = 0: either assignment is equivalent and the pair never
+            # swaps; a NaN threshold makes the swap test below false
+            thresholds = np.where(b_sq > 0.0, thresholds, np.nan)
 
-                    # children 2l and 2l+1 receive (x, x~), reversed on a swap
-                    children[:, :, t - 1] = np.where(swap, pair_idx[:, ::-1], pair_idx)
-
-    return list(idx[m])
+            # pair-major views: index i holds the block's pair t0 + i of
+            # every slot, shaped to broadcast against the (slots, 1) alpha
+            pairs, base = pairs.swapaxes(0, 1), base.swapaxes(0, 1)[..., None, None]
+            thresholds, u = thresholds.T[..., None], uniforms[j][t0 - 1:t1 - 1, :, None]
+            for i, t in enumerate(range(t0, t1)):
+                # k_y[l, p, h, i] = k(y, pair member p) for the i-th point
+                # y of child h of parent l, over the t - 1 points each
+                # child already holds
+                k_y = kb.take(base[i] + children[:, None, :, :t - 1])
+                per_child = (k_y[:, 0] - k_y[:, 1]).sum(axis=2)
+                alpha = per_child[:, 1:] - per_child[:, :1]
+                # u in [0, 1) falls below 0.5 (1 - alpha / a) exactly when
+                # it falls below swap_probability(alpha, a), its clamp to
+                # [0, 1]
+                swap = u[i] < 0.5 * (1.0 - alpha / thresholds[i])
+                # children 2l and 2l+1 receive (x, x~), reversed on a swap
+                children[:, :, t - 1] = np.where(swap, pairs[i, :, ::-1], pairs[i])
+    return list(idx[m]), sums
 
 
 def _split_uniforms(seed: int, rounds: int, m: int) -> list:
@@ -279,6 +339,7 @@ def kt_swap(
     points,
     candidates: list[np.ndarray],
     cfg: ThinningConfig,
+    row_mean: np.ndarray | None = None,
 ) -> Coreset:
     """Select the best of {baseline, candidates} by MMD, then refine it.
 
@@ -286,6 +347,9 @@ def kt_swap(
     input point minimizing the resulting MMD (ties to the lowest index).
     The incumbent is always a valid replacement, so MMD never increases and
     the result never exceeds the baseline's MMD to the input.
+
+    `row_mean`, if given, is the input's row means (1/n) sum_y k(z, y), as
+    for `SwapCache`; otherwise they are computed with `kernel_row_means`.
 
     At m = 1 on an even input the two split candidates are the two halves of
     the input, whose MMDs to it are equal in exact arithmetic, so rounding
@@ -306,9 +370,10 @@ def kt_swap(
             f"baseline size {len(base)} does not match candidate size {len(candidates[0])}"
         )
 
-    # one pass of n^2 / 2 kernel evaluations serves candidate ranking and the
-    # refinement cache
-    row_mean = kernel_row_means(k, points)
+    # the row means serve candidate ranking and the refinement cache: one
+    # pass of n^2 / 2 kernel evaluations unless the split already summed them
+    if row_mean is None:
+        row_mean = kernel_row_means(k, points)
     input_self = float(row_mean.mean())
 
     pool = [base] + list(candidates)
@@ -389,10 +454,24 @@ def split_kernel_for(variant: str, k: KernelSpec, dim: int,
 
 
 def generalized_kt(k_split, k_target: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
-    """Split with k_split, then select and refine with k_target."""
+    """Split with k_split, then select and refine with k_target.
+
+    When k_split, less any identity perturbation, is k_target up to scale,
+    the swap stage takes the input's row means from the split's row sums
+    instead of evaluating the Gram matrix a second time.
+    """
     points = _as_points(points)
-    candidates = kt_split(k_split, points, cfg)
-    out = kt_swap(k_target, points, candidates, cfg)
+    candidates, sums = _split(k_split, points, cfg)
+    kernel, _ = _split_base(k_split)
+    row_mean = None
+    if kernel == k_target.normalized():
+        if len(points) % 2:
+            # the last point of an odd input is in no block: one column for it
+            last = evaluate(kernel, points, points[-1])
+            sums[:-1] += last[:-1]
+            sums[-1] = last.sum()
+        row_mean = sums * (k_target.scale / kernel.scale) / len(points)
+    out = kt_swap(k_target, points, candidates, cfg, row_mean=row_mean)
     out.provenance.update(_sigma_diagnostics(len(points), cfg, k_split.sup_norm()))
     return out
 

@@ -13,7 +13,6 @@ from kthin.discrepancy import (
     SwapCache,
     check_interpolation,
     gauss_interpolation_triple,
-    integration_error,
     kernel_row_means,
     mmd,
     mmd_points,
@@ -249,18 +248,6 @@ def test_self_term_evaluates_upper_triangle_tiles(monkeypatch):
 # integration error
 # ---------------------------------------------------------------------------
 
-def test_integration_error_constant_function():
-    rng = np.random.default_rng(5)
-    p, q = random_measure(rng), random_measure(rng)
-    assert integration_error(lambda x: np.full(len(x), 3.7), p, q) < 1e-15
-
-
-def test_integration_error_matched_means():
-    p = DiscreteMeasure(np.array([[0.0], [2.0]]))
-    q = DiscreteMeasure(np.array([[1.0]]))
-    assert integration_error(lambda x: x[:, 0], p, q) < 1e-15
-
-
 def test_rkhs_function_error_bounded_by_mmd():
     # |(P - Q) f| <= ||f||_k mmd(P, Q) and ||k(x', .)||_k = sqrt(k(x',x')) = 1
     rng = np.random.default_rng(6)
@@ -269,7 +256,8 @@ def test_rkhs_function_error_bounded_by_mmd():
         p, q = random_measure(rng), random_measure(rng)
         xp = rng.normal(size=2)
         f = lambda x: kn.gram(k, xp[None, :], x)[0]
-        assert integration_error(f, p, q) <= mmd(k, p, q) + 1e-10
+        error = abs(p.weights @ f(p.points) - q.weights @ f(q.points))
+        assert error <= mmd(k, p, q) + 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,13 @@ def test_swap_params_sigma_nondecreasing():
         sigma_sq = new_sigma_sq
 
 
+def test_swap_params_at_zero_distance():
+    # b^2 = 0 carries no information: sigma stays, and the threshold is 0
+    # instead of the 0/0 of the recursion
+    for sigma_sq in (0.0, 0.7, 123.0):
+        assert get_swap_params(sigma_sq, 0.0, 0.01) == (0.0, sigma_sq)
+
+
 def test_swap_probability_range_and_half():
     rng = np.random.default_rng(1)
     for _ in range(200):
@@ -102,6 +109,19 @@ def test_config_validation_and_round_trip():
         a = target_kt(K, x, ThinningConfig(m=2, seed=seed))
         b = target_kt(K, x, ThinningConfig(m=2, seed=wrapped))
         assert np.array_equal(a.indices, b.indices)
+
+
+def test_config_reads_m_and_delta_as_numbers():
+    # a bool is not a depth, nor a string or a bool a probability: each
+    # fails naming its field
+    for m in (True, False):
+        with pytest.raises(ValueError, match="thinning depth m"):
+            ThinningConfig(m=m)
+    for delta in ("0.5", True, float("nan"), None):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            ThinningConfig(delta=delta)
+    cfg = ThinningConfig(m=np.int64(3), delta=np.float64(0.25))
+    assert (type(cfg.m), type(cfg.delta)) == (int, float)
 
 
 # ---------------------------------------------------------------------------
