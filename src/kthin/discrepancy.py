@@ -10,17 +10,19 @@ clamped at zero before the square root to absorb negative rounding dust.
 Every kernel sum in the package -- the MMD terms, the input row means,
 kt_swap's candidate self-terms, the harness's coreset self-terms and the
 swap cache's coreset cross-sums -- runs through one loop, `_kernel_sums`,
-which forms the weighted sums sum_j w_j k(x_i, y_j) over square
-_CHUNK x _CHUNK tiles of the Gram matrix, one 2 MB tile at a time, so the
-full matrix is never materialized and the working set stays in cache.  The
-one exception is target KT's input row means: its split stage has already
-evaluated the lower triangle of the same Gram matrix block by block, so
+which forms the weighted sums sum_j w_j k(x_i, y_j) over strips of the Gram
+matrix: at most _ROWS points of the shorter set against at most _COLS
+points of the other, all written into one 1 MB buffer that the call
+allocates once.  The full matrix is never materialized, and the working set
+is that buffer plus vectors of the inputs' lengths.  The one exception is
+target KT's input row means: its split stage has already evaluated the
+lower triangle of the same Gram matrix block by block, so
 `thinning.generalized_kt` takes them from the split's row sums instead of
 calling `kernel_row_means`.
-Against the points themselves (y = x) the Gram matrix is symmetric: only
-the tiles on and above the diagonal are evaluated, and each one above it
-adds to both its row block and its column block, which halves the kernel
-evaluations.
+Against the points themselves (y = x) the Gram matrix is symmetric: each
+strip is evaluated only from its own diagonal block on, and every column
+past that block adds to both the strip's rows and its own, which halves
+the kernel evaluations.
 
 Point arrays are read by `kernels._as_points`, as everywhere in the
 package, so NaN or inf coordinates are rejected at the boundary instead of
@@ -41,7 +43,9 @@ import numpy as np
 
 from .kernels import KernelSpec, _as_points, gauss_power_exact, gram
 
-_CHUNK = 512  # side of the square Gram tiles
+# a kernel sum evaluates strips of at most _ROWS x _COLS entries, 1 MB
+_ROWS = 32
+_COLS = 4096
 
 
 def _as_indices(indices, n: int) -> np.ndarray:
@@ -84,29 +88,50 @@ class DiscreteMeasure:
 
 
 def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
-    """sum_j w_j k(x_i, y_j) for every i, summed over square _CHUNK tiles.
+    """sum_j w_j k(x_i, y_j) for every i, summed over row strips.
 
-    With y omitted, y = x: only the tiles on and above the diagonal are
-    evaluated, and each one above it, g = k(x_I, x_J), adds g @ w_J to row
-    block I and w_I @ g to row block J.  Every kernel is symmetric, so the
-    second is the sum over the tile's transpose.
+    Each strip is at most _ROWS points of the shorter of x and y against at
+    most _COLS points of the other.  A strip is short and wide, so numpy's
+    per-row cost on the broadcast operand is paid over rows of up to _COLS
+    entries, and every strip is evaluated into one buffer of _ROWS x _COLS
+    doubles allocated per call.  With x on the rows
+    the strip g = k(x_I, y_J) adds g @ w_J to rows I; with y on the rows
+    (len(y) < len(x)) it adds w_I @ g to rows J of x.  Every kernel is
+    symmetric, bitwise, so either orientation sums the same entries.
+
+    With y omitted, y = x: strip I = [i0, i1) is evaluated only against
+    the columns from i0 on.  Its diagonal block k(x_I, x_I) is evaluated in
+    full and adds only to rows I; each column J past it adds both g @ w_J to
+    rows I and w_I @ g to rows J, the sum over the transposed entries below
+    the diagonal, which halves the kernel evaluations.
     """
     symmetric = y is None
-    if symmetric:
-        y = x
+    flip = not symmetric and len(y) < len(x)
+    rows, cols = (y, x) if flip else (x, x if symmetric else y)
+    # coordinate-major columns: each coordinate of a strip's columns is then
+    # one contiguous run, which numpy subtracts several times faster
+    cols = np.asfortranarray(cols)
     out = np.zeros(len(x))
-    for i in range(0, len(x), _CHUNK):
-        for j in range(i if symmetric else 0, len(y), _CHUNK):
-            g = gram(k, x[i:i + _CHUNK], y[j:j + _CHUNK])
-            out[i:i + _CHUNK] += g @ w[j:j + _CHUNK]
-            if symmetric and j != i:
-                out[j:j + _CHUNK] += w[i:i + _CHUNK] @ g
+    buf = np.empty(min(_ROWS, len(rows)) * min(_COLS, len(cols)))
+    for i0 in range(0, len(rows), _ROWS):
+        i1 = min(i0 + _ROWS, len(rows))
+        for j0 in range(i0 if symmetric else 0, len(cols), _COLS):
+            j1 = min(j0 + _COLS, len(cols))
+            g = gram(k, rows[i0:i1], cols[j0:j1],
+                     out=buf[:(i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0))
+            if flip:
+                out[j0:j1] += w[i0:i1] @ g
+            else:
+                out[i0:i1] += g @ w[j0:j1]
+                if symmetric and j1 > i1:
+                    past = max(j0, i1)
+                    out[past:j1] += w[i0:i1] @ g[:, past - j0:]
     return out
 
 
 def _quadratic_form(k: KernelSpec, x, wx, y=None, wy=None) -> float:
     """sum_ij wx_i wy_j k(x_i, y_j); with y omitted, the self-term
-    sum_ij wx_i wx_j k(x_i, x_j) over the upper-triangle tiles."""
+    sum_ij wx_i wx_j k(x_i, x_j) over the strips from the diagonal on."""
     return float(wx @ _kernel_sums(k, x, wx if y is None else wy, y))
 
 
@@ -133,7 +158,7 @@ def mmd_points(k: KernelSpec, x, y) -> float:
 
 
 def kernel_row_means(k: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """(1/n) sum_y k(z, y) for every z in points, over the upper-triangle tiles."""
+    """(1/n) sum_y k(z, y) for every z in points, over the strips from the diagonal on."""
     points = _as_points(points)
     n = len(points)
     return _kernel_sums(k, points, np.full(n, 1.0 / n))

@@ -26,7 +26,6 @@ import functools
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -443,17 +442,22 @@ def _as_number(value, kind: type = float):
     an infinity, a number past the float range, or a fractional value for an
     int is a ValueError.
     """
-    finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
-        -sys.float_info.max <= value <= sys.float_info.max)
+    try:
+        # compared as a Python float: a numpy float32 compared with the float
+        # range would cast its bound to float32 (inf) and warn
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            math.isfinite(float(value)))
+    except OverflowError:  # an int past the float range
+        finite = False
     if not finite or kind is int and not float(value).is_integer():
         raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}, "
                          f"got {value!r}")
     return kind(value)
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sq_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # coordinate-wise accumulation: deterministic regardless of BLAS threading
-    out = x[..., 0] - y[..., 0]
+    out = np.subtract(x[..., 0], y[..., 0], out=out)
     out *= out
     for j in range(1, x.shape[-1]):
         diff = x[..., j] - y[..., j]
@@ -462,21 +466,29 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram(k: KernelSpec, x, y=None) -> np.ndarray:
+def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None) -> np.ndarray:
     """The matrix k(x_i, y_j); y defaults to x.
 
     Entries are evaluated independently, so any outer parallelization over
-    blocks reproduces the same values bitwise.
+    blocks reproduces the same values bitwise.  With `out`, a C-contiguous
+    float array of shape (len(x), len(y)), the matrix is written into it and
+    `out` is returned, bitwise equal to the matrix allocated without it: a
+    caller that evaluates many blocks can reuse one buffer for all of them.
     """
     x = _as_points(x)
     y = x if y is None else _as_points(y)
     if x.shape[1] != y.shape[1]:
         raise KernelError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    if out is not None and (out.shape != (len(x), len(y)) or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{(len(x), len(y))}, got {out.dtype} {out.shape}")
     k.validate_dim(x.shape[1])
-    return evaluate(k, x[:, None, :], y[None, :, :])
+    return evaluate(k, x[:, None, :], y[None, :, :], out=out)
 
 
-def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
     """k(x, y) elementwise over the broadcast of the leading axes of x and y.
 
     The last axis of both float arrays holds the d coordinates.  Nothing is
@@ -484,21 +496,37 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Every entry is computed by the same arithmetic whatever the shapes, so
     `gram` and the split stage, which both evaluate through this function,
     agree bitwise on every pair.
+
+    With `out`, a C-contiguous float array of the broadcast shape, the
+    values are written into it and `out` is returned, bitwise equal to the
+    array returned without it.  The gauss, laplace and imq families compute
+    in place, so their only temporaries are the squared differences of the
+    coordinates after the first; the others compute as without `out` and
+    copy in.
     """
     fam = k.family
-    if fam == "sum":
-        out = evaluate(k.components[0], x, y)
+    if fam == "gauss":
+        out = _sq_dists(x, y, out)
+        out /= -2.0 * k.sigma**2
+        np.exp(out, out=out)
+    elif fam == "laplace":
+        out = _sq_dists(x, y, out)
+        np.sqrt(out, out=out)
+        np.negative(out, out=out)
+        out /= k.sigma
+        np.exp(out, out=out)
+    elif fam == "imq":
+        out = _sq_dists(x, y, out)
+        out /= k.gamma**2
+        out += 1.0
+        out **= -k.nu  # numpy's in-place ** takes the same scalar fast paths as **
+    elif fam == "sum":
+        out = evaluate(k.components[0], x, y, out=out)
         for c in k.components[1:]:
             out += evaluate(c, x, y)
-    elif fam == "gauss":
-        out = np.exp(_sq_dists(x, y) / (-2.0 * k.sigma**2))
-    elif fam == "laplace":
-        out = np.exp(-np.sqrt(_sq_dists(x, y)) / k.sigma)
     elif fam == "matern":
         a = k.nu - x.shape[-1] / 2.0
-        out = _matern_profile(a, k.gamma * np.sqrt(_sq_dists(x, y)))
-    elif fam == "imq":
-        out = (1.0 + _sq_dists(x, y) / k.gamma**2) ** (-k.nu)
+        out = _into(out, _matern_profile(a, k.gamma * np.sqrt(_sq_dists(x, y))))
     else:  # sinc, bspline: a product over coordinates of an even profile
         if fam == "sinc":
             width, profile = k.theta, _sinc_univariate
@@ -507,11 +535,20 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             profile = lambda t: bspline_univariate(k.beta, t) / center
         # evaluate at |width z_j|: the profile is even, and this keeps Grams
         # exactly symmetric
-        out = profile(np.abs(width * (x[..., 0] - y[..., 0])))
+        value = profile(np.abs(width * (x[..., 0] - y[..., 0])))
         for j in range(1, x.shape[-1]):
-            out *= profile(np.abs(width * (x[..., j] - y[..., j])))
+            value *= profile(np.abs(width * (x[..., j] - y[..., j])))
+        out = _into(out, value)
     if k.scale != 1.0:
         out *= k.scale
+    return out
+
+
+def _into(out: np.ndarray | None, value: np.ndarray) -> np.ndarray:
+    """value, copied into out when out is given."""
+    if out is None:
+        return value
+    out[...] = value
     return out
 
 

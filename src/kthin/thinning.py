@@ -18,11 +18,11 @@ uniform up front, one vectorized Philox pass (`rng.swap_uniforms`) per
 level, bit-identical to drawing each with `rng.swap_uniform`.  It then runs
 over aligned blocks of 2^m input points, and within a block level by level.
 Each block has its split-kernel columns against the input prefix computed
-once, in one array of at most 8 2^m n bytes, and all m levels read their
-kernel values from it.  A level first runs the scale recursion over all of
-the block's pairs, which needs only their squared kernel distances, and
-then decides the pairs in order, halving all slots of a level in one array
-operation.  Swap decisions depend on the split kernel only through
+once, into one buffer of 8 2^m n bytes that every block reuses, and all m
+levels read their kernel values from it.  A level first runs the scale
+recursion over all of the block's pairs, which needs only their squared
+kernel distances, and then decides the pairs in order, halving all slots of
+a level in one array operation.  Swap decisions depend on the split kernel only through
 scale-free ratios, so the kernel's scale factor is divided out up front;
 c * k yields the same candidates as k under the same seed, bitwise.
 
@@ -206,12 +206,14 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     block's pairs first and then decides them in order.  k(y, x) for x in B
     and every y before B's end comes from one `evaluate` call, and each pair
     reads its values from it with one gather over the children built so
-    far.  A block holds at most 2^m x n doubles, 8 2^m n bytes (0.5 MB at
-    n = 2048, m = 5; 2 MB at n = 4096, m = 6).  The split evaluates
-    sum_B |B| (end of B) kernel entries, about n^2 / 2, and adds up the
-    blocks' row sums as it goes: when the split kernel is the target kernel
-    up to scale, `generalized_kt` takes the swap stage's row means from them
-    (with one more kernel column for the last point when n is odd).
+    far.  A block holds at most 2^m x n doubles, and every block is written
+    into one buffer of that size, 8 2^m n bytes (0.5 MB at n = 2048, m = 5;
+    2 MB at n = 4096, m = 6), which gauss, laplace and imq fill in place.
+    The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2,
+    and adds up the blocks' row sums as it goes: when the split kernel is
+    the target kernel up to scale, `generalized_kt` takes the swap stage's
+    row means from them (with one more kernel column for the last point
+    when n is odd).
 
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
@@ -249,13 +251,17 @@ def _split(k_split, points, cfg: ThinningConfig) -> tuple[list[np.ndarray], np.n
     sigma_sq = [None] + [[0.0] * 2 ** (j - 1) for j in range(1, m + 1)]
     uniforms = _split_uniforms(cfg.seed, used // 2, m)
     sums = np.zeros(n)
+    # every block is evaluated into this one buffer, reshaped to the block so
+    # that kb stays C-contiguous and the flat offsets below stay valid
+    buf = np.empty(2 ** m * used)
 
     for s0 in range(0, used, 2 ** m):
         end = min(s0 + 2 ** m, used)
         # kb[w, y] = k(points[y], points[s0 + w]): the block's points
         # against every input point up to the block's end, which is the
         # block's rows of the lower triangle and its columns of the upper
-        kb = evaluate(kernel, points[None, :end], points[s0:end, None])
+        kb = evaluate(kernel, points[None, :end], points[s0:end, None],
+                      out=buf[:(end - s0) * end].reshape(end - s0, end))
         sums[s0:end] += kb.sum(1)
         sums[:s0] += kb[:, :s0].sum(0)
         for j in range(1, m + 1):

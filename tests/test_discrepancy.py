@@ -1,6 +1,7 @@
 """MMD values, swap-delta cache, integration error, interpolation check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from kthin import discrepancy
 from kthin import kernels as kn
 from kthin.discrepancy import (
-    _CHUNK,
+    _COLS,
+    _ROWS,
     DiscreteMeasure,
     SwapCache,
     check_interpolation,
@@ -133,13 +135,14 @@ def test_nan_mmd_is_not_clamped_to_zero():
 
 
 def test_reference_mmd_matches_mmd_points():
-    # the harness's cached self-term against the uncached path, over tiles;
-    # the second coreset spans two tiles of its own self-term
+    # the harness's cached self-term against the uncached path: the reference
+    # spans two column runs, and each coreset several strips of its own
+    # self-term and of the cross-term
     rng = np.random.default_rng(5)
     k = kn.laplace(1.3)
-    ref = rng.normal(size=(_CHUNK + 77, 2))
+    ref = rng.normal(size=(_COLS + 77, 2))
     reference = _ReferenceMMD(k, ref)
-    for s in (40, _CHUNK + 100):
+    for s in (40, 3 * _ROWS + 100):
         out = rng.normal(size=(s, 2))
         assert reference.mmd_to(out) == pytest.approx(mmd_points(k, ref, out), rel=1e-12)
 
@@ -162,7 +165,7 @@ def test_mmd_brute_force_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# the tiled double sum
+# the strip-summed double sum
 # ---------------------------------------------------------------------------
 
 TILE_KERNELS = [
@@ -174,12 +177,20 @@ TILE_KERNELS = [
     kn.bspline(1, 1.0),
     kn.kernel_sum(kn.gauss(0.5), kn.laplace(2.0)),
 ]
-TILE_SIZES = [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 1600]
+TILE_SIZES = [1, 2, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 5, 700]
+# the strip edges and the column-run edges; the last size ends in a partial
+# strip and, for the strips near the top, a partial third column run
+STRIP_SIZES = [1, _ROWS - 1, _ROWS + 1, _COLS - 1, _COLS + 1, 2 * _COLS + _ROWS + 1]
 
 
 def _weights(rng, n):
     w = rng.random(n) + 0.05
     return w / w.sum()
+
+
+def _plain_sums(k, x, w, y):
+    """sum_j w_j k(x_i, y_j) for every i, from Gram rows of 256 points."""
+    return np.concatenate([kn.gram(k, x[i:i + 256], y) @ w for i in range(0, len(x), 256)])
 
 
 @pytest.mark.parametrize("ki", range(len(TILE_KERNELS)))
@@ -192,8 +203,8 @@ def test_self_term_matches_plain_double_sum(ki):
         w = _weights(rng, n)
         tiled = discrepancy._quadratic_form(k, x, w)
         assert tiled == pytest.approx(w @ kn.gram(k, x) @ w, rel=1e-12, abs=0)
-        if n <= _CHUNK:
-            # one tile: the self form is the cross form, bit for bit
+        if n <= _ROWS:
+            # one strip: the self form is the cross form, bit for bit
             assert tiled == discrepancy._quadratic_form(k, x, w, x, w)
 
 
@@ -202,7 +213,7 @@ def test_cross_term_matches_plain_double_sum(ki):
     k = TILE_KERNELS[ki]
     rng = np.random.default_rng(200 + ki)
     d = 1 + ki % 3
-    y = rng.normal(size=(1300, d))  # three tiles of y
+    y = rng.normal(size=(1300, d))
     wy = _weights(rng, len(y))
     for n in (1, 700):
         x = rng.normal(size=(n, d))
@@ -210,38 +221,73 @@ def test_cross_term_matches_plain_double_sum(ki):
         assert discrepancy._quadratic_form(k, x, wx, y, wy) == pytest.approx(
             wx @ kn.gram(k, x, y) @ wy, rel=1e-12, abs=0
         )
-    # y of exactly one tile against three row blocks of x
-    x, y = rng.normal(size=(1300, d)), rng.normal(size=(_CHUNK, d))
+    # y of exactly one strip against many column runs of x
+    x, y = rng.normal(size=(1300, d)), rng.normal(size=(_ROWS, d))
     wx, wy = _weights(rng, len(x)), _weights(rng, len(y))
     assert discrepancy._quadratic_form(k, x, wx, y, wy) == pytest.approx(
         wx @ kn.gram(k, x, y) @ wy, rel=1e-12, abs=0
     )
 
 
-def test_self_term_evaluates_upper_triangle_tiles(monkeypatch):
-    # the self-term and the row means both run over the upper-triangle tiles
-    n = 4 * _CHUNK
-    tiles = n // _CHUNK
-    shapes = []
-    inner = discrepancy.gram
+@pytest.mark.parametrize("n", STRIP_SIZES)
+def test_kernel_sums_match_plain_sums_at_strip_edges(n):
+    # every row's sum, for the self-term and against a set of _ROWS + 1
+    # points in both orientations: x on the rows, then on the columns
+    rng = np.random.default_rng(n)
+    k = kn.gauss(1.1)
+    x, w = rng.normal(size=(n, 2)), _weights(rng, n)
+    y, wy = rng.normal(size=(_ROWS + 1, 2)), _weights(rng, _ROWS + 1)
+    np.testing.assert_allclose(discrepancy._kernel_sums(k, x, w), _plain_sums(k, x, w, x),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(discrepancy._kernel_sums(k, x, wy, y),
+                               _plain_sums(k, x, wy, y), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(discrepancy._kernel_sums(k, y, w, x),
+                               _plain_sums(k, y, w, x), rtol=1e-12, atol=0)
 
-    def counting(k, x, y=None):
-        out = inner(k, x, y)
+
+def test_self_term_evaluates_upper_triangle_tiles(monkeypatch):
+    # the self-term and the row means both run over the strips from the
+    # diagonal on.  At the study benchmark's 16384-point surrogate that is
+    # 512 strips of _ROWS points, strip i against the 16384 - 32 i columns
+    # from its first row on in runs of at most _COLS: 1280 calls and
+    # 134,479,872 kernel evaluations, against n^2 = 268,435,456 for the full
+    # Gram.  The stand-in gram writes the constant kernel 1, so the sums also
+    # show that every entry is summed exactly once.
+    n = 16384
+    shapes = []
+
+    def constant_one(k, x, y=None, *, out):
         shapes.append(out.shape)
+        out.fill(1.0)
         return out
 
-    monkeypatch.setattr(discrepancy, "gram", counting)
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(n, 2))
+    monkeypatch.setattr(discrepancy, "gram", constant_one)
+    x = np.random.default_rng(8).normal(size=(n, 2))
     w = np.full(n, 1.0 / n)
     k = kn.gauss(1.0)
-    for run in (lambda: discrepancy._quadratic_form(k, x, w), lambda: kernel_row_means(k, x)):
+    for run in (lambda: [discrepancy._quadratic_form(k, x, w)], lambda: kernel_row_means(k, x)):
         shapes.clear()
-        run()
-        assert len(shapes) == tiles * (tiles + 1) // 2
-        assert set(shapes) == {(_CHUNK, _CHUNK)}
-        evals = sum(a * b for a, b in shapes)
-        assert evals == 2_621_440  # against n^2 = 4,194,304 for the full Gram
+        np.testing.assert_allclose(run(), 1.0, rtol=1e-12)
+        assert len(shapes) == 1280 == sum(-(-(n - i) // _COLS) for i in range(0, n, _ROWS))
+        assert all(rows == _ROWS and cols <= _COLS for rows, cols in shapes)
+        assert sum(a * b for a, b in shapes) == 134_479_872
+
+
+def test_self_term_holds_only_its_buffers():
+    # the strip buffer and, in d = 2, one squared-difference temporary of
+    # _ROWS x _COLS doubles each (1 MB), and vectors of n entries: at 8192
+    # points about 2.3 MB, where the full Gram would take 512 MB
+    rng = np.random.default_rng(9)
+    n = 8192
+    x, w = rng.normal(size=(n, 2)), _weights(rng, n)
+    k = kn.gauss(1.0)
+    tracemalloc.start()
+    try:
+        discrepancy._quadratic_form(k, x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _ROWS * _COLS * 8 + 4 * x.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +388,9 @@ def test_refinement_reuses_the_best_swap_column(monkeypatch):
     pts = rng.normal(size=(60, 2))
     columns = {"calls": 0}
 
-    def counting_gram(kernel, x, y=None):
+    def counting_gram(kernel, x, y=None, **kwargs):
         columns["calls"] += 1
-        return kn.gram(kernel, x, y)
+        return kn.gram(kernel, x, y, **kwargs)
 
     cache = SwapCache(k, pts, np.arange(1, 60, 6))
     reference = cache.cross.copy()

@@ -191,6 +191,46 @@ def test_matern_smoothness_checked_at_use_site():
         kn.gram(k, np.zeros((2, 2)))
 
 
+# every family, Matern at half-integer (nu - d/2 = 1.5 in d = 2) and Bessel
+# orders, imq at exponent -1 (numpy's ** takes a reciprocal there) and at
+# -0.5 and -0.7, and sum and scaled kernels
+OUT_KERNELS = ALL_FAMILIES + [
+    kn.matern(3.7, 0.9),
+    kn.imq(1.0, 0.9),
+    kn.imq(0.5, 1.4),
+    kn.kernel_sum(kn.gauss(0.5), kn.laplace(2.0), kn.matern(2.5, 1.0)),
+    kn.gauss(0.7, scale=2.5),
+    kn.kernel_sum(kn.imq(0.7, 1.0), kn.sinc(1.5)).scaled(0.3),
+]
+
+
+@pytest.mark.parametrize("spec", OUT_KERNELS, ids=repr)
+def test_evaluate_into_out_is_bitwise_the_allocating_path(spec):
+    # y repeats three points of x, so the blocks hold zero distances
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        if spec.family == "matern" and spec.nu <= d / 2:
+            continue
+        x = rng.normal(size=(9, d))
+        y = np.concatenate([rng.normal(size=(6, d)), x[:3]])
+        for a, b in ((x[:, None], y[None]), (y[None], x[:, None])):
+            want = kn.evaluate(spec, a, b)
+            out = np.full(want.shape, np.nan)
+            assert kn.evaluate(spec, a, b, out=out) is out
+            assert np.array_equal(out, want)
+        out = np.full((9, 9), np.nan)
+        assert kn.gram(spec, x, y, out=out) is out
+        assert np.array_equal(out, kn.gram(spec, x, y))
+
+
+def test_gram_rejects_a_malformed_out():
+    x = np.zeros((3, 2))
+    for out in (np.empty((3, 4)), np.empty((3, 3), dtype=np.float32),
+                np.empty((3, 6))[:, ::2]):
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            kn.gram(kn.gauss(1.0), x, out=out)
+
+
 # ---------------------------------------------------------------------------
 # family-wide invariants
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ def _counting_evaluate(monkeypatch):
     seen = {"calls": 0, "entries": 0}
     inner = kthin.thinning.evaluate
 
-    def counting(k, x, y):
-        out = inner(k, x, y)
+    def counting(k, x, y, **kwargs):
+        out = inner(k, x, y, **kwargs)
         seen["calls"] += 1
         seen["entries"] += out.size
         return out

@@ -8,7 +8,7 @@ import pytest
 
 from kthin import kernels as kn
 from kthin import thinning
-from kthin.discrepancy import _CHUNK, DiscreteMeasure, SwapCache, mmd, mmd_points
+from kthin.discrepancy import _COLS, _ROWS, DiscreteMeasure, SwapCache, mmd, mmd_points
 from kthin.thinning import (
     ThinningConfig,
     anchored_stride,
@@ -122,6 +122,21 @@ def test_config_reads_m_and_delta_as_numbers():
             ThinningConfig(delta=delta)
     cfg = ThinningConfig(m=np.int64(3), delta=np.float64(0.25))
     assert (type(cfg.m), type(cfg.delta)) == (int, float)
+
+
+@pytest.mark.filterwarnings("error")
+def test_numbers_read_without_warnings():
+    # numpy float32 and float64 values read as Python floats without a
+    # RuntimeWarning; non-finite values and ints past the float range fail
+    for value in (np.float32(0.25), np.float64(0.25), 0.25):
+        assert ThinningConfig(delta=value).delta == 0.25
+        assert kn._as_number(value) == 0.25
+    assert kn._as_number(np.float32(3.0), int) == 3
+    for value in (np.float32("inf"), np.float32("nan"), float("nan"), 10 ** 400, -10 ** 400):
+        with pytest.raises(ValueError, match="expected a finite number"):
+            kn._as_number(value)
+        with pytest.raises(ValueError, match="delta must lie in"):
+            ThinningConfig(delta=value)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +353,12 @@ def test_swap_baseline_domination_quick():
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_selection_mmds_match_mmd_points(m):
-    # the tiled selection against the plain MMD, with coresets of s > _CHUNK
+    # the strip-summed selection against the plain MMD, with coresets of
+    # s > _ROWS
     x = gauss_points(32, 2400)
     cfg = ThinningConfig(m=m, seed=6)
     cands = kt_split(K, x, cfg)
-    assert len(cands[0]) > _CHUNK
+    assert len(cands[0]) > _ROWS
     pool = [baseline_thin(len(x), m)] + cands
     got = kt_swap(K, x, cands, cfg).provenance["selection_mmds"]
     assert len(got) == len(pool)
@@ -352,7 +368,8 @@ def test_selection_mmds_match_mmd_points(m):
 
 def test_swap_selection_evaluates_only_tiles_and_columns(monkeypatch):
     # at m = 1 the coresets have s = n / 2 points: each self-term runs over
-    # 512^2 tiles instead of one s x s Gram, and gram_rows is never called
+    # _ROWS x _COLS strips instead of one s x s Gram, and gram_rows is never
+    # called
     n = 2048
     x = gauss_points(33, n)
     cfg = ThinningConfig(m=1, seed=7)
@@ -360,8 +377,8 @@ def test_swap_selection_evaluates_only_tiles_and_columns(monkeypatch):
     shapes = []
     inner = kn.evaluate
 
-    def recording(k, a, b):
-        out = inner(k, a, b)
+    def recording(k, a, b, **kwargs):
+        out = inner(k, a, b, **kwargs)
         shapes.append(out.shape)
         return out
 
@@ -372,7 +389,7 @@ def test_swap_selection_evaluates_only_tiles_and_columns(monkeypatch):
     monkeypatch.setattr(thinning, "gram_rows", forbidden)
     kt_swap(K, x, cands, cfg)
     assert shapes
-    assert max(math.prod(shape) for shape in shapes) <= max(_CHUNK**2, n)
+    assert max(math.prod(shape) for shape in shapes) <= max(_ROWS * _COLS, n)
 
 
 def test_swap_candidate_size_mismatch():
