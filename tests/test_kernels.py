@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -107,6 +108,111 @@ def test_matern_halfinteger_matches_bessel_path():
         closed = kn._matern_profile(a, t)
         direct = 2.0 ** (1 - a) / gamma(a) * t ** a * kv(a, t)
         assert np.max(np.abs(closed - direct)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Bessel-order Matern values on several threads
+# ---------------------------------------------------------------------------
+
+def _one_call_profile(a, t):
+    """The Bessel-order profile from one kv call over every positive entry."""
+    from scipy.special import gamma, kv
+
+    far = t >= kn._matern_far_cutoff(a)
+    pos = (t > 0.0) & ~far
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = 2.0 ** (1 - a) / gamma(a) * t[pos] ** a * kv(a, t[pos])
+    bad = ~((direct > 0.0) & (direct < np.inf))
+    direct[bad] = np.minimum(np.exp(kn._matern_log_profile(a, t[pos][bad])), 1.0)
+    out = np.where(far, 0.0, 1.0)
+    out[pos] = direct
+    return out, bad.sum()
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+@pytest.mark.parametrize("a, fallback", [(0.125, 700.0), (120.0, 500.0)])
+def test_bessel_profile_matches_one_call_at_chunk_edges(monkeypatch, workers, a, fallback):
+    # the positive entries below the cut-off are what kv sees, so their count
+    # is the length that the chunks cut
+    if workers is not None:
+        monkeypatch.setattr(kn, "_cpu_count", lambda: workers)
+    chunk = kn._KV_CHUNK
+    rng = np.random.default_rng(int(a * 8))
+    for length in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        inner = rng.exponential(3.0, length)
+        inner[rng.integers(0, length, 3)] = fallback
+        cutoff = kn._matern_far_cutoff(a)
+        t = rng.permutation(np.concatenate([inner, [0.0, 0.0, cutoff, 2 * cutoff, np.inf]]))
+        want, n_fallback = _one_call_profile(a, t)
+        assert n_fallback >= 1
+        assert np.array_equal(kn._matern_profile(a, t), want), (length, workers)
+
+
+def test_bessel_chunks_run_on_helper_threads(monkeypatch):
+    monkeypatch.setattr(kn, "_cpu_count", lambda: 3)
+    started = []
+    inner = threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        inner(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    before = threading.active_count()
+    t = np.random.default_rng(1).exponential(3.0, 3 * kn._KV_CHUNK + 5)
+    assert np.array_equal(kn._matern_profile(0.125, t), _one_call_profile(0.125, t)[0])
+    assert len(started) == 2
+    assert threading.active_count() == before
+    # one chunk: the single call, no helper
+    kn._matern_profile(0.125, t[:kn._KV_CHUNK])
+    assert len(started) == 2
+
+
+def test_bessel_helper_exception_reaches_the_caller(monkeypatch):
+    import scipy.special
+
+    monkeypatch.setattr(kn, "_cpu_count", lambda: 2)
+    real_kv = scipy.special.kv
+    caller = threading.current_thread()
+    helper_failed = threading.Event()
+
+    def failing_in_helpers(a, x, out=None):
+        if threading.current_thread() is not caller:
+            helper_failed.set()
+            raise ArithmeticError("kv failed in a helper's chunk")
+        # hold the caller's first chunk until a helper has taken one
+        assert helper_failed.wait(30)
+        return real_kv(a, x, out=out)
+
+    monkeypatch.setattr(scipy.special, "kv", failing_in_helpers)
+    before = threading.active_count()
+    t = np.random.default_rng(2).exponential(3.0, 4 * kn._KV_CHUNK)
+    with pytest.raises(ArithmeticError, match="helper's chunk"):
+        kn._matern_profile(0.125, t)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("k, threads", [
+    (kn.gauss(1.5), False),
+    (kn.laplace(1.0), False),
+    (kn.matern(1.125, 1.0), True),  # the control: order 0.125 at d = 2 takes the Bessel path
+], ids=["gauss", "laplace", "matern-bessel"])
+def test_only_bessel_kernels_start_threads(monkeypatch, k, threads):
+    # a gauss or laplace target KT pays no per-call thread start
+    from kthin import ThinningConfig, target_kt
+
+    monkeypatch.setattr(kn, "_cpu_count", lambda: 2)
+    started = []
+    inner = threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        inner(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    x = np.random.default_rng(3).normal(size=(1024, 2))
+    target_kt(k, x, ThinningConfig(m=3, seed=3))
+    assert bool(started) == threads
 
 
 def test_dimension_mismatch_rejected():
