@@ -35,6 +35,7 @@ from .discrepancy import (
 from .thinning import (
     Coreset,
     ThinningConfig,
+    Variant,
     baseline_thin,
     generalized_kt,
     get_swap_params,
@@ -42,9 +43,9 @@ from .thinning import (
     kt_split,
     kt_swap,
     power_kt,
-    split_kernel_for,
     swap_probability,
     target_kt,
+    thin,
 )
 from .targets import (
     ExternalTarget,
@@ -63,7 +64,6 @@ from .targets import (
 from .harness import (
     ExperimentPlan,
     RateReport,
-    Variant,
     fit_loglog,
     run_experiment,
 )

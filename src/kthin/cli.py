@@ -23,8 +23,10 @@ from .discrepancy import DiscreteMeasure, mmd
 from .harness import ExperimentPlan, run_experiment
 from .kernels import from_json as kernel_from_json, power_kernel
 from .targets import IngestError, ingest, target_from_json_dict
-from .thinning import (ThinningConfig, generalized_kt, kt_plus, power_kt, split_kernel_for,
-                       target_kt)
+# the four front-ends are not called here; they stay module attributes because
+# perfbench/spans.py traces the CLI's calls into thinning by wrapping them
+from .thinning import (VARIANTS, ThinningConfig, Variant, generalized_kt,  # noqa: F401
+                       kt_plus, power_kt, target_kt, thin)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,21 +51,24 @@ def _load_points(args, from_file: bool) -> np.ndarray:
     return target.sample(args.n, args.seed)
 
 
-# the thin flags each variant, an explicit split kernel and each kind of
-# input would otherwise silently ignore
-_UNUSED_FLAGS = {"--variant targetkt": ("alpha", "split_kernel"),
-                 "--variant generalized": ("alpha",),
-                 "--split-kernel": ("alpha",),
+# the thin flags an explicit split kernel and each kind of input would
+# otherwise silently ignore; a variant's own follow from VARIANTS
+_UNUSED_FLAGS = {"--split-kernel": ("alpha",),
                  "an --input file": ("n",),
                  "an --input target spec": ("format", "burn_in")}
 
 
 def _cmd_thin(args) -> int:
     from_file = os.path.exists(args.input)
+    entry = VARIANTS[args.variant]
+    unused_flags = {f"--variant {args.variant}": [
+        name for name, takes in (("alpha", entry.takes_alpha),
+                                 ("split_kernel", entry.takes_split_kernel)) if not takes
+    ], **_UNUSED_FLAGS}
     for user in (f"--variant {args.variant}",
                  "--split-kernel" if args.split_kernel is not None else None,
                  "an --input " + ("file" if from_file else "target spec")):
-        unused = [name for name in _UNUSED_FLAGS.get(user, ()) if getattr(args, name) is not None]
+        unused = [name for name in unused_flags.get(user, ()) if getattr(args, name) is not None]
         if unused:
             flags = " or ".join("--" + name.replace("_", "-") for name in unused)
             print(f"usage error: {user} does not use {flags}", file=sys.stderr)
@@ -72,16 +77,8 @@ def _cmd_thin(args) -> int:
     points = _load_points(args, from_file)
     cfg = ThinningConfig(m=args.m, seed=args.seed, delta=args.delta, delta_rule=args.delta_rule)
     split = kernel_from_json(args.split_kernel) if args.split_kernel else None
-    if args.variant == "targetkt":
-        coreset = target_kt(kernel, points, cfg)
-    elif args.variant == "generalized":
-        k_split = split_kernel_for("generalized", kernel, points.shape[1], split_kernel=split)
-        coreset = generalized_kt(k_split, kernel, points, cfg)
-        coreset.provenance["variant"] = "generalized"
-    else:
-        front = power_kt if args.variant == "powerkt" else kt_plus
-        alpha = 0.5 if args.alpha is None and split is None else args.alpha
-        coreset = front(kernel, points, cfg, alpha=alpha, split_kernel=split)
+    alpha = 0.5 if entry.takes_alpha and args.alpha is None and split is None else args.alpha
+    coreset = thin(Variant(args.variant, alpha, split), kernel, points, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(coreset.to_csv())
     side = os.path.splitext(args.out)[0] + ".json"
@@ -128,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thin.add_argument("--input", required=True,
                         help="point file, or JSON target spec (with --n)")
     p_thin.add_argument("--kernel", required=True, help="kernel spec JSON")
-    p_thin.add_argument("--variant", default="targetkt",
-                        choices=["targetkt", "powerkt", "ktplus", "generalized"])
+    p_thin.add_argument("--variant", default="targetkt", choices=list(VARIANTS))
     p_thin.add_argument("--alpha", type=float, default=None,
                         help="power exponent for powerkt/ktplus without --split-kernel "
                              "(default 0.5)")

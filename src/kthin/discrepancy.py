@@ -17,7 +17,7 @@ allocates once.  The full matrix is never materialized, and the working set
 is that buffer plus vectors of the inputs' lengths.  The one exception is
 target KT's input row means: its split stage has already evaluated the
 lower triangle of the same Gram matrix block by block, so
-`thinning.generalized_kt` takes them from the split's row sums instead of
+`thinning.thin` takes them from the split's row sums instead of
 calling `kernel_row_means`.
 Against the points themselves (y = x) the Gram matrix is symmetric: each
 strip is evaluated only from its own diagonal block on, and every column
@@ -164,6 +164,15 @@ def kernel_row_means(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     return _kernel_sums(k, points, np.full(n, 1.0 / n))
 
 
+def _checked_row_mean(row_mean, n: int) -> np.ndarray:
+    """A caller's row means for n input points: a finite array of shape (n,)."""
+    out = np.asarray(row_mean, dtype=float)
+    if out.shape != (n,) or not np.isfinite(out).all():
+        raise ValueError(f"row_mean must be a finite array of shape ({n},), got shape "
+                         f"{out.shape} with {int((~np.isfinite(out)).sum())} non-finite values")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # swap deltas for coreset refinement
 # ---------------------------------------------------------------------------
@@ -194,7 +203,8 @@ class SwapCache:
         # every family attains its sup-norm on the diagonal, bitwise equal to
         # the Gram-path value at z = 0
         self.diag = np.full(n, k.sup_norm())
-        self.row_mean = kernel_row_means(k, self.points) if row_mean is None else row_mean
+        self.row_mean = (kernel_row_means(k, self.points) if row_mean is None
+                         else _checked_row_mean(row_mean, n))
         self.cross = _kernel_sums(
             k, self.points, np.ones(len(self.coreset)), self.points[self.coreset]
         )

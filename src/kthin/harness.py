@@ -50,54 +50,25 @@ from .targets import (
     target_from_json_dict,
     target_to_json_dict,
 )
-from .thinning import (
+# baseline_thin and kt_plus are not called here; like gram, they stay module
+# attributes because perfbench/spans.py traces the harness's calls into
+# thinning by wrapping them
+from .thinning import (  # noqa: F401
     Coreset,
     ThinningConfig,
+    Variant,
     baseline_thin,
     kt_plus,
     power_kt,
-    split_kernel_for,
     target_kt,
+    thin,
 )
 
-_VARIANT_IDS = {"standard": 0, "targetkt": 1, "powerkt": 2, "ktplus": 3, "rootkt": 4}
 _INPUT_SALT = 9001
 _SURROGATE_SALT = 9002
 _BANDWIDTH_SALT = 9003
 _WITNESS_SALT = 9004
 _CIF_SALT = 9005
-
-
-@dataclass(frozen=True)
-class Variant:
-    """A thinning method under comparison; powerkt and ktplus take an alpha,
-    the others none."""
-
-    name: str
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.name not in _VARIANT_IDS:
-            raise ValueError(f"unknown variant {self.name!r}")
-        if (self.alpha is None) == (self.name in ("powerkt", "ktplus")):
-            raise ValueError(
-                f"variant {self.name} with alpha {self.alpha}: powerkt and ktplus "
-                "need an alpha, the other variants take none"
-            )
-
-    @property
-    def tag(self) -> str:
-        return self.name if self.alpha is None else f"{self.name}(a={self.alpha:g})"
-
-    def _kt_variant(self) -> tuple[str, float | None]:
-        """(thinning variant, alpha) this runs: rootkt is powerkt at alpha 1/2."""
-        if self.name == "rootkt":
-            return "powerkt", 0.5
-        return self.name, self.alpha
-
-    def _seed_parts(self) -> tuple[int, int]:
-        alpha = self.alpha if self.alpha is not None else -1.0
-        return _VARIANT_IDS[self.name], int(round(alpha * 1e6))
 
 
 @dataclass(frozen=True)
@@ -135,6 +106,10 @@ class ExperimentPlan:
         for name in self.metrics:
             if name not in ("mmd_input", "mmd_surrogate"):
                 raise ValueError(f"unknown metric {name!r}")
+        # report.json writes the plan back as plan.json, which has no identity perturbation
+        for v in self.variants:
+            if v.split_kernel is not None and not isinstance(v.split_kernel, KernelSpec):
+                raise ValueError(f"variant {v.name}: a plan's split kernel must be a KernelSpec")
         # _aggregate groups by (variant tag, metric, n): a repeat would pool copies
         for key, entries in (("sizes", self.sizes), ("variants", [v.tag for v in self.variants]),
                              ("metrics", self.metrics), ("test_functions", self.test_functions)):
@@ -143,15 +118,17 @@ class ExperimentPlan:
                     raise ValueError(f"key {key!r} repeats {entry!r}")
 
     def to_json_dict(self) -> dict:
-        return fields_to_json(self, target=target_to_json_dict,
-                              kernel=KernelSpec.to_json_dict, variants=fields_to_json)
+        return fields_to_json(self, target=target_to_json_dict, kernel=KernelSpec.to_json_dict,
+                              variants=functools.partial(fields_to_json,
+                                                         split_kernel=KernelSpec.to_json_dict))
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ExperimentPlan":
         """Read the plan.json object; see `targets.fields_from_json` for the rules."""
         return fields_from_json(ExperimentPlan, obj, target=target_from_json_dict,
                                 kernel=kernel_from_json_dict,
-                                variants=functools.partial(fields_from_json, Variant))
+                                variants=functools.partial(fields_from_json, Variant,
+                                                           split_kernel=kernel_from_json_dict))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentPlan":
@@ -208,16 +185,14 @@ _TEST_FUNCTIONS = {
 
 
 def _thin(variant: Variant, k: KernelSpec, points: np.ndarray, cfg: ThinningConfig) -> Coreset:
-    # front-ends are looked up at call time: perfbench/workloads.py rebinds
-    # target_kt and power_kt here to capture the coresets
-    if variant.name == "standard":
-        return Coreset(baseline_thin(len(points), cfg.m), {"variant": "standard"})
+    # perfbench/workloads.py counts coresets by rebinding target_kt and power_kt
+    # here, so targetkt and rootkt (power KT at alpha 1/2) call them by module
+    # name until the benchmark captures them elsewhere (ROADMAP item 6)
     if variant.name == "targetkt":
         return target_kt(k, points, cfg)
-    name, alpha = variant._kt_variant()
-    out = (power_kt if name == "powerkt" else kt_plus)(k, points, cfg, alpha=alpha)
-    out.provenance["variant"] = variant.name
-    return out
+    if variant.name == "rootkt":
+        return power_kt(k, points, cfg, alpha=0.5)
+    return thin(variant, k, points, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +255,12 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
     runnable: list[Variant] = []
     skipped: list[dict] = []
     for variant in plan.variants:
-        if variant.name != "standard":
-            name, alpha = variant._kt_variant()
-            try:
-                split_kernel_for(name, kernel, dim, alpha)
-            except NoClosedFormPowerError as exc:
-                warnings.warn(f"skipping variant {variant.tag}: {exc}")
-                skipped.append({"variant": variant.tag, "reason": str(exc)})
-                continue
+        try:
+            variant.split_kernel_for(kernel, dim)
+        except NoClosedFormPowerError as exc:
+            warnings.warn(f"skipping variant {variant.tag}: {exc}")
+            skipped.append({"variant": variant.tag, "reason": str(exc)})
+            continue
         runnable.append(variant)
 
     metrics = list(plan.metrics) + [f"ierr_{n}" for n in plan.test_functions]

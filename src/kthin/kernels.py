@@ -707,9 +707,10 @@ def power_kernel(k: KernelSpec, alpha: float, dim: int | None = None) -> PowerKe
 
 
 def _check_alpha(alpha: float) -> None:
-    """Raise KernelError unless alpha, a power kernel's exponent, is a number in [1/2, 1]."""
-    if not isinstance(alpha, numbers.Real) or not 0.5 <= alpha <= 1.0:
-        raise KernelError(f"alpha must lie in [1/2, 1], got {alpha}")
+    """Raise KernelError unless alpha, a power kernel's exponent, is a number
+    in [1/2, 1]; as in `_as_number`, a bool is not a number."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.5 <= alpha <= 1.0:
+        raise KernelError(f"alpha must lie in [1/2, 1], got {alpha!r}")
 
 
 def ktplus_kernel(k: KernelSpec, k_alpha: KernelSpec) -> KernelSpec:

@@ -38,12 +38,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
-from .discrepancy import SwapCache, _as_indices, _quadratic_form, kernel_row_means
+from .discrepancy import (SwapCache, _as_indices, _checked_row_mean, _quadratic_form,
+                          kernel_row_means)
 # gram and gram_rows are not called here; they stay module attributes because
 # perfbench/spans.py traces the kernel boundary by wrapping
 # kthin.thinning.gram and kthin.thinning.gram_rows
@@ -211,7 +214,7 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     2 MB at n = 4096, m = 6), which gauss, laplace and imq fill in place.
     The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2,
     and adds up the blocks' row sums as it goes: when the split kernel is
-    the target kernel up to scale, `generalized_kt` takes the swap stage's
+    the target kernel up to scale, `thin` takes the swap stage's
     row means from them (with one more kernel column for the last point
     when n is odd).
 
@@ -355,7 +358,8 @@ def kt_swap(
     the result never exceeds the baseline's MMD to the input.
 
     `row_mean`, if given, is the input's row means (1/n) sum_y k(z, y), as
-    for `SwapCache`; otherwise they are computed with `kernel_row_means`.
+    for `SwapCache`: a finite array of shape (n,), else a ValueError.
+    Otherwise they are computed with `kernel_row_means`.
 
     At m = 1 on an even input the two split candidates are the two halves of
     the input, whose MMDs to it are equal in exact arithmetic, so rounding
@@ -378,8 +382,7 @@ def kt_swap(
 
     # the row means serve candidate ranking and the refinement cache: one
     # pass of n^2 / 2 kernel evaluations unless the split already summed them
-    if row_mean is None:
-        row_mean = kernel_row_means(k, points)
+    row_mean = kernel_row_means(k, points) if row_mean is None else _checked_row_mean(row_mean, n)
     input_self = float(row_mean.mean())
 
     pool = [base] + list(candidates)
@@ -428,77 +431,117 @@ def _sigma_diagnostics(n: int, cfg: ThinningConfig, k_sup: float) -> dict:
     return {"sigma_m": sigma_m, "p_sg": p_sg}
 
 
-def split_kernel_for(variant: str, k: KernelSpec, dim: int,
-                     alpha: float | None = None, split_kernel=None):
-    """The split kernel of a KT variant with target kernel k on dim-dimensional
-    input.  Every variant is generalized KT with one of these split kernels:
+class _Entry(NamedTuple):
+    seed_id: int
+    takes_alpha: bool
+    takes_split_kernel: bool
+    build: Callable
 
-      targetkt     k itself
-      powerkt      `split_kernel` if given, else the closed-form alpha-power of k
-      ktplus       ktplus_kernel(k, that power kernel)
-      generalized  `split_kernel`, which it requires
 
-    Raises NoClosedFormPowerError when powerkt or ktplus needs a closed form
-    that k lacks in dimension dim, and KernelError for generalized without
-    `split_kernel`, an unknown variant, or powerkt or ktplus with alpha
-    missing or outside [1/2, 1] where the power kernel is built from it, or
-    given beside `split_kernel` and outside [1/2, 1].
+def _power(v: Variant, k: KernelSpec, dim: int, alpha: float):
+    """v's explicit split kernel, else the closed-form alpha-power of k."""
+    return power_kernel(k, alpha, dim=dim).power if v.split_kernel is None else v.split_kernel
+
+
+# Every variant but standard thinning (every 2^m-th point) is generalized KT
+# refined with the target kernel k and split with the kernel that `build`
+# makes from the variant v, k and the input dimension.  The harness derives
+# each study cell's seed from `seed_id`, so raw.csv depends on it.
+VARIANTS = {
+    "standard": _Entry(0, False, False, lambda v, k, dim: None),
+    "targetkt": _Entry(1, False, False, lambda v, k, dim: k),
+    "powerkt": _Entry(2, True, True, lambda v, k, dim: _power(v, k, dim, v.alpha)),
+    "ktplus": _Entry(3, True, True, lambda v, k, dim: ktplus_kernel(k, _power(v, k, dim, v.alpha))),
+    "rootkt": _Entry(4, False, False, lambda v, k, dim: _power(v, k, dim, 0.5)),
+    "generalized": _Entry(5, False, True, lambda v, k, dim: v.split_kernel),
+}
+
+
+@dataclass(frozen=True)
+class Variant:
+    """A thinning method, named by a key of `VARIANTS`.
+
+    `alpha`, a JSON number in [1/2, 1], is the exponent of k's closed-form
+    power kernel, and `split_kernel` replaces that kernel.  A variant that
+    takes either needs one of them and checks a given alpha all the same.
     """
-    if variant == "targetkt":
-        return k
-    if variant == "generalized":
-        if split_kernel is None:
-            raise KernelError("variant generalized requires an explicit split kernel")
-        return split_kernel
-    if variant not in ("powerkt", "ktplus"):
-        raise KernelError(f"unknown KT variant {variant!r}")
-    if split_kernel is None:
-        split_kernel = power_kernel(k, alpha, dim=dim).power
-    elif alpha is not None:
-        _check_alpha(alpha)
-    return split_kernel if variant == "powerkt" else ktplus_kernel(k, split_kernel)
+
+    name: str
+    alpha: float | None = None
+    split_kernel: KernelSpec | IdentityPerturbedKernel | None = None
+
+    def __post_init__(self):
+        if self.name not in VARIANTS:
+            raise ValueError(f"unknown variant {self.name!r}; expected one of {list(VARIANTS)}")
+        _, takes_alpha, takes_split_kernel, _ = VARIANTS[self.name]
+        if self.alpha is not None and not takes_alpha:
+            takers = " and ".join(name for name, e in VARIANTS.items() if e.takes_alpha)
+            raise ValueError(f"variant {self.name} with alpha {self.alpha}: {takers} "
+                             "take an alpha, the other variants take none")
+        if self.split_kernel is not None and not takes_split_kernel:
+            raise KernelError(f"variant {self.name} takes no split kernel")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
+            object.__setattr__(self, "alpha", float(self.alpha))
+        elif self.split_kernel is None and takes_split_kernel:
+            raise KernelError(f"variant {self.name} requires "
+                              f"{'an alpha or ' if takes_alpha else ''}an explicit split kernel")
+
+    @property
+    def tag(self) -> str:
+        return self.name if self.alpha is None else f"{self.name}(a={self.alpha:g})"
+
+    def _seed_parts(self) -> tuple[int, int]:
+        alpha = self.alpha if self.alpha is not None else -1.0
+        return VARIANTS[self.name].seed_id, int(round(alpha * 1e6))
+
+    def split_kernel_for(self, k: KernelSpec, dim: int):
+        """The split kernel for target kernel k on dim-dimensional input, or
+        None for standard thinning.  Raises NoClosedFormPowerError when the
+        power kernel it needs has no closed form for k in dimension dim."""
+        return VARIANTS[self.name].build(self, k, dim)
+
+
+def thin(variant: Variant, k: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
+    """Thin points with the variant, selecting and refining with k.
+
+    Standard thinning keeps every 2^m-th point.  Every other variant splits
+    with `variant.split_kernel_for(k, d)` and runs `kt_swap` with k, fed the
+    split's row sums when they are k's (see the module docstring).  The
+    provenance names the variant, and the alpha of a power kernel built
+    from a given one.
+    """
+    points = _as_points(points)
+    k_split = variant.split_kernel_for(k, points.shape[1])
+    if k_split is None:
+        out = Coreset(baseline_thin(len(points), cfg.m), {})
+    else:
+        candidates, sums = _split(k_split, points, cfg)
+        kernel, _ = _split_base(k_split)
+        row_mean = None
+        if kernel == k.normalized():
+            if len(points) % 2:
+                # the last point of an odd input is in no block: one column for it
+                last = evaluate(kernel, points, points[-1])
+                sums[:-1] += last[:-1]
+                sums[-1] = last.sum()
+            row_mean = sums * (k.scale / kernel.scale) / len(points)
+        out = kt_swap(k, points, candidates, cfg, row_mean=row_mean)
+        out.provenance.update(_sigma_diagnostics(len(points), cfg, k_split.sup_norm()))
+    out.provenance["variant"] = variant.name
+    if variant.alpha is not None and variant.split_kernel is None:
+        out.provenance["alpha"] = variant.alpha
+    return out
 
 
 def generalized_kt(k_split, k_target: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
-    """Split with k_split, then select and refine with k_target.
-
-    When k_split, less any identity perturbation, is k_target up to scale,
-    the swap stage takes the input's row means from the split's row sums
-    instead of evaluating the Gram matrix a second time.
-    """
-    points = _as_points(points)
-    candidates, sums = _split(k_split, points, cfg)
-    kernel, _ = _split_base(k_split)
-    row_mean = None
-    if kernel == k_target.normalized():
-        if len(points) % 2:
-            # the last point of an odd input is in no block: one column for it
-            last = evaluate(kernel, points, points[-1])
-            sums[:-1] += last[:-1]
-            sums[-1] = last.sum()
-        row_mean = sums * (k_target.scale / kernel.scale) / len(points)
-    out = kt_swap(k_target, points, candidates, cfg, row_mean=row_mean)
-    out.provenance.update(_sigma_diagnostics(len(points), cfg, k_split.sup_norm()))
-    return out
-
-
-def _variant_kt(variant: str, k: KernelSpec, points, cfg: ThinningConfig,
-                alpha: float | None = None, split_kernel=None) -> Coreset:
-    """Generalized KT with the variant's split kernel, refined with k, and the
-    variant (and the alpha the split kernel was built from) recorded in the
-    provenance."""
-    points = _as_points(points)
-    k_split = split_kernel_for(variant, k, points.shape[1], alpha, split_kernel)
-    out = generalized_kt(k_split, k, points, cfg)
-    out.provenance["variant"] = variant
-    if variant != "targetkt" and split_kernel is None:
-        out.provenance["alpha"] = alpha
-    return out
+    """Split with k_split, then select and refine with k_target."""
+    return thin(Variant("generalized", split_kernel=k_split), k_target, points, cfg)
 
 
 def target_kt(k: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
     """Generalized thinning with the target kernel doing both stages."""
-    return _variant_kt("targetkt", k, points, cfg)
+    return thin(Variant("targetkt"), k, points, cfg)
 
 
 def power_kt(
@@ -513,7 +556,7 @@ def power_kt(
     If the family has no closed-form power kernel, pass `split_kernel`
     explicitly.
     """
-    return _variant_kt("powerkt", k, points, cfg, alpha, split_kernel)
+    return thin(Variant("powerkt", alpha, split_kernel), k, points, cfg)
 
 
 def kt_plus(
@@ -528,4 +571,4 @@ def kt_plus(
     `split_kernel`, when given, replaces the closed-form power kernel as the
     second summand.
     """
-    return _variant_kt("ktplus", k, points, cfg, alpha, split_kernel)
+    return thin(Variant("ktplus", alpha, split_kernel), k, points, cfg)

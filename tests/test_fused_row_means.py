@@ -13,7 +13,8 @@ import pytest
 
 import kthin.thinning
 from kthin import kernels as kn
-from kthin.discrepancy import kernel_row_means
+from kthin.discrepancy import SwapCache, kernel_row_means
+from kthin.targets import MogTarget
 from kthin.thinning import ThinningConfig, generalized_kt, kt_split, kt_swap, power_kt, target_kt
 
 KERNELS = {
@@ -99,3 +100,18 @@ def test_row_mean_pass_runs_only_without_a_matching_split(monkeypatch):
     assert calls == []
     power_kt(k, x, cfg, 0.5)
     assert calls == [k]
+
+
+@pytest.mark.parametrize("bad", [np.full(64, np.nan), np.full(64, np.inf), np.ones(63),
+                                 np.ones(65), np.ones((64, 1))])
+def test_a_malformed_row_mean_is_rejected(bad):
+    # a NaN row mean once selected 16 copies of index 0 with every
+    # selection MMD 0.0, and a wrong length failed deep inside numpy
+    x = MogTarget(4).sample(64, 0)
+    k = kn.gauss(2.0)
+    cfg = ThinningConfig(m=2, seed=0)
+    candidates = kt_split(k, x, cfg)
+    with pytest.raises(ValueError, match="row_mean must be a finite array of shape"):
+        kt_swap(k, x, candidates, cfg, row_mean=bad)
+    with pytest.raises(ValueError, match="row_mean must be a finite array of shape"):
+        SwapCache(k, x, candidates[0], row_mean=bad)

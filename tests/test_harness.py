@@ -127,9 +127,15 @@ def test_variant_validation_and_tags():
     with pytest.raises(ValueError):
         Variant("mystery")
     # only the power variants take an alpha: the others would ignore it
-    for name in ("standard", "targetkt", "rootkt"):
+    for name in ("standard", "targetkt", "rootkt", "generalized"):
         with pytest.raises(ValueError, match="take none"):
             Variant(name, 0.7)
+    # alpha is read as plan.json reads it and checked when the variant is built
+    with pytest.raises(ValueError, match="got True"):
+        Variant("powerkt", True)
+    with pytest.raises(kn.KernelError, match=r"alpha must lie in \[1/2, 1\], got 0.3"):
+        Variant("powerkt", 0.3)
+    assert Variant("ktplus", 1).alpha == 1.0 and isinstance(Variant("ktplus", 1).alpha, float)
     with pytest.raises(ValueError, match="take none"):
         ExperimentPlan.from_json(json.dumps(
             {**small_plan().to_json_dict(), "variants": [{"name": "rootkt", "alpha": 0.7}]}

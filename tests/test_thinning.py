@@ -19,7 +19,6 @@ from kthin.thinning import (
     kt_split,
     kt_swap,
     power_kt,
-    split_kernel_for,
     swap_probability,
     target_kt,
 )
@@ -466,26 +465,33 @@ def test_power_kt_error_carries_hint():
 def test_split_kernel_for_each_variant():
     half = kn.power_kernel(K, 0.5, dim=2).power
     explicit = kn.gauss(0.7)
-    assert split_kernel_for("targetkt", K, 2) == K
-    assert split_kernel_for("powerkt", K, 2, 0.5) == half
-    assert split_kernel_for("powerkt", K, 2, 0.5, explicit) == explicit
-    assert split_kernel_for("ktplus", K, 2, 0.5) == kn.ktplus_kernel(K, half)
-    assert split_kernel_for("ktplus", K, 2, 0.5, explicit) == kn.ktplus_kernel(K, explicit)
-    assert split_kernel_for("generalized", K, 2, split_kernel=explicit) == explicit
+    V = thinning.Variant
+    assert V("standard").split_kernel_for(K, 2) is None
+    assert V("targetkt").split_kernel_for(K, 2) == K
+    assert V("powerkt", 0.5).split_kernel_for(K, 2) == half
+    assert V("rootkt").split_kernel_for(K, 2) == half
+    assert V("powerkt", 0.5, explicit).split_kernel_for(K, 2) == explicit
+    assert V("ktplus", 0.5).split_kernel_for(K, 2) == kn.ktplus_kernel(K, half)
+    assert V("ktplus", 0.5, explicit).split_kernel_for(K, 2) == kn.ktplus_kernel(K, explicit)
+    assert V("generalized", split_kernel=explicit).split_kernel_for(K, 2) == explicit
     # without a split kernel alpha is required; beside one it may be left out
     for variant in ("powerkt", "ktplus"):
-        with pytest.raises(kn.KernelError, match="alpha must lie in .* got None"):
-            split_kernel_for(variant, K, 2)
-    assert split_kernel_for("powerkt", K, 2, split_kernel=explicit) == explicit
+        with pytest.raises(kn.KernelError, match="requires an alpha or an explicit split kernel"):
+            V(variant)
+    assert V("powerkt", split_kernel=explicit).split_kernel_for(K, 2) == explicit
     for variant, alpha in (("powerkt", 7.0), ("ktplus", 0.1)):  # checked with a split kernel too
         with pytest.raises(kn.KernelError, match="alpha must lie in"):
-            split_kernel_for(variant, K, 2, alpha, explicit)
+            V(variant, alpha, explicit)
     with pytest.raises(kn.KernelError, match="requires an explicit split kernel"):
-        split_kernel_for("generalized", K, 2)
-    with pytest.raises(kn.NoClosedFormPowerError):
-        split_kernel_for("ktplus", kn.imq(0.5, 1.0), 2, 0.5)
-    with pytest.raises(kn.KernelError, match="unknown KT variant"):
-        split_kernel_for("rootkt", K, 2, 0.5)
+        V("generalized")
+    for variant in (V("ktplus", 0.5), V("rootkt")):
+        with pytest.raises(kn.NoClosedFormPowerError):
+            variant.split_kernel_for(kn.imq(0.5, 1.0), 2)
+    for name in ("standard", "targetkt", "rootkt"):
+        with pytest.raises(kn.KernelError, match="takes no split kernel"):
+            V(name, split_kernel=explicit)
+    with pytest.raises(ValueError, match="unknown variant"):
+        V("rootKT")
 
 
 def test_target_kt_size_contract():
