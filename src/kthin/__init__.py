@@ -13,7 +13,6 @@ from .kernels import (
     gauss,
     gauss_power_exact,
     gram,
-    identity_perturbed,
     imq,
     kernel_eval,
     kernel_sum,

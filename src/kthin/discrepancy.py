@@ -7,9 +7,9 @@ closed-form kernel double sums
             - 2 sum_ij w_i v_j k(x_i, y_j),
 
 clamped at zero before the square root to absorb negative rounding dust.
-Every kernel sum in the package -- the MMD terms, the input row means,
-kt_swap's candidate self-terms, the harness's coreset self-terms and the
-swap cache's coreset cross-sums -- runs through one loop, `_kernel_sums`,
+Every kernel sum in the package -- the MMD terms, a `Reference`'s row
+means and the coreset self-terms and cross-terms of its MMDs, and the swap
+cache's coreset cross-sums -- runs through one loop, `_kernel_sums`,
 which forms the weighted sums sum_j w_j k(x_i, y_j) over strips of the Gram
 matrix: at most _ROWS points of the shorter set against at most _COLS
 points of the other, all written into one 1 MB buffer that the call
@@ -28,11 +28,14 @@ Point arrays are read by `kernels._as_points`, as everywhere in the
 package, so NaN or inf coordinates are rejected at the boundary instead of
 surfacing as a NaN MMD.
 
-The SwapCache supports the coreset refinement loop: given a fixed input set
-and a current coreset, it answers "how does MMD^2 change if coreset slot i
-is replaced by input point z".  Each query costs O(n), accepted or not: it
-builds the delta vector over all n candidates, plus one kernel column of n
-entries unless that column is cached; an accepted swap adds one more column.
+A `Reference` gives the MMD to fixed points from their cached row means:
+kt_swap's selection, `mmd_input` and `mmd_surrogate` measure against one.
+Its subclass SwapCache supports the coreset refinement loop: given a fixed
+input set and a current coreset, it answers "how does MMD^2 change if
+coreset slot i is replaced by input point z".  Each query costs O(n),
+accepted or not: it builds the delta vector over all n candidates, plus one
+kernel column of n entries unless that column is cached; an accepted swap
+adds one more column.
 """
 
 from __future__ import annotations
@@ -164,26 +167,54 @@ def kernel_row_means(k: KernelSpec, points: np.ndarray) -> np.ndarray:
     return _kernel_sums(k, points, np.full(n, 1.0 / n))
 
 
-def _checked_row_mean(row_mean, n: int) -> np.ndarray:
-    """A caller's row means for n input points: a finite array of shape (n,)."""
-    out = np.asarray(row_mean, dtype=float)
-    if out.shape != (n,) or not np.isfinite(out).all():
-        raise ValueError(f"row_mean must be a finite array of shape ({n},), got shape "
-                         f"{out.shape} with {int((~np.isfinite(out)).sum())} non-finite values")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# swap deltas for coreset refinement
+# MMD to a fixed reference, and swap deltas for coreset refinement
 # ---------------------------------------------------------------------------
 
-class SwapCache:
+class Reference:
+    """MMD to the uniform measure on fixed points, from their row means
+    row_mean[z] = (1/n) sum_y k(z, y) and the self-term, the mean of those.
+
+    The row means are the caller's (a finite array of shape (n,), else a
+    ValueError) or `kernel_row_means`.  The cross term is a lookup in them
+    against points[indices] (`mmd_sq`), a kernel sum against others (`mmd_to`).
+    """
+
+    def __init__(self, k: KernelSpec, points, row_mean: np.ndarray | None = None):
+        self.kernel = k
+        self.points = _as_points(points)
+        n = len(self.points)
+        out = np.asarray(kernel_row_means(k, self.points) if row_mean is None else row_mean, float)
+        if out.shape != (n,) or not np.isfinite(out).all():
+            raise ValueError(f"row_mean must be a finite array of shape ({n},), got shape "
+                             f"{out.shape} with {int((~np.isfinite(out)).sum())} non-finite values")
+        self.row_mean, self.self_term = out, float(out.mean())
+
+    def _clamped_mmd_sq(self, out_self: float, cross: float) -> float:
+        # max(x, 0.0), not max(0.0, x): a NaN stays NaN, as in _clamped_sqrt
+        return max(self.self_term + out_self - 2.0 * cross, 0.0)
+
+    def mmd_sq(self, indices) -> float:
+        """MMD^2, clamped at 0, between the reference and the uniform
+        measure on its points[indices]."""
+        idx = _as_indices(indices, len(self.points))
+        out_self = _quadratic_form(self.kernel, self.points[idx], np.full(len(idx), 1.0 / len(idx)))
+        return self._clamped_mmd_sq(out_self, float(self.row_mean[idx].mean()))
+
+    def mmd_to(self, out) -> float:
+        """MMD between the reference and the uniform measure on the points out."""
+        out = _as_points(out)
+        n, wv = len(self.points), np.full(len(out), 1.0 / len(out))
+        cross = _quadratic_form(self.kernel, self.points, np.full(n, 1.0 / n), out, wv)
+        return _clamped_sqrt(self._clamped_mmd_sq(_quadratic_form(self.kernel, out, wv), cross))
+
+
+class SwapCache(Reference):
     """Running cross-sums for one coreset against a fixed input point set.
 
-    Maintains, for every input point z,
+    Maintains, for every input point z, the `Reference` row means and
 
-        row_mean[z] = (1/n) sum_y k(z, y)        (fixed for the run)
-        cross[z]    = sum_{w in coreset} k(z, w) (updated per accepted swap)
+        cross[z] = sum_{w in coreset} k(z, w)   (updated per accepted swap)
 
     so the MMD^2 change from replacing coreset slot i with z is O(1)
     arithmetic per candidate, done for all n candidates at once.
@@ -196,15 +227,11 @@ class SwapCache:
         coreset: np.ndarray,
         row_mean: np.ndarray | None = None,
     ):
-        self.kernel = k
-        self.points = _as_points(points)
-        n = len(self.points)
-        self.coreset = _as_indices(coreset, n)
+        super().__init__(k, points, row_mean)
+        self.coreset = _as_indices(coreset, len(self.points))
         # every family attains its sup-norm on the diagonal, bitwise equal to
         # the Gram-path value at z = 0
-        self.diag = np.full(n, k.sup_norm())
-        self.row_mean = (kernel_row_means(k, self.points) if row_mean is None
-                         else _checked_row_mean(row_mean, n))
+        self.diag = np.full(len(self.points), k.sup_norm())
         self.cross = _kernel_sums(
             k, self.points, np.ones(len(self.coreset)), self.points[self.coreset]
         )

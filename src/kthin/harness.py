@@ -27,12 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .discrepancy import _clamped_sqrt, _quadratic_form
-# gram is not called here; it stays a module attribute because
-# perfbench/spans.py traces the kernel boundary by wrapping kthin.harness.gram
+# gram and _quadratic_form are not called here; they stay module attributes
+# because perfbench/spans.py traces the kernel and discrepancy layers by wrapping them
+from .discrepancy import Reference, _clamped_sqrt, _quadratic_form  # noqa: F401
 from .kernels import (  # noqa: F401
     KernelSpec,
     NoClosedFormPowerError,
+    _as_number,
     from_json_dict as kernel_from_json_dict,
     gram,
 )
@@ -94,8 +95,11 @@ class ExperimentPlan:
         for n in self.sizes:
             if not (isinstance(n, numbers.Integral) and n > 0 and 4 ** _depth_for(n) == n):
                 raise ValueError(f"size {n!r} is not a power of 4; output size sqrt(n) undefined")
+        for key in ("replicates", "surrogate_size"):
+            object.__setattr__(self, key, _as_number(getattr(self, key), int))
         if self.replicates < 1 or self.surrogate_size < 1:
             raise ValueError("replicates and surrogate_size must be >= 1")
+        ThinningConfig(seed=self.seed, delta=self.delta)  # its checks, before any cell runs
         if self.bandwidth_rule not in ("fixed", "sqrt2d", "median"):
             raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
         if self.aggregate not in ("mean", "median"):
@@ -155,23 +159,6 @@ def resolve_bandwidth(plan: ExperimentPlan) -> KernelSpec:
 # ---------------------------------------------------------------------------
 # metric plumbing
 # ---------------------------------------------------------------------------
-
-class _ReferenceMMD:
-    """MMD against one fixed reference sample, with its self-term cached."""
-
-    def __init__(self, k: KernelSpec, ref: np.ndarray):
-        self.kernel = k
-        self.ref = ref
-        w = np.full(len(ref), 1.0 / len(ref))
-        self._w = w
-        self.self_term = _quadratic_form(k, ref, w)
-
-    def mmd_to(self, out: np.ndarray) -> float:
-        wv = np.full(len(out), 1.0 / len(out))
-        out_self = _quadratic_form(self.kernel, out, wv)
-        cross = _quadratic_form(self.kernel, self.ref, self._w, out, wv)
-        return _clamped_sqrt(self.self_term + out_self - 2.0 * cross)
-
 
 # each test function's maker, from the plan and the resolved kernel; the makers
 # are looked up at call time, where perfbench/spans.py wraps them
@@ -266,8 +253,6 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
     metrics = list(plan.metrics) + [f"ierr_{n}" for n in plan.test_functions]
     test_fns = {name: _TEST_FUNCTIONS[name](plan, kernel) for name in plan.test_functions}
 
-    # metric name -> reference sample: the surrogate's for the run, the input's per cell
-    refs: dict[str, _ReferenceMMD] = {}
     if "mmd_surrogate" in plan.metrics:
         if isinstance(plan.target, ExternalTarget):
             surr = plan.target.holdout(plan.surrogate_size)
@@ -275,7 +260,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
             surr = plan.target.sample(
                 plan.surrogate_size, rng.derive_seed(plan.seed, _SURROGATE_SALT)
             )
-        refs["mmd_surrogate"] = _ReferenceMMD(kernel, surr)
+        surrogate = Reference(kernel, surr)
 
     records: list[dict] = []
     for n in plan.sizes:
@@ -285,7 +270,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
                 n, rng.derive_seed(plan.seed, n, rep, _INPUT_SALT)
             )
             if "mmd_input" in plan.metrics:
-                refs["mmd_input"] = _ReferenceMMD(kernel, points)
+                inputs = Reference(kernel, points)
             input_means = {
                 name: float(np.mean(fn(points))) for name, fn in test_fns.items()
             }
@@ -294,7 +279,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
                 cfg = ThinningConfig(m=m, seed=seed, delta=plan.delta)
                 coreset = _thin(variant, kernel, points, cfg)
                 out_points = points[coreset.indices]
-                values = [refs[name].mmd_to(out_points) for name in plan.metrics] + [
+                values = [_clamped_sqrt(inputs.mmd_sq(coreset.indices)) if name == "mmd_input"
+                          else surrogate.mmd_to(out_points) for name in plan.metrics] + [
                     abs(input_means[name] - float(np.mean(fn(out_points))))
                     for name, fn in test_fns.items()
                 ]

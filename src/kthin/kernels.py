@@ -755,8 +755,3 @@ class IdentityPerturbedKernel:
     def sup_norm(self) -> float:
         """1 + weight, attained on the diagonal."""
         return 1.0 + self.weight
-
-
-def identity_perturbed(k: KernelSpec, weight: float = 1.0) -> IdentityPerturbedKernel:
-    """The identity-perturbed variant of k, for use as a split kernel."""
-    return IdentityPerturbedKernel(k, weight)

@@ -45,8 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .discrepancy import (SwapCache, _as_indices, _checked_row_mean, _quadratic_form,
-                          kernel_row_means)
+from .discrepancy import Reference, SwapCache, _as_indices, kernel_row_means
 # gram and gram_rows are not called here; they stay module attributes because
 # perfbench/spans.py traces the kernel boundary by wrapping
 # kthin.thinning.gram and kthin.thinning.gram_rows
@@ -357,9 +356,9 @@ def kt_swap(
     The incumbent is always a valid replacement, so MMD never increases and
     the result never exceeds the baseline's MMD to the input.
 
-    `row_mean`, if given, is the input's row means (1/n) sum_y k(z, y), as
-    for `SwapCache`: a finite array of shape (n,), else a ValueError.
-    Otherwise they are computed with `kernel_row_means`.
+    Candidates are ranked by the input's `Reference`.  `row_mean`, its row
+    means (1/n) sum_y k(z, y), is computed with `kernel_row_means` unless
+    given, and must then be a finite array of shape (n,), else a ValueError.
 
     At m = 1 on an even input the two split candidates are the two halves of
     the input, whose MMDs to it are equal in exact arithmetic, so rounding
@@ -382,18 +381,12 @@ def kt_swap(
 
     # the row means serve candidate ranking and the refinement cache: one
     # pass of n^2 / 2 kernel evaluations unless the split already summed them
-    row_mean = kernel_row_means(k, points) if row_mean is None else _checked_row_mean(row_mean, n)
-    input_self = float(row_mean.mean())
-
+    ref = Reference(k, points, kernel_row_means(k, points) if row_mean is None else row_mean)
     pool = [base] + list(candidates)
-    mmd_sqs = []
-    for c in pool:
-        coreset_self = _quadratic_form(k, points[c], np.full(len(c), 1.0 / len(c)))
-        cross = 2.0 * float(row_mean[c].mean())
-        mmd_sqs.append(max(0.0, input_self + coreset_self - cross))
+    mmd_sqs = [ref.mmd_sq(c) for c in pool]
     chosen = int(np.argmin(mmd_sqs))
 
-    cache = SwapCache(k, points, pool[chosen], row_mean=row_mean)
+    cache = SwapCache(k, points, pool[chosen], row_mean=ref.row_mean)
     accepted = 0
     for pos in range(cache.out_size):
         best, _ = cache.best_swap(pos)

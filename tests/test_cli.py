@@ -293,6 +293,8 @@ def test_experiment_subcommand(tmp_path, capsys):
     ({"variants": [{"name": "powerkt", "alpha": "0.5"}]}, "key 'alpha': expected a finite number"),
     ({"variants": [{"name": "powerkt", "alpha": True}]}, "key 'alpha': expected a finite number"),
     ({"metrics": ["mmd_input", "mmd_input"]}, "key 'metrics' repeats 'mmd_input'"),
+    # checked when the plan is read, not after the surrogate self-term
+    ({"delta": 1.5}, "delta must lie in"),
 ])
 def test_experiment_malformed_plan_is_constraint_error(tmp_path, capsys, change, named):
     plan = {

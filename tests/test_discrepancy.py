@@ -12,6 +12,7 @@ from kthin.discrepancy import (
     _COLS,
     _ROWS,
     DiscreteMeasure,
+    Reference,
     SwapCache,
     check_interpolation,
     gauss_interpolation_triple,
@@ -20,7 +21,6 @@ from kthin.discrepancy import (
     mmd_points,
     mmd_swap_delta,
 )
-from kthin.harness import _ReferenceMMD
 
 
 def random_measure(rng, n_max=20, d=2):
@@ -123,28 +123,35 @@ def test_non_finite_weights_rejected(bad):
 
 
 def test_nan_mmd_is_not_clamped_to_zero():
-    # mmd() and the harness's cached-reference MMD clamp the same way: a NaN
-    # that reaches the square root stays NaN instead of reading as MMD 0
+    # mmd() and a Reference's MMDs clamp the same way: a NaN that reaches
+    # the square root stays NaN instead of reading as MMD 0
     assert math.isnan(discrepancy._clamped_sqrt(float("nan")))
     assert discrepancy._clamped_sqrt(-1e-17) == 0.0
+    reference = Reference(kn.gauss(1.0), np.zeros((4, 1)))
+    reference.self_term = float("nan")
+    assert math.isnan(reference.mmd_sq([0, 1])) and math.isnan(reference.mmd_to(np.ones((2, 1))))
     # and a NaN reference no longer gets that far: it is rejected where read
     ref = np.zeros((4, 1))
     ref[1, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite input value at row 1, column 0"):
-        _ReferenceMMD(kn.gauss(1.0), ref)
+        Reference(kn.gauss(1.0), ref)
 
 
 def test_reference_mmd_matches_mmd_points():
-    # the harness's cached self-term against the uncached path: the reference
-    # spans two column runs, and each coreset several strips of its own
-    # self-term and of the cross-term
+    # the cached self-term and row means against the uncached path: the
+    # reference spans two column runs, and each coreset several strips of
+    # its own self-term and of the cross-term; mmd_sq's cross term is a
+    # lookup in the row means
     rng = np.random.default_rng(5)
     k = kn.laplace(1.3)
     ref = rng.normal(size=(_COLS + 77, 2))
-    reference = _ReferenceMMD(k, ref)
+    reference = Reference(k, ref)
     for s in (40, 3 * _ROWS + 100):
         out = rng.normal(size=(s, 2))
         assert reference.mmd_to(out) == pytest.approx(mmd_points(k, ref, out), rel=1e-12)
+        idx = rng.choice(len(ref), size=s, replace=False)
+        assert reference.mmd_sq(idx) == pytest.approx(mmd_points(k, ref, ref[idx]) ** 2,
+                                                      rel=1e-12)
 
 
 def test_mmd_brute_force_equivalence():

@@ -54,7 +54,7 @@ def test_fused_row_means_match_row_mean_pass(monkeypatch, name):
         x = rng.normal(size=(n, 1 + m % 3))
         cfg = ThinningConfig(m=m, seed=m)
         for k_split, k_target in ((k, k), (k, k.scaled(3)),
-                                  (kn.identity_perturbed(k, 0.5), k.scaled(3))):
+                                  (kn.IdentityPerturbedKernel(k, 0.5), k.scaled(3))):
             got = _captured_row_mean(monkeypatch, k_split, k_target, x, cfg)
             want = kernel_row_means(k_target, x)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -63,7 +63,8 @@ def test_fused_row_means_match_row_mean_pass(monkeypatch, name):
 def test_other_split_kernels_keep_the_row_mean_pass(monkeypatch):
     x = np.random.default_rng(3).normal(size=(65, 2))
     cfg = ThinningConfig(m=2, seed=3)
-    for k_split in (kn.gauss(2.0), kn.laplace(1.3), kn.identity_perturbed(kn.gauss(2.0))):
+    for k_split in (kn.gauss(2.0), kn.laplace(1.3),
+                    kn.IdentityPerturbedKernel(kn.gauss(2.0))):
         assert _captured_row_mean(monkeypatch, k_split, kn.gauss(1.3), x, cfg) is None
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from kthin import harness
 from kthin import kernels as kn
+from kthin.discrepancy import mmd_points
 from kthin.harness import (
     ExperimentPlan,
     RateReport,
@@ -73,9 +74,12 @@ def test_plan_json_defaults_and_exact_form():
         '"test_functions": [], "metrics": ["mmd_input", "mmd_surrogate"], '
         '"surrogate_size": 32768}'
     )
-    # int and float fields are converted: an integral delta is written as a float
-    again = ExperimentPlan.from_json_dict({**plan.to_json_dict(), "delta": 1, "replicates": 2.0})
-    assert again.to_json_dict()["delta"] == 1.0 and again.replicates == 2
+    # int and float fields are converted: an integral alpha is written as a
+    # float (delta, the plan's own float, lies in (0, 1), so no integer is one)
+    again = ExperimentPlan.from_json_dict({**plan.to_json_dict(), "replicates": 2.0,
+                                           "variants": [{"name": "powerkt", "alpha": 1}]})
+    assert json.dumps(again.to_json_dict()["variants"]) == '[{"name": "powerkt", "alpha": 1.0}]'
+    assert again.replicates == 2
 
 
 @pytest.mark.parametrize("change, named", [
@@ -109,6 +113,19 @@ def test_plan_json_rejects_malformed_specs(change, named):
     obj = {**small_plan().to_json_dict(), **change}
     with pytest.raises(ValueError, match=named):
         ExperimentPlan.from_json_dict(obj)
+
+
+def test_plan_checks_its_numbers_when_built():
+    # delta 1.5 once failed only after the surrogate self-term, replicates
+    # 2.5 only in range(), and seed 1.5 and replicates True ran
+    for change, named in (({"delta": 1.5}, "delta must lie in"), ({"delta": 0}, "delta must"),
+                          ({"seed": 1.5}, "seeds and stream keys must be integers"),
+                          ({"replicates": 2.5}, "expected an integer, got 2.5"),
+                          ({"replicates": True}, "expected an integer, got True"),
+                          ({"surrogate_size": False}, "expected an integer, got False")):
+        with pytest.raises(ValueError, match=named):
+            small_plan(**change)
+    assert type(small_plan(replicates=2.0).replicates) is int
 
 
 def test_plan_json_must_be_an_object_with_target_and_kernel():
@@ -291,6 +308,25 @@ def test_surrogate_metric_and_determinism():
     b = run_experiment(plan)
     assert a.curve("targetkt", "mmd_surrogate") == b.curve("targetkt", "mmd_surrogate")
     assert all(r["mean"] > 0 for r in a.curve("standard", "mmd_surrogate"))
+
+
+def test_mmd_input_records_match_mmd_points(monkeypatch, tmp_path):
+    # mmd_input's cross term is a lookup in the input's row means: each
+    # record against the uncached MMD of the coreset it measured
+    want = []
+
+    def thin(variant, k, points, cfg, _inner=harness._thin):
+        coreset = _inner(variant, k, points, cfg)
+        want.append(mmd_points(k, points, points[coreset.indices]))
+        return coreset
+
+    monkeypatch.setattr(harness, "_thin", thin)
+    plan = small_plan(variants=(Variant("standard"), Variant("targetkt"), Variant("rootkt")))
+    run_experiment(plan, out_dir=str(tmp_path))
+    with open(tmp_path / "raw.csv") as fh:
+        got = [float(row["value"]) for row in csv.DictReader(fh)]
+    assert len(got) == len(want) == 18
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_integration_error_metrics():

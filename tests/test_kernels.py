@@ -280,7 +280,7 @@ def test_sum_kernel_checks():
 @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0, -1.0])
 def test_identity_weight_must_be_finite_and_positive(weight):
     with pytest.raises(kn.KernelError, match="identity weight"):
-        kn.identity_perturbed(kn.gauss(1.0), weight)
+        kn.IdentityPerturbedKernel(kn.gauss(1.0), weight)
 
 
 def test_gram_reads_one_dimensional_input_as_a_column():

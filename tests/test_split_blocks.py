@@ -19,7 +19,7 @@ from test_split_oracle import oracle_split
 KERNELS = {
     "gauss": kn.gauss(1.0),
     "laplace": kn.laplace(0.7),
-    "perturbed": kn.identity_perturbed(kn.gauss(0.8), weight=0.25),
+    "perturbed": kn.IdentityPerturbedKernel(kn.gauss(0.8), weight=0.25),
 }
 
 

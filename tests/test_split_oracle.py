@@ -117,7 +117,7 @@ def _family_kernel(family, d, gen):
         return kn.kernel_sum(kn.gauss(u), kn.laplace(2.0 * u, scale=0.5))
     if family == "ktplus":
         return kn.ktplus_kernel(kn.laplace(u), kn.matern(d / 2.0 + 0.125, 1.0 / u))
-    return kn.identity_perturbed(kn.gauss(u), weight=float(gen.choice([1.0, 0.25])))
+    return IdentityPerturbedKernel(kn.gauss(u), weight=float(gen.choice([1.0, 0.25])))
 
 
 FAMILIES = ("gauss", "laplace", "matern", "imq", "sinc", "bspline", "sum", "ktplus", "perturbed")

@@ -549,7 +549,7 @@ def test_coreset_serialization():
 def test_identity_perturbed_split_runs():
     x = gauss_points(48, 32)
     cfg = ThinningConfig(m=1, seed=14)
-    k_split = kn.identity_perturbed(K, weight=0.25)
+    k_split = kn.IdentityPerturbedKernel(K, weight=0.25)
     assert k_split.sup_norm() == 1.25
     out = generalized_kt(k_split, K, x, cfg)
     assert len(out) == 16

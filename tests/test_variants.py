@@ -105,5 +105,5 @@ def test_plan_json_runs_generalized_with_a_split_kernel():
 def test_a_plan_rejects_a_split_kernel_plan_json_cannot_hold():
     # report.json writes the plan back out, and plan.json has no identity perturbation
     with pytest.raises(ValueError, match="split kernel must be a KernelSpec"):
-        ExperimentPlan(target=MogTarget(4), kernel=K, sizes=(16,),
-                       variants=(Variant("generalized", split_kernel=kn.identity_perturbed(K)),))
+        ExperimentPlan(target=MogTarget(4), kernel=K, sizes=(16,), variants=(
+            Variant("generalized", split_kernel=kn.IdentityPerturbedKernel(K)),))
