@@ -227,8 +227,8 @@ class SwapCache(Reference):
         coreset: np.ndarray,
         row_mean: np.ndarray | None = None,
     ):
+        self.coreset = _as_indices(coreset, len(_as_points(points)))  # before the row means
         super().__init__(k, points, row_mean)
-        self.coreset = _as_indices(coreset, len(self.points))
         # every family attains its sup-norm on the diagonal, bitwise equal to
         # the Gram-path value at z = 0
         self.diag = np.full(len(self.points), k.sup_norm())

@@ -331,7 +331,12 @@ def test_swap_delta_incumbent_is_exactly_zero():
         assert mmd_swap_delta(cache, pos, int(cache.coreset[pos])) == 0.0
 
 
-def test_swap_cache_rejects_malformed_coreset():
+def test_swap_cache_rejects_malformed_coreset(monkeypatch):
+    # ahead of the O(n^2) row-mean pass
+    def no_row_means(k, points):
+        raise AssertionError("row means computed before the coreset check")
+
+    monkeypatch.setattr(discrepancy, "kernel_row_means", no_row_means)
     pts = np.random.default_rng(7).normal(size=(30, 2))
     for bad in ([-3], [30], [1.0, 2.0], [[1, 2]], [True]):
         with pytest.raises(ValueError, match=r"entries in \[0, 30\)"):
