@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, _as_points, gauss_power_exact, gram
+from .kernels import KernelSpec, _as_points, _check_alpha, gauss_power_exact, gram
 
 # a kernel sum evaluates strips of at most _ROWS x _COLS entries, 1 MB
 _ROWS = 32
@@ -295,7 +295,6 @@ def check_interpolation(
     p: DiscreteMeasure,
     q: DiscreteMeasure,
     alpha: float,
-    slack: float = 1e-10,
 ) -> dict:
     """Evaluate MMD_k <= MMD_{k_alpha}^(2 - 1/alpha) * MMD_{k_2alpha}^(1/alpha - 1).
 
@@ -303,15 +302,14 @@ def check_interpolation(
     not invariant to rescaling the three kernels independently); for the
     Gaussian family use `gauss_interpolation_triple`.
 
-    Returns a dict {"lhs", "rhs", "holds"} with holds = lhs <= rhs + slack.
+    Returns a dict {"lhs", "rhs", "holds"} with holds = lhs <= rhs + 1e-10.
     """
-    if not 0.5 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [1/2, 1], got {alpha}")
+    _check_alpha(alpha)
     lhs = mmd(k, p, q)
     m_a = mmd(k_alpha, p, q)
     m_2a = mmd(k_2alpha, p, q)
     rhs = m_a ** (2.0 - 1.0 / alpha) * m_2a ** (1.0 / alpha - 1.0)
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + slack)}
+    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-10)}
 
 
 def gauss_interpolation_triple(

@@ -19,7 +19,6 @@ import functools
 import io
 import json
 import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from .discrepancy import Reference, _clamped_sqrt, _quadratic_form  # noqa: F401
 from .kernels import (  # noqa: F401
     KernelSpec,
     NoClosedFormPowerError,
-    _as_number,
+    _read_fields,
     from_json_dict as kernel_from_json_dict,
     gram,
 )
@@ -90,16 +89,15 @@ class ExperimentPlan:
     surrogate_size: int = 2 ** 15
 
     def __post_init__(self):
+        _read_fields(self)
         if not self.variants or not self.sizes:
             raise ValueError("a plan needs at least one variant and one size")
         for n in self.sizes:
-            if not (isinstance(n, numbers.Integral) and n > 0 and 4 ** _depth_for(n) == n):
+            if not (n > 0 and 4 ** _depth_for(n) == n):
                 raise ValueError(f"size {n!r} is not a power of 4; output size sqrt(n) undefined")
-        for key in ("replicates", "surrogate_size"):
-            object.__setattr__(self, key, _as_number(getattr(self, key), int))
         if self.replicates < 1 or self.surrogate_size < 1:
             raise ValueError("replicates and surrogate_size must be >= 1")
-        ThinningConfig(seed=self.seed, delta=self.delta)  # its checks, before any cell runs
+        ThinningConfig(delta=self.delta)  # its delta check, before any cell runs
         if self.bandwidth_rule not in ("fixed", "sqrt2d", "median"):
             raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
         if self.aggregate not in ("mean", "median"):

@@ -35,7 +35,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -118,8 +118,7 @@ class KernelSpec:
         width, becomes `length` if it is sigma and 1 / length if it is gamma
         or theta; each component of a sum is rescaled alike.  Shape
         parameters (nu, beta) and scale multipliers are kept."""
-        if not length > 0:
-            raise KernelError(f"length scale must be positive, got {length}")
+        length = _number_in(length, float, lambda x: x > 0, "length scale must be finite and > 0")
         if self.family == "sum":
             comps = tuple(c.with_lengthscale(length) for c in self.components)
             return KernelSpec("sum", (), self.scale, comps)
@@ -189,21 +188,13 @@ _PARAM_NAMES = {
 
 
 def _checked(family: str, name: str, value):
-    """Parameter `name` as a float (beta as an int) if `_as_number` reads it
-    as a finite number, theta != 0, 0 <= beta <= _BSPLINE_MAX_BETA (0, the
-    triangle kernel, is a power of bspline(1, .)), and the scale or any other
-    parameter > 0."""
-    try:
-        number = _as_number(value, int if name == "beta" else float)
-        in_domain = (number != 0 if name == "theta" else
-                     0 <= number <= _BSPLINE_MAX_BETA if name == "beta" else number > 0)
-    except ValueError:
-        in_domain = False
-    if not in_domain:
-        rule = {"theta": "!= 0",
-                "beta": f"an integer from 0 to {_BSPLINE_MAX_BETA}"}.get(name, "> 0")
-        raise KernelError(f"{family} kernel {name} must be finite and {rule}, got {value!r}")
-    return number
+    """Parameter `name`, or the scale, read by `_number_in`: beta is an int
+    (0, the triangle kernel, is a power of bspline(1, .)), the others floats."""
+    rule, in_domain = {"theta": ("!= 0", lambda x: x != 0), "beta": (
+        f"an integer from 0 to {_BSPLINE_MAX_BETA}", lambda x: 0 <= x <= _BSPLINE_MAX_BETA),
+    }.get(name, ("> 0", lambda x: x > 0))
+    return _number_in(value, int if name == "beta" else float, in_domain,
+                      f"{family} kernel {name} must be finite and {rule}")
 
 
 def gauss(sigma: float, scale: float = 1.0) -> KernelSpec:
@@ -500,15 +491,16 @@ def _as_points(x) -> np.ndarray:
 
 
 def _as_number(value, kind: type = float):
-    """value as a float, or as an int for kind int, if it is a finite JSON
-    number.
+    """value as a Python float, or a Python int for kind int, if it is a
+    finite JSON number; every spec number is read here.
 
-    Every numeric field of a kernel, target, plan or variant JSON object is
-    read here: a float field takes any finite number, an int field an
-    integer or a whole-number float (2.0 reads as 2).  A bool, a string, NaN,
-    an infinity, a number past the float range, or a fractional value for an
-    int is a ValueError.
+    A float takes any finite number, an int any integer (past the float
+    range too, so large seeds wrap) or a whole-number float (2.0 reads as 2).
+    A bool, a string, NaN, an infinity, a float past the float range, or a
+    fractional value for an int is a ValueError.
     """
+    if kind is int and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
     try:
         # compared as a Python float: a numpy float32 compared with the float
         # range would cast its bound to float32 (inf) and warn
@@ -520,6 +512,37 @@ def _as_number(value, kind: type = float):
         raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}, "
                          f"got {value!r}")
     return kind(value)
+
+
+def _number_in(value, kind: type, in_domain, rule: str, error: type = KernelError):
+    """value as `_as_number` reads it as kind, if in_domain holds of that;
+    else error("<rule>, got <value>").  Reads the spec numbers outside dataclasses."""
+    try:
+        number = _as_number(value, kind)
+        valid = in_domain(number)
+    except ValueError:
+        valid = False
+    if not valid:
+        raise error(f"{rule}, got {value!r}")
+    return number
+
+
+def _read_fields(spec) -> None:
+    """Read the frozen dataclass instance spec's fields in place as plan.json does: a
+    `tuple[...]` field becomes a tuple, and each value of an int or float field (in a tuple
+    too) goes through `_as_number`.  A rejected value is a ValueError naming the key."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        kind = {"int": int, "float": float, "float | None": float,
+                "tuple[int, ...]": int}.get(f.type)
+        try:
+            if f.type.startswith("tuple"):
+                value = tuple(_as_number(v, kind) if kind else v for v in value)
+            elif kind and not (value is None and f.type.endswith("None")):
+                value = _as_number(value, kind)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{type(spec).__name__} spec key {f.name!r}: {exc}") from exc
+        object.__setattr__(spec, f.name, value)
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -666,8 +689,8 @@ def power_kernel(k: KernelSpec, alpha: float, dim: int | None = None) -> PowerKe
         order is not an even non-negative integer).
     """
     _check_alpha(alpha)
-    if dim is not None and not (isinstance(dim, numbers.Integral) and dim >= 1):
-        raise KernelError(f"power_kernel dim must be an integer >= 1, got {dim!r}")
+    if dim is not None:
+        dim = _number_in(dim, int, lambda d: d >= 1, "power_kernel dim must be an integer >= 1")
     if alpha == 1.0:
         return PowerKernelPair(k, k, 1.0)
     fam = k.family
@@ -707,10 +730,8 @@ def power_kernel(k: KernelSpec, alpha: float, dim: int | None = None) -> PowerKe
 
 
 def _check_alpha(alpha: float) -> None:
-    """Raise KernelError unless alpha, a power kernel's exponent, is a number
-    in [1/2, 1]; as in `_as_number`, a bool is not a number."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.5 <= alpha <= 1.0:
-        raise KernelError(f"alpha must lie in [1/2, 1], got {alpha!r}")
+    """Raise KernelError unless alpha, a power kernel's exponent, is a number in [1/2, 1]."""
+    _number_in(alpha, float, lambda a: 0.5 <= a <= 1.0, "alpha must lie in [1/2, 1]")
 
 
 def ktplus_kernel(k: KernelSpec, k_alpha: KernelSpec) -> KernelSpec:
@@ -729,8 +750,7 @@ def gauss_power_exact(sigma: float, exponent: float, dim: int) -> KernelSpec:
     gives sigma^(t d) exp(-t sigma^2 w^2 / 2), the transform of
     sigma^((t-1) d) t^(-d/2) * gauss(sigma sqrt(t)).  Any t > 0 is valid.
     """
-    if exponent <= 0:
-        raise KernelError(f"exponent must be positive, got {exponent}")
+    exponent = _number_in(exponent, float, lambda t: t > 0, "exponent must be positive")
     scale = sigma ** ((exponent - 1.0) * dim) * exponent ** (-dim / 2.0)
     return gauss(sigma * math.sqrt(exponent), scale=scale)
 
@@ -747,10 +767,9 @@ class IdentityPerturbedKernel:
     """
 
     def __init__(self, base: KernelSpec, weight: float = 1.0):
-        if not 0.0 < weight < math.inf:
-            raise KernelError(f"identity weight must be finite and positive, got {weight}")
         self.base = base
-        self.weight = float(weight)
+        self.weight = _number_in(weight, float, lambda w: w > 0,
+                                 "identity weight must be finite and positive")
 
     def sup_norm(self) -> float:
         """1 + weight, attained on the diagonal."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import numbers
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .kernels import KernelSpec, _as_number, _as_points, gram
+from .kernels import KernelSpec, _as_points, _number_in, _read_fields, gram
 from .thinning import anchored_stride
 
 MOG_MEANS = np.array(
@@ -55,7 +54,8 @@ class GaussTarget:
     d: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.d, numbers.Integral) or self.d < 1:
+        _read_fields(self)
+        if self.d < 1:
             raise ValueError(f"gauss target dimension d must be an integer >= 1, got {self.d!r}")
 
     @property
@@ -74,6 +74,7 @@ class MogTarget:
     components: int = 8
 
     def __post_init__(self):
+        _read_fields(self)
         if self.components not in (4, 6, 8):
             raise ValueError(f"mixture supports 4, 6, or 8 components, got {self.components}")
 
@@ -105,6 +106,7 @@ class ExternalTarget:
     holdout_fraction: float = 0.5
 
     def __post_init__(self):
+        _read_fields(self)
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -147,12 +149,11 @@ def _thin_to(points: np.ndarray, size: int) -> np.ndarray:
 def fields_from_json(cls, obj, **parse):
     """An instance of the dataclass cls from a JSON object keyed by its fields.
 
-    An absent key keeps its default, `int` and `float` fields (`float | None`
-    included) are read by `kernels._as_number`, arrays become tuples, and
-    `parse` maps a field name to the reader of its value (of each element,
-    for an array).  Anything else -- a value that is not an object, an
-    unknown or missing required key, a value that does not convert -- raises
-    ValueError naming the key.
+    An absent key keeps its default, only `tuple[...]` fields take arrays,
+    and `parse` maps a field name to the reader of its value (of each
+    element, for an array); cls reads its own numbers (`kernels._read_fields`).
+    A value that is not an object, an unknown or missing required key, or a
+    value that does not convert raises ValueError naming the key.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} spec must be a JSON object, got {obj!r}")
@@ -166,12 +167,11 @@ def fields_from_json(cls, obj, **parse):
             raise ValueError(f"{cls.__name__} spec has unknown key {key!r}; "
                              f"its keys are {list(fields)}")
         array = fields[key].type.startswith("tuple")
-        kind = {"int": int, "float": float, "float | None": float}.get(fields[key].type)
-        read = parse.get(key) or (functools.partial(_as_number, kind=kind) if kind else lambda v: v)
+        read = parse.get(key, lambda v: v)
         try:
             if array != isinstance(value, list):
                 raise ValueError(f"expected {'an array' if array else 'no array'}, got {value!r}")
-            kwargs[key] = tuple(map(read, value)) if array else read(value)
+            kwargs[key] = list(map(read, value)) if array else read(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{cls.__name__} spec key {key!r}: {exc}") from exc
     return cls(**kwargs)
@@ -222,11 +222,11 @@ def ingest(path: str, format: str = "csv", burn_in: int = 0) -> np.ndarray:
 
     Raises:
       IngestError: missing file, malformed rows, inconsistent width, a
-        negative burn_in, no rows or columns left, or NaN cells (reported
-        with their row and column after burn-in).
+        burn_in that is not an integer >= 0, no rows or columns left, or
+        NaN cells (reported with their row and column after burn-in).
     """
-    if burn_in < 0:
-        raise IngestError(f"burn_in must be >= 0, got {burn_in}")
+    burn_in = _number_in(burn_in, int, lambda b: b >= 0, "burn_in must be >= 0 and an integer",
+                         IngestError)
     if format == "csv":
         data = _read_csv(path)
     elif format == "bin":
@@ -340,11 +340,11 @@ def moment2() -> TestFunction:
 # bandwidth rules
 # ---------------------------------------------------------------------------
 
-def median_heuristic_bandwidth(points, seed: int = 0) -> float:
+def median_heuristic_bandwidth(points) -> float:
     """Median pairwise Euclidean distance.
 
     Exact for n <= 4096; larger sets use 2^20 uniformly sampled pairs
-    (seeded, deterministic).  Input is read by `kernels._as_points`.
+    (seed 0, deterministic).  Input is read by `kernels._as_points`.
     """
     points = _as_points(points)
     n = len(points)
@@ -354,7 +354,7 @@ def median_heuristic_bandwidth(points, seed: int = 0) -> float:
         from scipy.spatial.distance import pdist
 
         return float(np.median(pdist(points)))
-    gen = rng.substream(seed, 303)
+    gen = rng.substream(0, 303)
     pairs = 2 ** 20
     i = gen.integers(0, n, size=pairs)
     j = gen.integers(0, n - 1, size=pairs)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -53,9 +52,9 @@ from .kernels import (  # noqa: F401
     IdentityPerturbedKernel,
     KernelSpec,
     KernelError,
-    _as_number,
     _as_points,
     _check_alpha,
+    _read_fields,
     evaluate,
     gram,
     gram_rows,
@@ -72,9 +71,9 @@ class ThinningConfig:
     round i = 1..floor(n/2) the budget delta_i = delta / n (it needs the
     input length up front); "oblivious" gives
     delta_i = m * delta / (2^(m+2) * (i+1) * log^2(i+1)), valid for any
-    stopping time.  The seed must be an integer; negative and large ones wrap
-    modulo 2^64.  Kernels are passed to the thinning operations directly
-    rather than stored here.
+    stopping time.  m and the seed are integers, read as in plan.json (2.0
+    reads as 2); a negative or large seed wraps modulo 2^64.  Kernels are
+    passed to the thinning operations directly rather than stored here.
     """
 
     m: int = 1
@@ -83,19 +82,13 @@ class ThinningConfig:
     delta_rule: str = "known_n"
 
     def __post_init__(self):
-        # m and delta are read as JSON numbers are: a bool, a string or a
-        # non-finite value fails here, naming its field
-        m = _number(self.m, int) if isinstance(self.m, numbers.Integral) else None
-        if m is None or m < 1:
+        _read_fields(self)
+        if self.m < 1:
             raise ValueError(f"thinning depth m must be an integer >= 1, got {self.m!r}")
-        rng._as_u64(self.seed)
         if self.delta_rule not in ("known_n", "oblivious"):
             raise ValueError(f"unknown delta rule {self.delta_rule!r}")
-        delta = _number(self.delta, float)
-        if delta is None or not 0.0 < delta < 1.0:
+        if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "delta", delta)
 
     def deltas(self, n: int) -> list[float]:
         """[delta_1, ..., delta_floor(n/2)] for an input of n points."""
@@ -104,14 +97,6 @@ class ThinningConfig:
         m = self.m
         return [m * self.delta / (2 ** (m + 2) * (i + 1) * math.log(i + 1) ** 2)
                 for i in range(1, n // 2 + 1)]
-
-
-def _number(value, kind: type):
-    """value through `kernels._as_number`, or None where that rejects it."""
-    try:
-        return _as_number(value, kind)
-    except ValueError:
-        return None
 
 
 @dataclass
@@ -464,6 +449,7 @@ class Variant:
     split_kernel: KernelSpec | IdentityPerturbedKernel | None = None
 
     def __post_init__(self):
+        _read_fields(self)
         if self.name not in VARIANTS:
             raise ValueError(f"unknown variant {self.name!r}; expected one of {list(VARIANTS)}")
         _, takes_alpha, takes_split_kernel, _ = VARIANTS[self.name]
@@ -475,7 +461,6 @@ class Variant:
             raise KernelError(f"variant {self.name} takes no split kernel")
         if self.alpha is not None:
             _check_alpha(self.alpha)
-            object.__setattr__(self, "alpha", float(self.alpha))
         elif self.split_kernel is None and takes_split_kernel:
             raise KernelError(f"variant {self.name} requires "
                               f"{'an alpha or ' if takes_alpha else ''}an explicit split kernel")

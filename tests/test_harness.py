@@ -44,9 +44,12 @@ def small_plan(**overrides):
 def test_plan_rejects_non_power_of_four_sizes():
     with pytest.raises(ValueError, match="power of 4"):
         small_plan(sizes=(16, 32))
-    for sizes in ((16.0,), (0,), (-16,)):
+    for sizes in ((0,), (-16,)):
         with pytest.raises(ValueError, match="power of 4"):
             small_plan(sizes=sizes)
+    # a whole-number float reads as its integer, as it does in plan.json
+    assert small_plan(sizes=(16.0,)).sizes == (16,)
+    assert type(small_plan(sizes=(16.0,)).sizes[0]) is int
 
 
 def test_plan_json_round_trip():
@@ -94,7 +97,7 @@ def test_plan_json_defaults_and_exact_form():
     ({"variants": [{"name": ["rootkt"]}]}, "key 'variants'"),
     ({"variants": "standard"}, "key 'variants'"),
     ({"sizes": 16}, "key 'sizes'"),
-    ({"sizes": ["16"]}, "power of 4"),
+    ({"sizes": ["16"]}, "key 'sizes'"),
     ({"replicates": None}, "key 'replicates'"),
     ({"seed": [1]}, "key 'seed'"),
     ({"surrogate_size": 0}, "surrogate_size must be >= 1"),
@@ -119,7 +122,7 @@ def test_plan_checks_its_numbers_when_built():
     # delta 1.5 once failed only after the surrogate self-term, replicates
     # 2.5 only in range(), and seed 1.5 and replicates True ran
     for change, named in (({"delta": 1.5}, "delta must lie in"), ({"delta": 0}, "delta must"),
-                          ({"seed": 1.5}, "seeds and stream keys must be integers"),
+                          ({"seed": 1.5}, "key 'seed': expected an integer, got 1.5"),
                           ({"replicates": 2.5}, "expected an integer, got 2.5"),
                           ({"replicates": True}, "expected an integer, got True"),
                           ({"surrogate_size": False}, "expected an integer, got False")):

@@ -133,7 +133,10 @@ def test_negative_burn_in_rejected(tmp_path):
 
 @pytest.mark.parametrize("d", [0, -1, 2.5, "2"])
 def test_gauss_target_dimension_must_be_a_positive_integer(d):
-    with pytest.raises(ValueError, match="dimension d must be an integer >= 1"):
+    # an integer out of range fails the range rule; anything else fails the
+    # field reader, which names the key
+    named = "dimension d must be an integer >= 1" if isinstance(d, int) else "spec key 'd'"
+    with pytest.raises(ValueError, match=named):
         GaussTarget(d)
 
 

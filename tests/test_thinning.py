@@ -93,18 +93,21 @@ def test_delta_schedules():
 def test_config_validation_and_round_trip():
     with pytest.raises(ValueError):
         ThinningConfig(m=0)
-    for m in (2.0, "2", None):
-        with pytest.raises(ValueError, match="integer"):
+    for m in ("2", None, 2.5):
+        with pytest.raises(ValueError, match="key 'm': expected an integer"):
             ThinningConfig(m=m)
-    assert ThinningConfig(m=np.int64(2)).m == 2
-    # a seed that is not an integer fails when the config is built, instead
-    # of being truncated to one that is
-    for seed in (1.7, 1.0, True, "1", None, np.float64(1.0)):
-        with pytest.raises(ValueError, match="must be integers"):
+    # m and the seed are read as plan.json reads them: a whole-number float is
+    # an integer, and any other value that is not an integer fails when the
+    # config is built, instead of being truncated to one that is
+    for cfg in (ThinningConfig(m=np.int64(2), seed=np.float64(1.0)),
+                ThinningConfig(m=2.0, seed=1.0)):
+        assert (cfg.m, cfg.seed) == (2, 1) and (type(cfg.m), type(cfg.seed)) == (int, int)
+    for seed in (1.7, True, "1", None):
+        with pytest.raises(ValueError, match="key 'seed': expected an integer"):
             ThinningConfig(seed=seed)
-    # integer seeds of any size wrap modulo 2^64
+    # integer seeds of any size, past the float range too, wrap modulo 2^64
     x = gauss_points(49, 16)
-    for seed, wrapped in ((-1, 2 ** 64 - 1), (2 ** 64 + 3, np.uint64(3))):
+    for seed, wrapped in ((-1, 2 ** 64 - 1), (2 ** 64 + 3, np.uint64(3)), (2 ** 1100 + 3, 3)):
         a = target_kt(K, x, ThinningConfig(m=2, seed=seed))
         b = target_kt(K, x, ThinningConfig(m=2, seed=wrapped))
         assert np.array_equal(a.indices, b.indices)
@@ -114,10 +117,10 @@ def test_config_reads_m_and_delta_as_numbers():
     # a bool is not a depth, nor a string or a bool a probability: each
     # fails naming its field
     for m in (True, False):
-        with pytest.raises(ValueError, match="thinning depth m"):
+        with pytest.raises(ValueError, match="ThinningConfig spec key 'm': expected an integer"):
             ThinningConfig(m=m)
     for delta in ("0.5", True, float("nan"), None):
-        with pytest.raises(ValueError, match="delta must lie in"):
+        with pytest.raises(ValueError, match="key 'delta': expected a finite number"):
             ThinningConfig(delta=delta)
     cfg = ThinningConfig(m=np.int64(3), delta=np.float64(0.25))
     assert (type(cfg.m), type(cfg.delta)) == (int, float)
@@ -134,7 +137,7 @@ def test_numbers_read_without_warnings():
     for value in (np.float32("inf"), np.float32("nan"), float("nan"), 10 ** 400, -10 ** 400):
         with pytest.raises(ValueError, match="expected a finite number"):
             kn._as_number(value)
-        with pytest.raises(ValueError, match="delta must lie in"):
+        with pytest.raises(ValueError, match="key 'delta': expected a finite number"):
             ThinningConfig(delta=value)
 
 
