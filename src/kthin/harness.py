@@ -22,6 +22,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -82,10 +83,10 @@ class ExperimentPlan:
     replicates: int = 10
     delta: float = 0.5  # delta_i = delta / n
     seed: int = 0
-    bandwidth_rule: str = "fixed"  # fixed | sqrt2d | median
-    aggregate: str = "mean"  # mean | median
-    test_functions: tuple[str, ...] = ()
-    metrics: tuple[str, ...] = ("mmd_input", "mmd_surrogate")
+    bandwidth_rule: Literal["fixed", "sqrt2d", "median"] = "fixed"
+    aggregate: Literal["mean", "median"] = "mean"
+    test_functions: tuple[Literal[tuple(_TEST_FUNCTIONS)], ...] = ()
+    metrics: tuple[Literal["mmd_input", "mmd_surrogate"], ...] = ("mmd_input", "mmd_surrogate")
     surrogate_size: int = 2 ** 15
 
     def __post_init__(self):
@@ -98,16 +99,6 @@ class ExperimentPlan:
         if self.replicates < 1 or self.surrogate_size < 1:
             raise ValueError("replicates and surrogate_size must be >= 1")
         ThinningConfig(delta=self.delta)  # its delta check, before any cell runs
-        if self.bandwidth_rule not in ("fixed", "sqrt2d", "median"):
-            raise ValueError(f"unknown bandwidth rule {self.bandwidth_rule!r}")
-        if self.aggregate not in ("mean", "median"):
-            raise ValueError(f"unknown aggregate {self.aggregate!r}")
-        for name in self.test_functions:
-            if name not in _TEST_FUNCTIONS:
-                raise ValueError(f"unknown test function {name!r}")
-        for name in self.metrics:
-            if name not in ("mmd_input", "mmd_surrogate"):
-                raise ValueError(f"unknown metric {name!r}")
         # report.json writes the plan back as plan.json, which has no identity perturbation
         for v in self.variants:
             if v.split_kernel is not None and not isinstance(v.split_kernel, KernelSpec):
@@ -290,12 +281,14 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
     _aggregate(plan, runnable, metrics, records, report)
 
     if out_dir is not None:
+        # both texts before either file, so a failure leaves no partial output
+        raw = records_to_csv(records)
+        summary = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "raw.csv"), "w", encoding="utf-8", newline="") as fh:
-            fh.write(records_to_csv(records))
+            fh.write(raw)
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(summary)
     return report
 
 

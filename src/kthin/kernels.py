@@ -34,8 +34,9 @@ import json
 import math
 import numbers
 import os
-import threading
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -324,46 +325,35 @@ def _cpu_count() -> int:
 def _chunked_kv(kv, a: float, t: np.ndarray) -> np.ndarray:
     """kv(a, t), over chunks of `_KV_CHUNK` entries on up to `_cpu_count()` threads.
 
-    The calling thread and its helpers each take the next chunk start from
-    one shared iterator, so a thread that runs faster takes more chunks.
-    `kv` is an elementwise ufunc that releases the GIL, so every value is
-    bitwise what one call gives.  The helpers are joined before this
-    returns; the first exception a helper raised is raised here.
+    The calling thread and its pool's helpers each take the next chunk start
+    from one shared iterator, so a faster thread takes more chunks.  `kv` is
+    an elementwise ufunc that releases the GIL, so every value is bitwise
+    what one call gives.  A thread that raises empties the iterator, so the
+    others stop at their next chunk; the caller's exception, else a helper's,
+    is raised here once the pool has shut down.
     """
     workers = min(_cpu_count(), -(-t.size // _KV_CHUNK))
     if workers < 2:
         return kv(a, t)
+    from concurrent.futures import ThreadPoolExecutor  # scipy.special has imported it
+
     res = np.empty_like(t)
     starts = iter(range(0, t.size, _KV_CHUNK))
-    errors: list[BaseException] = []
 
     def drain() -> None:
-        for i in starts:
-            if errors:
-                return
-            kv(a, t[i:i + _KV_CHUNK], out=res[i:i + _KV_CHUNK])
-
-    def helper() -> None:
         try:
-            drain()
-        except BaseException as exc:
-            errors.append(exc)
+            for i in starts:
+                kv(a, t[i:i + _KV_CHUNK], out=res[i:i + _KV_CHUNK])
+        except BaseException:
+            for _ in starts:  # the other threads find no chunk left
+                pass
+            raise
 
-    helpers = []
-    try:
-        for _ in range(workers - 1):
-            h = threading.Thread(target=helper, daemon=True)
-            h.start()
-            helpers.append(h)
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
         drain()
-    except BaseException as exc:
-        errors.append(exc)  # the helpers stop at their next chunk
-        raise
-    finally:
-        for h in helpers:
-            h.join()
-    if errors:
-        raise errors[0]
+    for h in helpers:
+        h.result()
     return res
 
 
@@ -527,22 +517,46 @@ def _number_in(value, kind: type, in_domain, rule: str, error: type = KernelErro
     return number
 
 
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _read_as(value, hint):
+    """value read as the type annotation hint, or a ValueError: `tuple[X, ...]`
+    takes any sequence but a string or a dict and reads each entry as X,
+    `Literal[...]` one of its values (an int one reads value as an int first),
+    int and float go through `_as_number`, `X | None` takes None too, and a
+    class takes an instance of it (a str subclass read as a plain str)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        if value is None and type(None) in args:
+            return None
+        args = tuple(a for a in args if a is not type(None))
+        return _read_as(value, args[0] if len(args) == 1 else args)
+    if origin is tuple:
+        if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
+            raise ValueError(f"expected an array, got {value!r}")
+        return tuple(_read_as(v, args[0]) for v in value)
+    if origin is typing.Literal:
+        value = _as_number(value, int) if isinstance(args[0], int) else value
+        if not any(isinstance(value, type(a)) and value == a for a in args):
+            raise ValueError(f"expected one of {list(args)}, got {value!r}")
+        return type(args[0])(value)
+    if hint in (int, float):
+        return _as_number(value, hint)
+    if not isinstance(value, hint):
+        names = " or ".join(c.__name__ for c in (hint if isinstance(hint, tuple) else (hint,)))
+        raise ValueError(f"expected {names}, got {value!r}")
+    return str(value) if isinstance(value, str) else value
+
+
 def _read_fields(spec) -> None:
-    """Read the frozen dataclass instance spec's fields in place as plan.json does: a
-    `tuple[...]` field becomes a tuple, and each value of an int or float field (in a tuple
-    too) goes through `_as_number`.  A rejected value is a ValueError naming the key."""
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        kind = {"int": int, "float": float, "float | None": float,
-                "tuple[int, ...]": int}.get(f.type)
+    """Read spec's fields in place by their annotations, or raise a ValueError naming the key."""
+    for name, hint in _type_hints(type(spec)).items():
         try:
-            if f.type.startswith("tuple"):
-                value = tuple(_as_number(v, kind) if kind else v for v in value)
-            elif kind and not (value is None and f.type.endswith("None")):
-                value = _as_number(value, kind)
+            value = _read_as(getattr(spec, name), hint)
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"{type(spec).__name__} spec key {f.name!r}: {exc}") from exc
-        object.__setattr__(spec, f.name, value)
+            raise ValueError(f"{type(spec).__name__} spec key {name!r}: {exc}") from exc
+        object.__setattr__(spec, name, value)
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

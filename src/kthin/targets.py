@@ -20,6 +20,7 @@ import functools
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -71,12 +72,10 @@ class GaussTarget:
 class MogTarget:
     """Equal-weight mixture of M unit-covariance Gaussians in the plane."""
 
-    components: int = 8
+    components: Literal[4, 6, 8] = 8
 
     def __post_init__(self):
         _read_fields(self)
-        if self.components not in (4, 6, 8):
-            raise ValueError(f"mixture supports 4, 6, or 8 components, got {self.components}")
 
     @property
     def dim(self) -> int:
@@ -101,7 +100,7 @@ class ExternalTarget:
     """
 
     path: str
-    format: str = "csv"
+    format: Literal["csv", "bin"] = "csv"
     burn_in: int = 0
     holdout_fraction: float = 0.5
 
@@ -149,11 +148,11 @@ def _thin_to(points: np.ndarray, size: int) -> np.ndarray:
 def fields_from_json(cls, obj, **parse):
     """An instance of the dataclass cls from a JSON object keyed by its fields.
 
-    An absent key keeps its default, only `tuple[...]` fields take arrays,
-    and `parse` maps a field name to the reader of its value (of each
-    element, for an array); cls reads its own numbers (`kernels._read_fields`).
-    A value that is not an object, an unknown or missing required key, or a
-    value that does not convert raises ValueError naming the key.
+    An absent key keeps its default, and `parse` maps a field name to the
+    reader of its value (of each element, for an array); cls reads the
+    result by its field annotations (`kernels._read_fields`).  A value that
+    is not an object, an unknown or missing required key, or a value that
+    does not convert raises ValueError naming the key.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__} spec must be a JSON object, got {obj!r}")
@@ -166,12 +165,9 @@ def fields_from_json(cls, obj, **parse):
         if key not in fields:
             raise ValueError(f"{cls.__name__} spec has unknown key {key!r}; "
                              f"its keys are {list(fields)}")
-        array = fields[key].type.startswith("tuple")
         read = parse.get(key, lambda v: v)
         try:
-            if array != isinstance(value, list):
-                raise ValueError(f"expected {'an array' if array else 'no array'}, got {value!r}")
-            kwargs[key] = list(map(read, value)) if array else read(value)
+            kwargs[key] = list(map(read, value)) if isinstance(value, list) else read(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{cls.__name__} spec key {key!r}: {exc}") from exc
     return cls(**kwargs)

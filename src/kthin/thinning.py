@@ -39,7 +39,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -79,14 +79,12 @@ class ThinningConfig:
     m: int = 1
     seed: int = 0
     delta: float = 0.5
-    delta_rule: str = "known_n"
+    delta_rule: Literal["known_n", "oblivious"] = "known_n"
 
     def __post_init__(self):
         _read_fields(self)
         if self.m < 1:
             raise ValueError(f"thinning depth m must be an integer >= 1, got {self.m!r}")
-        if self.delta_rule not in ("known_n", "oblivious"):
-            raise ValueError(f"unknown delta rule {self.delta_rule!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
 
@@ -444,14 +442,12 @@ class Variant:
     takes either needs one of them and checks a given alpha all the same.
     """
 
-    name: str
+    name: Literal[tuple(VARIANTS)]
     alpha: float | None = None
     split_kernel: KernelSpec | IdentityPerturbedKernel | None = None
 
     def __post_init__(self):
         _read_fields(self)
-        if self.name not in VARIANTS:
-            raise ValueError(f"unknown variant {self.name!r}; expected one of {list(VARIANTS)}")
         _, takes_alpha, takes_split_kernel, _ = VARIANTS[self.name]
         if self.alpha is not None and not takes_alpha:
             takers = " and ".join(name for name, e in VARIANTS.items() if e.takes_alpha)

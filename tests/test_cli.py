@@ -276,6 +276,29 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert json.loads(open(f"{out_dir}/report.json").read())["fits"]
 
 
+def test_experiment_prints_each_skipped_variant(tmp_path, capsys):
+    # imq has no closed-form power kernel, so powerkt is skipped and standard runs
+    plan = {
+        "target": {"kind": "mog", "components": 4},
+        "kernel": {"family": "imq", "params": {"nu": 0.5, "gamma": 2.0}},
+        "variants": [{"name": "standard"}, {"name": "powerkt", "alpha": 0.5}],
+        "sizes": [16, 64],
+        "replicates": 1,
+        "metrics": ["mmd_input"],
+    }
+    plan_path = str(tmp_path / "plan.json")
+    with open(plan_path, "w") as fh:
+        json.dump(plan, fh)
+    out_dir = str(tmp_path / "results")
+    with pytest.warns(UserWarning, match="skipping variant powerkt"):
+        assert main(["experiment", "--plan", plan_path, "--out-dir", out_dir]) == EXIT_OK
+    skipped = json.loads(open(f"{out_dir}/report.json").read())["skipped"]
+    assert [row["variant"] for row in skipped] == ["powerkt(a=0.5)"]
+    lines = capsys.readouterr().out.splitlines()
+    assert f"skipped powerkt(a=0.5): {skipped[0]['reason']}" in lines
+    assert any(line.startswith("standard|mmd_input: slope") for line in lines)
+
+
 @pytest.mark.parametrize("change, named", [
     ({"kernel": None}, "required key 'kernel'"),
     ({"replicate": 3}, "unknown key 'replicate'"),
@@ -295,6 +318,9 @@ def test_experiment_subcommand(tmp_path, capsys):
     ({"metrics": ["mmd_input", "mmd_input"]}, "key 'metrics' repeats 'mmd_input'"),
     # checked when the plan is read, not after the surrogate self-term
     ({"delta": 1.5}, "delta must lie in"),
+    # not at the first cell's ingest, with the data error exit code
+    ({"target": {"kind": "external", "path": "pts.csv", "format": "tsv"}},
+     "key 'format': expected one of ['csv', 'bin'], got 'tsv'"),
 ])
 def test_experiment_malformed_plan_is_constraint_error(tmp_path, capsys, change, named):
     plan = {

@@ -101,7 +101,7 @@ def test_plan_json_defaults_and_exact_form():
     ({"replicates": None}, "key 'replicates'"),
     ({"seed": [1]}, "key 'seed'"),
     ({"surrogate_size": 0}, "surrogate_size must be >= 1"),
-    ({"metrics": ["mmd_inptu"]}, "unknown metric 'mmd_inptu'"),
+    ({"metrics": ["mmd_inptu"]}, "key 'metrics'.*got 'mmd_inptu'"),
     ({"variants": []}, "at least one variant"),
     ({"sizes": []}, "at least one variant and one size"),
     # a repeated entry would pool its copies into one aggregated row
@@ -243,6 +243,19 @@ def test_run_writes_csv_and_report(tmp_path):
     blob = json.loads(open(os.path.join(out, "report.json")).read())
     assert set(blob) == {"plan", "rows", "fits", "skipped"}
     assert report.fits  # non-empty
+
+
+def test_a_report_that_fails_to_serialise_leaves_no_report_file(tmp_path, monkeypatch):
+    # report.json was opened before the report was serialised, so this left it empty
+    def failing(self):
+        raise RuntimeError("serialising failed")
+
+    monkeypatch.setattr(RateReport, "to_json_dict", failing)
+    out = tmp_path / "exp"
+    with pytest.raises(RuntimeError, match="serialising failed"):
+        run_experiment(small_plan(sizes=(16,)), out_dir=str(out))
+    assert not (out / "report.json").exists()
+    assert not (out / "raw.csv").exists()
 
 
 def test_raw_rows_and_report_rows_and_fits_keep_their_order(tmp_path):

@@ -192,6 +192,36 @@ def test_bessel_helper_exception_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_bessel_caller_exception_stops_the_helpers(monkeypatch):
+    import scipy.special
+
+    monkeypatch.setattr(kn, "_cpu_count", lambda: 2)
+    real_kv = scipy.special.kv
+    caller = threading.current_thread()
+    helper_started, caller_failed = threading.Event(), threading.Event()
+    helper_chunks = []
+
+    def failing_in_caller(a, x, out=None):
+        if threading.current_thread() is caller:
+            # fail while the helper holds a chunk, so it looks for its next one after
+            assert helper_started.wait(30)
+            caller_failed.set()
+            raise ArithmeticError("kv failed in the caller's chunk")
+        helper_chunks.append(len(x))
+        helper_started.set()
+        assert caller_failed.wait(30)
+        return real_kv(a, x, out=out)
+
+    monkeypatch.setattr(scipy.special, "kv", failing_in_caller)
+    before = threading.active_count()
+    t = np.random.default_rng(4).exponential(3.0, 40 * kn._KV_CHUNK)
+    with pytest.raises(ArithmeticError, match="caller's chunk"):
+        kn._matern_profile(0.125, t)
+    assert threading.active_count() == before
+    # the caller emptied the chunk iterator, so the helper stopped after its chunk
+    assert len(helper_chunks) <= 2
+
+
 @pytest.mark.parametrize("k, threads", [
     (kn.gauss(1.5), False),
     (kn.laplace(1.0), False),

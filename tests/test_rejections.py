@@ -11,7 +11,7 @@ from kthin.cli import EXIT_DATA, main
 from kthin.discrepancy import DiscreteMeasure, check_interpolation, gauss_interpolation_triple
 from kthin.harness import ExperimentPlan, fit_loglog
 from kthin.targets import ExternalTarget, IngestError, MogTarget, ingest
-from kthin.thinning import ThinningConfig, baseline_thin, generalized_kt, kt_swap
+from kthin.thinning import ThinningConfig, baseline_thin, generalized_kt, kt_split, kt_swap
 
 POINTS = np.random.default_rng(0).normal(size=(16, 2))
 CFG = ThinningConfig(m=2)
@@ -48,12 +48,14 @@ REJECTIONS = {
         EXIT_DATA, "is neither an existing file nor a JSON target spec"),
     "plan-bandwidth-rule": (
         lambda tmp: plan(bandwidth_rule="silverman"), ValueError,
-        "unknown bandwidth rule 'silverman'"),
+        r"^ExperimentPlan spec key 'bandwidth_rule': expected one of \['fixed', 'sqrt2d', "
+        r"'median'\], got 'silverman'"),
     "plan-aggregate": (
-        lambda tmp: plan(aggregate="mode"), ValueError, "unknown aggregate 'mode'"),
+        lambda tmp: plan(aggregate="mode"), ValueError,
+        r"^ExperimentPlan spec key 'aggregate': expected one of \['mean', 'median'\], got 'mode'"),
     "plan-test-function": (
         lambda tmp: plan(test_functions=("moment3",)), ValueError,
-        "unknown test function 'moment3'"),
+        r"^ExperimentPlan spec key 'test_functions': expected one of \[.*\], got 'moment3'"),
     "fit-one-point": (
         lambda tmp: fit_loglog([4.0], [1.0]), ValueError, "need at least two points to fit a rate"),
     "lengthscale-zero": (
@@ -108,7 +110,11 @@ REJECTIONS = {
         lambda tmp: ingest(truncated_bin_file(tmp), "bin"), IngestError,
         "expected 44 bytes for 2x2, found 36"),
     "generalized-split-not-a-kernel": (
-        lambda tmp: generalized_kt("gauss", kn.gauss(1.0), POINTS, CFG), kn.KernelError,
+        lambda tmp: generalized_kt("gauss", kn.gauss(1.0), POINTS, CFG), ValueError,
+        "^Variant spec key 'split_kernel': expected KernelSpec or IdentityPerturbedKernel, "
+        "got 'gauss'"),
+    "kt-split-not-a-kernel": (
+        lambda tmp: kt_split("gauss", POINTS, CFG), kn.KernelError,
         "unsupported split kernel type str"),
     "baseline-negative-m": (
         lambda tmp: baseline_thin(16, -1), ValueError, "m must be >= 0, got -1"),

@@ -1,9 +1,10 @@
 """Spec objects built in Python read their fields as plan.json does.
 
-Every spec class calls `kernels._read_fields` when it is built, so an
-instance holds plain Python numbers and tuples and reads back equal through
-its JSON form, and a value plan.json would reject fails at construction with
-a ValueError naming its key.
+Every spec class calls `kernels._read_fields` when it is built, which reads
+each field by its type annotation, so an instance holds plain Python
+numbers, strings and tuples and reads back equal through its JSON form, and
+a value plan.json would reject fails at construction with a ValueError
+naming its key.
 """
 
 import dataclasses
@@ -59,6 +60,39 @@ def test_spec_numbers_fail_naming_their_key_when_built(cls, kwargs):
         cls(**kwargs)
 
 
+PLAN = {"target": MogTarget(4), "kernel": kn.gauss(2.0)}
+
+
+@pytest.mark.parametrize("cls, kwargs, key", [
+    (ExperimentPlan, {**PLAN, "variants": (1, 2)}, "variants"),  # once an AttributeError
+    (ExperimentPlan, {**PLAN, "metrics": "mmd_input"}, "metrics"),  # once "unknown metric 'm'"
+    (ExperimentPlan, {**PLAN, "target": "mog"}, "target"),  # these once failed only later
+    (ExternalTarget, {"path": "x.csv", "format": "tsv"}, "format"),
+    (ExperimentPlan, {**PLAN, "aggregate": 5}, "aggregate"),
+    (ExperimentPlan, {**PLAN, "test_functions": "cif"}, "test_functions"),
+    (ExternalTarget, {"path": 3}, "path"),
+], ids=["variants-ints", "metrics-str", "target-str", "format-tsv", "aggregate-int",
+        "test-functions-str", "path-int"])
+def test_wrong_typed_values_fail_naming_their_key_when_built(cls, kwargs, key):
+    with pytest.raises(ValueError, match=f"^{cls.__name__} spec key '{key}': expected"):
+        cls(**kwargs)
+
+
+# a value for each field that has no default
+REQUIRED = {"target": MogTarget(4), "kernel": kn.gauss(2.0), "name": "powerkt", "path": "pts.csv"}
+
+
+@pytest.mark.parametrize("cls", [ThinningConfig, Variant, ExperimentPlan, GaussTarget,
+                                 MogTarget, ExternalTarget], ids=lambda cls: cls.__name__)
+def test_every_field_annotation_reads_its_default_unchanged(cls):
+    # an annotation the reader cannot read, such as dict[str, float], fails here
+    hints = kn._type_hints(cls)
+    for f in dataclasses.fields(cls):
+        value = REQUIRED[f.name] if f.default is dataclasses.MISSING else f.default
+        read = kn._read_as(value, hints[f.name])
+        assert type(read) is type(value) and read == value, (f.name, hints[f.name])
+
+
 # ---------------------------------------------------------------------------
 # properties: draw values the way Python callers pass them
 # ---------------------------------------------------------------------------
@@ -76,9 +110,11 @@ def sequences(elements, max_size=3):
     return st.one_of(drawn, drawn.map(tuple))
 
 
-VARIANTS = st.sampled_from([Variant("standard"), Variant("targetkt"), Variant("powerkt", 0.5)])
+VARIANTS = st.one_of(
+    st.sampled_from([Variant("standard"), Variant("targetkt"), Variant("powerkt", 0.5)]),
+    st.integers(0, 2))
 SIZES = st.one_of(sequences(numbers(st.sampled_from([4, 16, 32]))),
-                  st.lists(st.sampled_from([4, 16, 64]), max_size=3).map(np.array))
+                  st.lists(st.sampled_from([4, 16, 64]), max_size=3).map(np.array), st.just("16"))
 # each class; the strategies of the keys always drawn, then of those drawn or left out
 SPECS = [
     (ThinningConfig, {}, {"m": numbers(), "seed": numbers(st.integers(-2 ** 70, 2 ** 70)),
@@ -86,14 +122,19 @@ SPECS = [
                           "delta_rule": st.sampled_from(["known_n", "oblivious", "weekly"])}),
     (Variant, {"name": st.just("powerkt"), "alpha": numbers(floats=st.floats(0.4, 1.1))},
      {"split_kernel": st.sampled_from([None, kn.gauss(1.0)])}),
-    (ExperimentPlan, {"target": st.just(MogTarget(4)), "kernel": st.just(kn.gauss(2.0))},
-     {"variants": sequences(VARIANTS), "sizes": SIZES, "replicates": numbers(),
-      "delta": numbers(), "seed": numbers(), "surrogate_size": numbers(),
-      "metrics": sequences(st.sampled_from(["mmd_input", "mmd_surrogate", "mmd_other"]), 2)}),
+    (ExperimentPlan, {"target": st.sampled_from([MogTarget(4), "mog"]),
+                      "kernel": st.just(kn.gauss(2.0))},
+     {"variants": st.one_of(sequences(VARIANTS), st.just("standard")), "sizes": SIZES,
+      "replicates": numbers(), "delta": numbers(), "seed": numbers(), "surrogate_size": numbers(),
+      "metrics": st.one_of(sequences(st.sampled_from(["mmd_input", "mmd_surrogate", "mmd_other"]),
+                                     2), st.just("mmd_input")),
+      "test_functions": st.one_of(sequences(st.sampled_from(["moment1", "cif", "moment3"]), 2),
+                                  st.just("cif"))}),
     (GaussTarget, {}, {"d": numbers()}),
     (MogTarget, {}, {"components": numbers(st.sampled_from([3, 4, 6, 8]))}),
     (ExternalTarget, {"path": st.just("pts.csv")},
-     {"burn_in": numbers(), "holdout_fraction": numbers()}),
+     {"format": st.sampled_from(["csv", "bin", "tsv"]), "burn_in": numbers(),
+      "holdout_fraction": numbers()}),
 ]
 JSON_FORMS = {
     ThinningConfig: (fields_to_json, lambda obj: fields_from_json(ThinningConfig, obj)),

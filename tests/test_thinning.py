@@ -86,7 +86,7 @@ def test_delta_schedules():
     assert all(0.0 < v < 1.0 for v in obl)
     with pytest.raises(ValueError, match="delta must lie in"):
         ThinningConfig(delta=1.5)
-    with pytest.raises(ValueError, match="unknown delta rule"):
+    with pytest.raises(ValueError, match="^ThinningConfig spec key 'delta_rule'"):
         ThinningConfig(delta_rule="weekly")
 
 
@@ -493,7 +493,7 @@ def test_split_kernel_for_each_variant():
     for name in ("standard", "targetkt", "rootkt"):
         with pytest.raises(kn.KernelError, match="takes no split kernel"):
             V(name, split_kernel=explicit)
-    with pytest.raises(ValueError, match="unknown variant"):
+    with pytest.raises(ValueError, match="^Variant spec key 'name'"):
         V("rootKT")
 
 
