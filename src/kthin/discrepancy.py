@@ -12,13 +12,15 @@ means and the coreset self-terms and cross-terms of its MMDs, and the swap
 cache's coreset cross-sums -- runs through one loop, `_kernel_sums`,
 which forms the weighted sums sum_j w_j k(x_i, y_j) over strips of the Gram
 matrix: at most _ROWS points of the shorter set against at most _COLS
-points of the other, all written into one 1 MB buffer that the call
-allocates once.  The full matrix is never materialized, and the working set
-is that buffer plus vectors of the inputs' lengths.  The one exception is
-target KT's input row means: its split stage has already evaluated the
-lower triangle of the same Gram matrix block by block, so
-`thinning.thin` takes them from the split's row sums instead of
-calling `kernel_row_means`.
+points of the other.  A large sum runs its strips on one thread per CPU and
+adds them up in strip order, bitwise the one-thread sums; each thread writes
+its strips into one 1 MB buffer, with one scratch array of the same size,
+that the call allocates for it.  The full matrix is never materialized, and
+the working set is those buffers plus vectors of the inputs' lengths.  The
+one exception is target KT's input row means: its split stage has already
+evaluated the lower triangle of the same Gram matrix block by block, so
+`thinning.thin` takes them from the split's row sums instead of calling
+`kernel_row_means`.
 Against the points themselves (y = x) the Gram matrix is symmetric: each
 strip is evaluated only from its own diagonal block on, and every column
 past that block adds to both the strip's rows and its own, which halves
@@ -44,11 +46,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, _as_points, _check_alpha, gauss_power_exact, gram
+from .kernels import (
+    KernelSpec,
+    _as_points,
+    _check_alpha,
+    _in_order,
+    _pool_size,
+    gauss_power_exact,
+    gram,
+)
 
 # a kernel sum evaluates strips of at most _ROWS x _COLS entries, 1 MB
 _ROWS = 32
 _COLS = 4096
+# the fewest strips a kernel sum spreads over threads: a symmetric sum of 4096
+# points, or 1024 points against 16384
+_POOL_STRIPS = 128
 
 
 def _as_indices(indices, n: int) -> np.ndarray:
@@ -91,22 +104,31 @@ class DiscreteMeasure:
 
 
 def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
-    """sum_j w_j k(x_i, y_j) for every i, summed over row strips.
+    """sum_j w_j k(x_i, y_j) for every i, summed over strips of the Gram matrix.
 
     Each strip is at most _ROWS points of the shorter of x and y against at
     most _COLS points of the other.  A strip is short and wide, so numpy's
     per-row cost on the broadcast operand is paid over rows of up to _COLS
-    entries, and every strip is evaluated into one buffer of _ROWS x _COLS
-    doubles allocated per call.  With x on the rows
-    the strip g = k(x_I, y_J) adds g @ w_J to rows I; with y on the rows
-    (len(y) < len(x)) it adds w_I @ g to rows J of x.  Every kernel is
-    symmetric, bitwise, so either orientation sums the same entries.
+    entries.  With x on the rows the strip g = k(x_I, y_J) adds g @ w_J to
+    rows I; with y on the rows (len(y) < len(x)) it adds w_I @ g to rows J
+    of x.  Every kernel is symmetric, bitwise, so either orientation sums
+    the same entries.
 
     With y omitted, y = x: strip I = [i0, i1) is evaluated only against
     the columns from i0 on.  Its diagonal block k(x_I, x_I) is evaluated in
     full and adds only to rows I; each column J past it adds both g @ w_J to
     rows I and w_I @ g to rows J, the sum over the transposed entries below
     the diagonal, which halves the kernel evaluations.
+
+    A sum of at least _POOL_STRIPS strips runs them on one thread per CPU
+    (`kernels._in_order`); a smaller one runs on the calling thread, since
+    on 2 CPUs the threads' hand-offs cost about what they saved on sums of
+    up to 4096 points against themselves.  Either way each strip's
+    matrix-vector products are formed from the same entries and added into
+    the result by the calling thread in strip order, so the sums are bitwise
+    the same at any thread count.  This call allocates each thread's strip
+    buffer of _ROWS x _COLS doubles (1 MB) and a scratch array of the same
+    size for the squared coordinate differences.
     """
     symmetric = y is None
     flip = not symmetric and len(y) < len(x)
@@ -114,21 +136,34 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     # coordinate-major columns: each coordinate of a strip's columns is then
     # one contiguous run, which numpy subtracts several times faster
     cols = np.asfortranarray(cols)
+    strips = [(i0, min(i0 + _ROWS, len(rows)), j0, min(j0 + _COLS, len(cols)))
+              for i0 in range(0, len(rows), _ROWS)
+              for j0 in range(i0 if symmetric else 0, len(cols), _COLS)]
+    workers = _pool_size(len(strips)) if len(strips) >= _POOL_STRIPS else 1
+    size = min(_ROWS, len(rows)) * min(_COLS, len(cols))
+    buffers = [(np.empty(size), np.empty(size)) for _ in range(workers)]
+
+    def strip(s: int, bufs) -> list:
+        """The strip's sums, each with the rows of the result it adds to."""
+        i0, i1, j0, j1 = strips[s]
+        shape, n = (i1 - i0, j1 - j0), (i1 - i0) * (j1 - j0)
+        g = gram(k, rows[i0:i1], cols[j0:j1], out=bufs[0][:n].reshape(shape),
+                 _scratch=bufs[1][:n].reshape(shape))
+        if flip:
+            return [(slice(j0, j1), w[i0:i1] @ g)]
+        sums = [(slice(i0, i1), g @ w[j0:j1])]
+        if symmetric and j1 > i1:
+            past = max(j0, i1)
+            sums.append((slice(past, j1), w[i0:i1] @ g[:, past - j0:]))
+        return sums
+
     out = np.zeros(len(x))
-    buf = np.empty(min(_ROWS, len(rows)) * min(_COLS, len(cols)))
-    for i0 in range(0, len(rows), _ROWS):
-        i1 = min(i0 + _ROWS, len(rows))
-        for j0 in range(i0 if symmetric else 0, len(cols), _COLS):
-            j1 = min(j0 + _COLS, len(cols))
-            g = gram(k, rows[i0:i1], cols[j0:j1],
-                     out=buf[:(i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0))
-            if flip:
-                out[j0:j1] += w[i0:i1] @ g
-            else:
-                out[i0:i1] += g @ w[j0:j1]
-                if symmetric and j1 > i1:
-                    past = max(j0, i1)
-                    out[past:j1] += w[i0:i1] @ g[:, past - j0:]
+
+    def add(sums: list) -> None:
+        for at, v in sums:
+            out[at] += v
+
+    _in_order(strip, len(strips), buffers, add)
     return out
 
 

@@ -19,12 +19,15 @@ all share one representation.  Fractional power kernels are returned up to
 a positive constant scaling: thinning decisions and MMD rankings are
 invariant to that constant, so it is left at 1.
 
-Bessel-order Matern values come from scipy's `kv`, which is two orders of
-magnitude slower per entry than `np.exp`.  A call with more than one chunk
-of `_KV_CHUNK` entries spreads its chunks over the calling thread and one
-helper thread per further CPU the process's affinity allows; the helpers
-live only for that call, and nothing else sets their number.  `kv` is
-elementwise, so every value is bitwise the same whatever the thread count.
+The package uses threads by one rule, in one helper, `_in_order`: the
+strips of a large kernel sum (`discrepancy._kernel_sums`) and the
+`_KV_CHUNK`-entry chunks of a Bessel-order Matern evaluation (scipy's `kv`,
+two orders of magnitude slower per entry than `np.exp`) run on the calling
+thread and one helper thread per further CPU the process's affinity allows.
+The helpers live only for that call, a task already on such a thread starts
+no more, and the calling thread combines the results in task order, so every
+value is bitwise the same whatever the thread count.  No option,
+environment variable or parameter sets that count.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import json
 import math
 import numbers
 import os
+import threading
 import types
 import typing
 from dataclasses import dataclass, field
@@ -322,38 +326,117 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunked_kv(kv, a: float, t: np.ndarray) -> np.ndarray:
-    """kv(a, t), over chunks of `_KV_CHUNK` entries on up to `_cpu_count()` threads.
+# set on a thread while it runs `_in_order` tasks, so that a task's own kernel
+# evaluation stays on that thread instead of starting threads of its own
+_in_pool = threading.local()
 
-    The calling thread and its pool's helpers each take the next chunk start
-    from one shared iterator, so a faster thread takes more chunks.  `kv` is
-    an elementwise ufunc that releases the GIL, so every value is bitwise
-    what one call gives.  A thread that raises empties the iterator, so the
-    others stop at their next chunk; the caller's exception, else a helper's,
-    is raised here once the pool has shut down.
+
+def _pool_size(tasks: int) -> int:
+    """The threads `_in_order` runs `tasks` tasks on: one per CPU this process
+    may use, at most one per task, and only the calling thread inside a task."""
+    return 1 if getattr(_in_pool, "busy", False) else max(1, min(_cpu_count(), tasks))
+
+
+def _in_order(task, count: int, states: list, take) -> None:
+    """take(task(i, state)) for i = 0 .. count - 1, taken in order of i.
+
+    The calling thread and one helper thread per further entry of `states`
+    each claim the next index in turn and run its task with their own state
+    (say, a buffer the caller allocated), so a faster thread runs more tasks.
+    Only the calling thread calls take, strictly in order of i, and no index
+    is claimed more than 2 * len(states) past the next one to take, so at
+    most that many results wait.  Whatever the thread count, take sees the
+    same results in the same order.  A task that raises stops the other
+    threads at their next claim; the calling thread's exception, else the
+    first helper's, is raised here once every helper has exited.
     """
-    workers = min(_cpu_count(), -(-t.size // _KV_CHUNK))
+    if len(states) < 2:
+        for i in range(count):
+            take(task(i, states[0]))
+        return
+    window = 2 * len(states)
+    cond = threading.Condition()
+    results: dict = {}
+    errors: list = []
+    claimed = taken = 0
+
+    def helper(state) -> None:
+        nonlocal claimed
+        _in_pool.busy = True
+        while True:
+            with cond:
+                cond.wait_for(lambda: errors or claimed >= count or claimed < taken + window)
+                if errors or claimed >= count:
+                    return
+                i, claimed = claimed, claimed + 1
+            try:
+                res = task(i, state)
+            except BaseException as exc:
+                with cond:
+                    errors.append(exc)
+                    cond.notify_all()
+                return
+            with cond:
+                results[i] = res
+                cond.notify_all()
+
+    helpers = []
+    _in_pool.busy = True
+    try:
+        for state in states[1:]:
+            h = threading.Thread(target=helper, args=(state,))
+            h.start()
+            helpers.append(h)
+        while taken < count:
+            with cond:
+                cond.wait_for(lambda: errors or taken in results
+                              or claimed < min(count, taken + window))
+                if errors:
+                    break
+                ready = taken in results
+                if ready:
+                    res = results.pop(taken)
+                else:
+                    i, claimed = claimed, claimed + 1
+            if not ready:
+                res = task(i, states[0])
+                if i != taken:
+                    with cond:
+                        results[i] = res
+                    continue
+            take(res)
+            with cond:
+                taken += 1
+                cond.notify_all()
+    except BaseException as exc:
+        with cond:
+            errors.insert(0, exc)
+            cond.notify_all()
+        raise
+    finally:
+        _in_pool.busy = False
+        for h in helpers:
+            h.join()
+    if errors:
+        raise errors[0]
+
+
+def _chunked_kv(kv, a: float, t: np.ndarray) -> np.ndarray:
+    """kv(a, t), over chunks of `_KV_CHUNK` entries on `_in_order`'s threads.
+
+    `kv` is an elementwise ufunc that releases the GIL, so every value is
+    bitwise what one call gives.
+    """
+    count = -(-t.size // _KV_CHUNK)
+    workers = _pool_size(count)
     if workers < 2:
         return kv(a, t)
-    from concurrent.futures import ThreadPoolExecutor  # scipy.special has imported it
-
     res = np.empty_like(t)
-    starts = iter(range(0, t.size, _KV_CHUNK))
 
-    def drain() -> None:
-        try:
-            for i in starts:
-                kv(a, t[i:i + _KV_CHUNK], out=res[i:i + _KV_CHUNK])
-        except BaseException:
-            for _ in starts:  # the other threads find no chunk left
-                pass
-            raise
+    def chunk(i, _) -> None:
+        kv(a, t[i * _KV_CHUNK:(i + 1) * _KV_CHUNK], out=res[i * _KV_CHUNK:(i + 1) * _KV_CHUNK])
 
-    with ThreadPoolExecutor(workers - 1) as pool:
-        helpers = [pool.submit(drain) for _ in range(workers - 1)]
-        drain()
-    for h in helpers:
-        h.result()
+    _in_order(chunk, count, [None] * workers, lambda _: None)
     return res
 
 
@@ -559,18 +642,21 @@ def _read_fields(spec) -> None:
         object.__setattr__(spec, name, value)
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # coordinate-wise accumulation: deterministic regardless of BLAS threading
+def _sq_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
+    # coordinate-wise accumulation: deterministic regardless of BLAS threading;
+    # each coordinate after the first is squared in scratch, else a temporary
     out = np.subtract(x[..., 0], y[..., 0], out=out)
     out *= out
     for j in range(1, x.shape[-1]):
-        diff = x[..., j] - y[..., j]
+        diff = np.subtract(x[..., j], y[..., j], out=scratch)
         diff *= diff
         out += diff
     return out
 
 
-def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None) -> np.ndarray:
+def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None,
+         _scratch: np.ndarray | None = None) -> np.ndarray:
     """The matrix k(x_i, y_j); y defaults to x.
 
     Entries are evaluated independently, so any outer parallelization over
@@ -578,6 +664,8 @@ def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None) -> np.ndarr
     float array of shape (len(x), len(y)), the matrix is written into it and
     `out` is returned, bitwise equal to the matrix allocated without it: a
     caller that evaluates many blocks can reuse one buffer for all of them.
+    `_scratch`, private to `discrepancy._kernel_sums`, is passed on to
+    `evaluate`.
     """
     x = _as_points(x)
     y = x if y is None else _as_points(y)
@@ -588,11 +676,11 @@ def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None) -> np.ndarr
         raise ValueError(f"out must be a C-contiguous float64 array of shape "
                          f"{(len(x), len(y))}, got {out.dtype} {out.shape}")
     k.validate_dim(x.shape[1])
-    return evaluate(k, x[:, None, :], y[None, :, :], out=out)
+    return evaluate(k, x[:, None, :], y[None, :, :], out=out, _scratch=_scratch)
 
 
 def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
+             out: np.ndarray | None = None, *, _scratch: np.ndarray | None = None) -> np.ndarray:
     """k(x, y) elementwise over the broadcast of the leading axes of x and y.
 
     The last axis of both float arrays holds the d coordinates.  Nothing is
@@ -605,27 +693,28 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
     values are written into it and `out` is returned, bitwise equal to the
     array returned without it.  The gauss, laplace and imq families compute
     in place, so their only temporaries are the squared differences of the
-    coordinates after the first; the others compute as without `out` and
-    copy in.
+    coordinates after the first, and none when `_scratch`, an array of the
+    same shape and type as `out`, takes them; the others compute as without
+    `out` and copy in.
     """
     fam = k.family
     if fam == "gauss":
-        out = _sq_dists(x, y, out)
+        out = _sq_dists(x, y, out, _scratch)
         out /= -2.0 * k.sigma**2
         np.exp(out, out=out)
     elif fam == "laplace":
-        out = _sq_dists(x, y, out)
+        out = _sq_dists(x, y, out, _scratch)
         np.sqrt(out, out=out)
         np.negative(out, out=out)
         out /= k.sigma
         np.exp(out, out=out)
     elif fam == "imq":
-        out = _sq_dists(x, y, out)
+        out = _sq_dists(x, y, out, _scratch)
         out /= k.gamma**2
         out += 1.0
         out **= -k.nu  # numpy's in-place ** takes the same scalar fast paths as **
     elif fam == "sum":
-        out = evaluate(k.components[0], x, y, out=out)
+        out = evaluate(k.components[0], x, y, out=out, _scratch=_scratch)
         for c in k.components[1:]:
             out += evaluate(c, x, y)
     elif fam == "matern":

@@ -263,7 +263,7 @@ def test_self_term_evaluates_upper_triangle_tiles(monkeypatch):
     n = 16384
     shapes = []
 
-    def constant_one(k, x, y=None, *, out):
+    def constant_one(k, x, y=None, *, out, _scratch=None):
         shapes.append(out.shape)
         out.fill(1.0)
         return out
@@ -280,21 +280,36 @@ def test_self_term_evaluates_upper_triangle_tiles(monkeypatch):
         assert sum(a * b for a, b in shapes) == 134_479_872
 
 
-def test_self_term_holds_only_its_buffers():
-    # the strip buffer and, in d = 2, one squared-difference temporary of
-    # _ROWS x _COLS doubles each (1 MB), and vectors of n entries: at 8192
-    # points about 2.3 MB, where the full Gram would take 512 MB
+def _self_term_peak(monkeypatch, cpus):
+    monkeypatch.setattr(kn, "_cpu_count", lambda: cpus)
     rng = np.random.default_rng(9)
     n = 8192
     x, w = rng.normal(size=(n, 2)), _weights(rng, n)
-    k = kn.gauss(1.0)
     tracemalloc.start()
     try:
-        discrepancy._quadratic_form(k, x, w)
+        discrepancy._quadratic_form(kn.gauss(1.0), x, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * _ROWS * _COLS * 8 + 4 * x.nbytes
+    return peak, x.nbytes
+
+
+def test_self_term_holds_only_its_buffers(monkeypatch):
+    # on one CPU: the strip buffer and, in d = 2, one squared-difference
+    # scratch of _ROWS x _COLS doubles each (1 MB), and vectors of n
+    # entries: at 8192 points about 2.3 MB, where the full Gram would take 512 MB
+    peak, x_bytes = _self_term_peak(monkeypatch, 1)
+    assert peak < 2 * _ROWS * _COLS * 8 + 4 * x_bytes
+
+
+def test_threaded_self_term_holds_one_buffer_pair_per_thread(monkeypatch):
+    # 3 threads: each one's strip buffer and scratch, both allocated by the
+    # calling thread, the same vectors, and per thread up to 4 strip sums of
+    # _COLS + _ROWS doubles: the 2 it may have waiting and its temporaries
+    workers, strip = 3, _ROWS * _COLS * 8
+    peak, x_bytes = _self_term_peak(monkeypatch, workers)
+    assert workers * 2 * strip < peak
+    assert peak < workers * (2 * strip + 4 * (_COLS + _ROWS) * 8) + 4 * x_bytes
 
 
 # ---------------------------------------------------------------------------
