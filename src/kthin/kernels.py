@@ -434,7 +434,8 @@ def _chunked_kv(kv, a: float, t: np.ndarray) -> np.ndarray:
     res = np.empty_like(t)
 
     def chunk(i, _) -> None:
-        kv(a, t[i * _KV_CHUNK:(i + 1) * _KV_CHUNK], out=res[i * _KV_CHUNK:(i + 1) * _KV_CHUNK])
+        at = slice(i * _KV_CHUNK, (i + 1) * _KV_CHUNK)
+        kv(a, t[at], out=res[at])
 
     _in_order(chunk, count, [None] * workers, lambda _: None)
     return res
