@@ -163,7 +163,7 @@ _TEST_FUNCTIONS = {
 def _thin(variant: Variant, k: KernelSpec, points: np.ndarray, cfg: ThinningConfig) -> Coreset:
     # perfbench/workloads.py counts coresets by rebinding target_kt and power_kt
     # here, so targetkt and rootkt (power KT at alpha 1/2) call them by module
-    # name until the benchmark captures them elsewhere (ROADMAP item 6)
+    # name until the benchmark captures them elsewhere (ROADMAP item 3)
     if variant.name == "targetkt":
         return target_kt(k, points, cfg)
     if variant.name == "rootkt":

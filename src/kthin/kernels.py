@@ -44,7 +44,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FAMILIES = ("gauss", "laplace", "matern", "imq", "sinc", "bspline", "sum")
+# each family's parameter names, in the order of `KernelSpec.params`
+_PARAM_NAMES = {
+    "gauss": ("sigma",),
+    "laplace": ("sigma",),
+    "matern": ("nu", "gamma"),
+    "imq": ("nu", "gamma"),
+    "sinc": ("theta",),
+    "bspline": ("beta", "gamma"),
+}
+FAMILIES = (*_PARAM_NAMES, "sum")
 
 # sinc coordinates below this threshold use the Taylor expansion of sin(t)/t
 _SINC_TAYLOR_CUTOFF = 1e-8
@@ -74,8 +83,11 @@ class KernelSpec:
     """A kernel family tag, its parameters, and a positive scale multiplier.
 
     Build instances through the module-level constructors (`gauss`,
-    `laplace`, ...).  Values are immutable and safe to share across threads;
-    evaluation is pure.
+    `laplace`, ...).  `params` are the family's `_PARAM_NAMES`, in order,
+    each read as `k.<name>` (any other name is an AttributeError); a sum's
+    summands, one or more KernelSpecs, are its `components`, and no other
+    family has any.  Values are immutable, safe to share across threads,
+    and pure to evaluate.
     """
 
     family: str
@@ -84,9 +96,9 @@ class KernelSpec:
     components: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        """The one check of kernel parameters, which the constructors, the
+        """The one check of a kernel's parts, which the constructors, the
         JSON reader, `scaled`, `normalized` and `with_lengthscale` all pass
-        through: see `_checked`, and a sum needs at least one component."""
+        through: see `_checked`, and the components rule above."""
         names = _PARAM_NAMES.get(self.family, ())
         if self.family not in FAMILIES or len(self.params) != len(names):
             raise KernelError(f"expected a family of {FAMILIES} with its parameters, "
@@ -94,8 +106,12 @@ class KernelSpec:
         object.__setattr__(self, "scale", _checked(self.family, "scale", self.scale))
         object.__setattr__(self, "params", tuple(
             _checked(self.family, name, v) for name, v in zip(names, self.params)))
-        if self.family == "sum" and not self.components:
-            raise KernelError("a sum kernel needs at least one component")
+        comps = self.components
+        if not isinstance(comps, tuple) or not all(isinstance(c, KernelSpec) for c in comps):
+            raise KernelError(f"kernel components must be a tuple of KernelSpecs, got {comps!r}")
+        if (self.family == "sum") != bool(comps):
+            raise KernelError(f"a sum kernel needs at least one component and no other family "
+                              f"takes any, got {self.family!r} with {len(comps)}")
 
     def scaled(self, c: float) -> "KernelSpec":
         """The kernel c * k for c > 0."""
@@ -130,27 +146,14 @@ class KernelSpec:
         width = length if _PARAM_NAMES[self.family][-1] == "sigma" else 1.0 / length
         return KernelSpec(self.family, self.params[:-1] + (width,), self.scale)
 
-    # -- parameter accessors ------------------------------------------------
-
-    @property
-    def sigma(self) -> float:
-        return self.params[0]
-
-    @property
-    def nu(self) -> float:
-        return self.params[0]
-
-    @property
-    def gamma(self) -> float:
-        return self.params[1]
-
-    @property
-    def theta(self) -> float:
-        return self.params[0]
-
-    @property
-    def beta(self) -> int:
-        return self.params[0]
+    def __getattr__(self, name: str):
+        """k.<name> for the family's parameter names (k.sigma, k.gamma, ...); read
+        from `__dict__`, which a copy or an unpickling fills only after lookups."""
+        family = self.__dict__.get("family")
+        names = _PARAM_NAMES.get(family, ())
+        if name not in names:
+            raise AttributeError(f"{family!r} kernel has no attribute {name!r}")
+        return self.__dict__["params"][names.index(name)]
 
     def validate_dim(self, d: int) -> None:
         """Check d-dependent constraints (Matern smoothness nu > d/2)."""
@@ -180,16 +183,6 @@ class KernelSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
-
-
-_PARAM_NAMES = {
-    "gauss": ("sigma",),
-    "laplace": ("sigma",),
-    "matern": ("nu", "gamma"),
-    "imq": ("nu", "gamma"),
-    "sinc": ("theta",),
-    "bspline": ("beta", "gamma"),
-}
 
 
 def _checked(family: str, name: str, value):
@@ -867,10 +860,14 @@ class IdentityPerturbedKernel:
     """k(x_i, x_j) / sup|k| + weight * [i == j] on the indices of one input.
 
     A split kernel only: `kt_split` adds the identity term to each pair's
-    squared kernel distance, where the split meets both indices.
+    squared kernel distance, where the split meets both indices.  Built from
+    a KernelSpec base and a finite positive weight only, else a KernelError.
     """
 
     def __init__(self, base: KernelSpec, weight: float = 1.0):
+        if not isinstance(base, KernelSpec):
+            raise KernelError(f"an identity-perturbed kernel's base must be a KernelSpec, "
+                              f"got {base!r}")
         self.base = base
         self.weight = _number_in(weight, float, lambda w: w > 0,
                                  "identity weight must be finite and positive")

@@ -35,6 +35,7 @@ evaluates about n^2 / 2 kernel entries instead of n^2.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections.abc import Callable
@@ -463,11 +464,24 @@ class Variant:
 
     @property
     def tag(self) -> str:
-        return self.name if self.alpha is None else f"{self.name}(a={self.alpha:g})"
+        """The name in raw.csv and report.json: the table name, then any
+        alpha, then a digest of any explicit split kernel, say
+        `powerkt(a=0.5)[k=1f0e9c2a]`; no comma or `|`, which both files use."""
+        tag = self.name if self.alpha is None else f"{self.name}(a={self.alpha:g})"
+        return tag if self.split_kernel is None else f"{tag}[k={self._split_digest()}]"
 
-    def _seed_parts(self) -> tuple[int, int]:
+    def _seed_parts(self) -> tuple[int, ...]:
         alpha = self.alpha if self.alpha is not None else -1.0
-        return VARIANTS[self.name].seed_id, int(round(alpha * 1e6))
+        parts = VARIANTS[self.name].seed_id, int(round(alpha * 1e6))
+        return parts if self.split_kernel is None else (*parts, int(self._split_digest(), 16))
+
+    def _split_digest(self) -> str:
+        """8 hex digits of the sha256 of the split kernel's canonical JSON
+        (an identity-perturbed kernel's: its base's, with the weight)."""
+        k = self.split_kernel
+        obj = k.to_json_dict() if isinstance(k, KernelSpec) else {
+            "base": k.base.to_json_dict(), "identity_weight": k.weight}
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:8]
 
     def split_kernel_for(self, k: KernelSpec, dim: int):
         """The split kernel for target kernel k on dim-dimensional input, or

@@ -1,8 +1,10 @@
 """Kernel family evaluation, invariants, and power/sum constructions."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -295,9 +297,21 @@ def test_every_path_to_a_kernel_rejects_bad_parameters(spec):
         spec.with_lengthscale(math.inf)
 
 
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+def test_parameters_read_by_their_family_names_only(spec):
+    names = kn._PARAM_NAMES[spec.family]
+    for i, name in enumerate(names):
+        assert getattr(spec, name) == spec.params[i]
+    for name in {n for family in kn._PARAM_NAMES.values() for n in family} - set(names):
+        with pytest.raises(AttributeError, match=f"'{spec.family}' kernel has no attribute"):
+            getattr(spec, name)
+
+
 def test_sum_kernel_checks():
     with pytest.raises(kn.KernelError, match="at least one component"):
         kn.kernel_sum()
+    with pytest.raises(AttributeError, match="'sum' kernel has no attribute 'sigma'"):
+        kn.kernel_sum(kn.gauss(1.0)).sigma
     with pytest.raises(kn.KernelError, match="at least one component"):
         kn.from_json('{"family": "sum", "components": []}')
     with pytest.raises(kn.KernelError, match="sum kernel scale must be"):
@@ -654,6 +668,8 @@ def test_json_round_trip():
     ]
     for spec in specs:
         assert kn.from_json(spec.to_json()) == spec
+        # copies rebuild the object without __post_init__, and must still read alike
+        assert pickle.loads(pickle.dumps(spec)) == spec == copy.deepcopy(spec)
 
 
 def test_json_errors():

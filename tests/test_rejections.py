@@ -73,6 +73,15 @@ REJECTIONS = {
     "identity-weight-bool": (
         lambda tmp: kn.IdentityPerturbedKernel(kn.gauss(1.0), True), kn.KernelError,
         "identity weight must be finite and positive, got True"),
+    "kernel-components-on-gauss": (
+        lambda tmp: kn.KernelSpec("gauss", (1.0,), 1.0, (kn.gauss(2.0),)), kn.KernelError,
+        "no other family takes any, got 'gauss' with 1"),
+    "kernel-sum-of-a-name": (
+        lambda tmp: kn.kernel_sum("gauss"), kn.KernelError,
+        r"kernel components must be a tuple of KernelSpecs, got \('gauss',\)"),
+    "identity-base-not-a-kernel": (
+        lambda tmp: kn.IdentityPerturbedKernel("gauss"), kn.KernelError,
+        "an identity-perturbed kernel's base must be a KernelSpec, got 'gauss'"),
     "gauss-power-exponent": (
         lambda tmp: kn.gauss_power_exact(1.0, 0.0, 2), kn.KernelError,
         "exponent must be positive, got 0.0"),

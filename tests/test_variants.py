@@ -94,7 +94,7 @@ def test_plan_json_runs_generalized_with_a_split_kernel():
     plan = ExperimentPlan.from_json_dict(obj)
     assert plan.variants == (Variant("generalized", split_kernel=SPLIT),)
     assert ExperimentPlan.from_json(json.dumps(plan.to_json_dict())) == plan
-    assert [row["variant"] for row in run_experiment(plan).rows] == ["generalized"] * 2
+    assert [row["variant"] for row in run_experiment(plan).rows] == ["generalized[k=2ca7a45b]"] * 2
     for spec, named in ((dict(obj["variants"][0], split_kernel={"family": "gaus"}), "split_kernel"),
                         ({"name": "generalized"}, "requires an explicit split kernel"),
                         ({"name": "targetkt", "split_kernel": obj["kernel"]}, "takes no split")):
@@ -107,3 +107,30 @@ def test_a_plan_rejects_a_split_kernel_plan_json_cannot_hold():
     with pytest.raises(ValueError, match="split kernel must be a KernelSpec"):
         ExperimentPlan(target=MogTarget(4), kernel=K, sizes=(16,), variants=(
             Variant("generalized", split_kernel=kn.IdentityPerturbedKernel(K)),))
+
+
+def test_variants_that_differ_only_in_the_split_kernel_share_a_plan(monkeypatch):
+    pairs = [Variant("generalized", split_kernel=kn.laplace(1.0)),
+             Variant("generalized", split_kernel=kn.gauss(1.0)),
+             Variant("powerkt", split_kernel=kn.imq(0.25, 1.0)),
+             Variant("powerkt", split_kernel=kn.imq(0.35, 1.0))]
+    seeds = {}
+    inner = harness._thin
+
+    def recording(variant, k, points, cfg):
+        seeds[variant.tag, len(points)] = cfg.seed
+        return inner(variant, k, points, cfg)
+
+    monkeypatch.setattr(harness, "_thin", recording)
+    plan = ExperimentPlan(target=MogTarget(4), kernel=K, variants=tuple(pairs), sizes=(16, 64),
+                          replicates=1, metrics=("mmd_input",))
+    rows = run_experiment(plan).rows
+    tags = [v.tag for v in pairs]
+    assert [row["variant"] for row in rows] == [t for t in tags for _ in plan.sizes]
+    assert len(set(tags)) == 4 and len(set(seeds.values())) == 8
+    assert not any(c in t for t in tags for c in ",|\n")
+    # without an explicit split kernel the tag and seed parts are as before
+    assert (Variant("powerkt", 0.75).tag, Variant("powerkt", 0.75)._seed_parts()) == (
+        "powerkt(a=0.75)", (2, 750000))
+    assert Variant("generalized", split_kernel=kn.IdentityPerturbedKernel(K)).tag.startswith(
+        "generalized[k=")
