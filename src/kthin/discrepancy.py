@@ -19,8 +19,8 @@ that the call allocates for it.  The full matrix is never materialized, and
 the working set is those buffers plus vectors of the inputs' lengths.  The
 one exception is target KT's input row means: its split stage has already
 evaluated the lower triangle of the same Gram matrix block by block, so
-`thinning.thin` takes them from the split's row sums instead of calling
-`kernel_row_means`.
+`thinning._split`, the one place that decides this, returns them from its
+blocks' row sums and `kernel_row_means` is not called.
 Against the points themselves (y = x) the Gram matrix is symmetric: each
 strip is evaluated only from its own diagonal block on, and every column
 past that block adds to both the strip's rows and its own, which halves
@@ -42,6 +42,7 @@ adds one more column.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,14 +65,24 @@ _COLS = 4096
 _POOL_STRIPS = 128
 
 
-def _as_indices(indices, n: int) -> np.ndarray:
-    """indices as a 1-D int array of entries in [0, n); anything else raises."""
+def _as_indices(indices, n: int, name: str = "indices") -> np.ndarray:
+    """indices as a non-empty 1-D int array of entries in [0, n); anything
+    else is a ValueError naming the argument."""
     out = np.asarray(indices)
-    if out.ndim != 1 or out.dtype.kind not in "iu" or (
-            len(out) and not 0 <= out.min() <= out.max() < n):
-        raise ValueError(f"indices must be a 1-D integer array of entries in [0, {n}), "
-                         f"got {out!r}")
+    if out.ndim != 1 or out.dtype.kind not in "iu" or not len(out) or not (
+            0 <= out.min() <= out.max() < n):
+        raise ValueError(f"{name} must be a non-empty 1-D integer array of entries in "
+                         f"[0, {n}), got {out!r}")
     return out.astype(int)
+
+
+def _as_index(value, n: int, name: str) -> int:
+    """value as a Python int in [0, n), a numpy integer included; a bool, a
+    float or anything else is a ValueError naming the argument."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < n):
+        raise ValueError(f"{name} must be an integer in [0, {n}), got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -262,7 +273,8 @@ class SwapCache(Reference):
         coreset: np.ndarray,
         row_mean: np.ndarray | None = None,
     ):
-        self.coreset = _as_indices(coreset, len(_as_points(points)))  # before the row means
+        # before the row means
+        self.coreset = _as_indices(coreset, len(_as_points(points)), "coreset")
         super().__init__(k, points, row_mean)
         # every family attains its sup-norm on the diagonal, bitwise equal to
         # the Gram-path value at z = 0
@@ -279,7 +291,7 @@ class SwapCache(Reference):
     def _delta_vector(self, position: int) -> np.ndarray:
         # delta(z) = (g(z) - g(old)) / s^2 - 2 (r(z) - r(old)) / s with
         # g(z) = 2 (cross(z) - k(z, old)) + k(z, z); exactly 0 at z = old
-        old = self.coreset[position]
+        old = self.coreset[_as_index(position, self.out_size, "position")]
         s = float(self.out_size)
         k_z_old = self._column(old)
         g = 2.0 * (self.cross - k_z_old) + self.diag
@@ -304,6 +316,9 @@ class SwapCache(Reference):
         return best, float(deltas[best])
 
     def apply_swap(self, position: int, candidate: int) -> None:
+        """Replace the given slot's point by input index candidate."""
+        position = _as_index(position, self.out_size, "position")
+        candidate = _as_index(candidate, len(self.points), "candidate")
         old = self.coreset[position]
         if candidate != old:
             k_old = self._column(old)
@@ -316,7 +331,8 @@ def mmd_swap_delta(cache: SwapCache, position: int, candidate: int) -> float:
     """MMD^2(inputs, coreset with [position] = candidate) - MMD^2(current) for
     the cache's coreset, at the O(n) cost of the slot's whole delta vector
     (see the module)."""
-    return float(cache._delta_vector(position)[candidate])
+    deltas = cache._delta_vector(position)
+    return float(deltas[_as_index(candidate, len(cache.points), "candidate")])
 
 
 # ---------------------------------------------------------------------------

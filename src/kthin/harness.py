@@ -178,12 +178,18 @@ def _thin(variant: Variant, k: KernelSpec, points: np.ndarray, cfg: ThinningConf
 def fit_loglog(x_values, y_values) -> dict:
     """Ordinary least squares of log(y) on log(x).
 
-    Returns {"slope", "intercept", "residual_rms"}; requires positive data.
+    Returns {"slope", "intercept", "residual_rms"}.  Every value must be
+    finite and positive and the x values not all equal, else a ValueError.
     """
-    x = np.log(np.asarray(x_values, dtype=float))
-    y = np.log(np.asarray(y_values, dtype=float))
+    x, y = np.asarray(x_values, dtype=float), np.asarray(y_values, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least two points to fit a rate")
+    for name, v in (("x_values", x), ("y_values", y)):
+        if not (np.isfinite(v).all() and (v > 0).all()):
+            raise ValueError(f"{name} must be finite and positive, got {v.tolist()}")
+    if (x == x[0]).all():
+        raise ValueError(f"x_values must not all be equal, got {x.tolist()}")
+    x, y = np.log(x), np.log(y)
     xc = x - x.mean()
     slope = float((xc @ (y - y.mean())) / (xc @ xc))
     intercept = float(y.mean() - slope * x.mean())

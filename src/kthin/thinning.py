@@ -26,11 +26,12 @@ a level in one array operation.  Swap decisions depend on the split kernel only 
 scale-free ratios, so the kernel's scale factor is divided out up front;
 c * k yields the same candidates as k under the same seed, bitwise.
 
-The blocks cover the lower triangle of the split kernel's Gram matrix, so
-the split also adds up its row sums.  When the split kernel is the target
-kernel up to scale (target KT, or generalized KT with k_split = c * k), the
-swap stage takes its row means from those sums and the whole pipeline
-evaluates about n^2 / 2 kernel entries instead of n^2.
+The blocks cover the lower triangle of the split kernel's Gram matrix.
+When the split kernel is the target kernel up to scale (target KT, or
+generalized KT with k_split = c * k), the split adds up their row sums and
+hands the swap stage its row means, and the whole pipeline evaluates about
+n^2 / 2 kernel entries instead of n^2; `_split` is the one place that
+decides this.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .kernels import (  # noqa: F401
     KernelError,
     _as_points,
     _check_alpha,
+    _number_in,
     _read_fields,
     evaluate,
     gram,
@@ -152,15 +154,6 @@ def swap_probability(alpha: float, a: float) -> float:
     return min(1.0, max(0.0, 0.5 * (1.0 - alpha / a)))
 
 
-def _split_base(k_split) -> tuple[KernelSpec, float]:
-    """(the split kernel's base divided by its sup-norm, its identity weight)."""
-    if isinstance(k_split, IdentityPerturbedKernel):
-        return k_split.base.normalized(), k_split.weight
-    if isinstance(k_split, KernelSpec):
-        return k_split.normalized(), 0.0
-    raise KernelError(f"unsupported split kernel type {type(k_split).__name__}")
-
-
 def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     """Divide the input into 2^m candidate coresets of size floor(n / 2^m).
 
@@ -195,11 +188,11 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     far.  A block holds at most 2^m x n doubles, and every block is written
     into one buffer of that size, 8 2^m n bytes (0.5 MB at n = 2048, m = 5;
     2 MB at n = 4096, m = 6), which gauss, laplace and imq fill in place.
-    The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2,
-    and adds up the blocks' row sums as it goes: when the split kernel is
-    the target kernel up to scale, `thin` takes the swap stage's
-    row means from them (with one more kernel column for the last point
-    when n is odd).
+    The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2.
+    `_split`, given the target kernel, decides whether the split kernel is
+    it up to scale; only then does it add up the blocks' row sums (with one
+    more kernel column for the last point when n is odd) into the swap
+    stage's row means.
 
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
@@ -210,11 +203,11 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     return _split(k_split, points, cfg)[0]
 
 
-def _split(k_split, points, cfg: ThinningConfig) -> tuple[list[np.ndarray], np.ndarray]:
-    """`kt_split`'s candidates, and the blocks' row sums of the split
-    kernel's normalized base (`_split_base`): sum_y k(x, y) over every y in
-    the first 2 floor(n / 2) points, for every x (0 for the last point of
-    an odd input, which is in no block)."""
+def _split(k_split, points, cfg: ThinningConfig,
+           k_target: KernelSpec | None = None) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """`kt_split`'s candidates, and k_target's row means
+    (1/n) sum_y k_target(x, y) from the blocks when the split kernel's
+    normalized base is k_target's, else None and no sums are formed."""
     points = _as_points(points)
     n, d = points.shape
     if n < 2:
@@ -224,7 +217,12 @@ def _split(k_split, points, cfg: ThinningConfig) -> tuple[list[np.ndarray], np.n
         raise ValueError(f"m={m} too large for n={n}: output would be empty")
     # the scale factor is divided out: the swap ratio and the scale recursion
     # are invariant to positive rescaling, and this makes that exact
-    kernel, weight = _split_base(k_split)
+    if isinstance(k_split, IdentityPerturbedKernel):
+        kernel, weight = k_split.base.normalized(), k_split.weight
+    elif isinstance(k_split, KernelSpec):
+        kernel, weight = k_split.normalized(), 0.0
+    else:
+        raise KernelError(f"unsupported split kernel type {type(k_split).__name__}")
     kernel.validate_dim(d)
     diag = kernel.sup_norm() + weight
     deltas = cfg.deltas(n)
@@ -236,7 +234,8 @@ def _split(k_split, points, cfg: ThinningConfig) -> tuple[list[np.ndarray], np.n
     idx = [np.arange(used)[None]] + [np.empty((2 ** j, used >> j), int) for j in range(1, m + 1)]
     sigma_sq = [None] + [[0.0] * 2 ** (j - 1) for j in range(1, m + 1)]
     uniforms = _split_uniforms(cfg.seed, used // 2, m)
-    sums = np.zeros(n)
+    # the blocks' row sums, formed only when they are k_target's up to scale
+    sums = None if k_target is None or kernel != k_target.normalized() else np.zeros(n)
     # every block is evaluated into this one buffer, reshaped to the block so
     # that kb stays C-contiguous and the flat offsets below stay valid
     buf = np.empty(2 ** m * used)
@@ -248,8 +247,9 @@ def _split(k_split, points, cfg: ThinningConfig) -> tuple[list[np.ndarray], np.n
         # block's rows of the lower triangle and its columns of the upper
         kb = evaluate(kernel, points[None, :end], points[s0:end, None],
                       out=buf[:(end - s0) * end].reshape(end - s0, end))
-        sums[s0:end] += kb.sum(1)
-        sums[:s0] += kb[:, :s0].sum(0)
+        if sums is not None:
+            sums[s0:end] += kb.sum(1)
+            sums[:s0] += kb[:, :s0].sum(0)
         for j in range(1, m + 1):
             slots, t0, t1 = 2 ** (j - 1), (s0 >> j) + 1, (end >> j) + 1
             children = idx[j].reshape(slots, 2, -1)
@@ -290,7 +290,14 @@ def _split(k_split, points, cfg: ThinningConfig) -> tuple[list[np.ndarray], np.n
                 swap = u[i] < 0.5 * (1.0 - alpha / thresholds[i])
                 # children 2l and 2l+1 receive (x, x~), reversed on a swap
                 children[:, :, t - 1] = np.where(swap, pairs[i, :, ::-1], pairs[i])
-    return list(idx[m]), sums
+    if sums is None:
+        return list(idx[m]), None
+    if n % 2:
+        # the last point of an odd input is in no block: one column for it
+        last = evaluate(kernel, points, points[-1])
+        sums[:-1] += last[:-1]
+        sums[-1] = last.sum()
+    return list(idx[m]), sums * (k_target.scale / kernel.scale) / n
 
 
 def _split_uniforms(seed: int, rounds: int, m: int) -> list:
@@ -310,8 +317,11 @@ def _split_uniforms(seed: int, rounds: int, m: int) -> list:
 def baseline_thin(n: int, m: int) -> np.ndarray:
     """Standard thinning: every 2^m-th index, anchored to include the last.
 
+    n >= 1 and m >= 0 are integers, read as in plan.json (2.0 reads as 2);
     m = 0 returns the identity selection.
     """
+    n = _number_in(n, int, lambda v: v >= 1, "n must be an integer >= 1", ValueError)
+    m = _number_in(m, int, lambda v: True, "m must be an integer", ValueError)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     size = n // 2 ** m
@@ -352,7 +362,7 @@ def kt_swap(
     n = len(points)
     if not candidates:
         raise ValueError("kt_swap needs at least one candidate coreset")
-    candidates = [_as_indices(c, n) for c in candidates]
+    candidates = [_as_indices(c, n, "candidate coreset") for c in candidates]
     sizes = {len(c) for c in candidates}
     if len(sizes) != 1:
         raise ValueError(f"candidate coresets differ in size: {sorted(sizes)}")
@@ -495,25 +505,16 @@ def thin(variant: Variant, k: KernelSpec, points, cfg: ThinningConfig) -> Corese
 
     Standard thinning keeps every 2^m-th point.  Every other variant splits
     with `variant.split_kernel_for(k, d)` and runs `kt_swap` with k, fed the
-    split's row sums when they are k's (see the module docstring).  The
-    provenance names the variant, and the alpha of a power kernel built
-    from a given one.
+    row means that `_split` returns when it finds the split kernel is k up
+    to scale (see the module docstring).  The provenance names the variant,
+    and the alpha of a power kernel built from a given one.
     """
     points = _as_points(points)
     k_split = variant.split_kernel_for(k, points.shape[1])
     if k_split is None:
         out = Coreset(baseline_thin(len(points), cfg.m), {})
     else:
-        candidates, sums = _split(k_split, points, cfg)
-        kernel, _ = _split_base(k_split)
-        row_mean = None
-        if kernel == k.normalized():
-            if len(points) % 2:
-                # the last point of an odd input is in no block: one column for it
-                last = evaluate(kernel, points, points[-1])
-                sums[:-1] += last[:-1]
-                sums[-1] = last.sum()
-            row_mean = sums * (k.scale / kernel.scale) / len(points)
+        candidates, row_mean = _split(k_split, points, cfg, k)
         out = kt_swap(k, points, candidates, cfg, row_mean=row_mean)
         out.provenance.update(_sigma_diagnostics(len(points), cfg, k_split.sup_norm()))
     out.provenance["variant"] = variant.name

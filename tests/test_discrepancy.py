@@ -358,6 +358,17 @@ def test_swap_cache_rejects_malformed_coreset(monkeypatch):
             SwapCache(kn.gauss(1.0), pts, bad)
 
 
+def test_swap_methods_take_numpy_integers():
+    # the bounds checks read numpy integers as their Python values
+    pts = np.random.default_rng(7).normal(size=(30, 2))
+    cache, same = (SwapCache(kn.gauss(1.0), pts, np.array([3, 11])) for _ in range(2))
+    assert cache.best_swap(np.int64(1)) == same.best_swap(1)
+    assert mmd_swap_delta(cache, np.int32(0), np.uint8(7)) == mmd_swap_delta(same, 0, 7)
+    cache.apply_swap(np.int64(0), np.uint16(7))
+    same.apply_swap(0, 7)
+    assert cache.coreset.tolist() == same.coreset.tolist() == [7, 11]
+
+
 def test_swap_delta_matches_full_recomputation():
     rng = np.random.default_rng(8)
     k = kn.laplace(1.3)

@@ -63,9 +63,16 @@ def test_fused_row_means_match_row_mean_pass(monkeypatch, name):
 def test_other_split_kernels_keep_the_row_mean_pass(monkeypatch):
     x = np.random.default_rng(3).normal(size=(65, 2))
     cfg = ThinningConfig(m=2, seed=3)
+    k_target = kn.gauss(1.3)
     for k_split in (kn.gauss(2.0), kn.laplace(1.3),
                     kn.IdentityPerturbedKernel(kn.gauss(2.0))):
-        assert _captured_row_mean(monkeypatch, k_split, kn.gauss(1.3), x, cfg) is None
+        assert _captured_row_mean(monkeypatch, k_split, k_target, x, cfg) is None
+        # the split itself returns no row means, and the same candidates
+        candidates, row_mean = kthin.thinning._split(k_split, x, cfg, k_target)
+        assert row_mean is None
+        want = kt_split(k_split, x, cfg)
+        assert len(candidates) == len(want)
+        assert all(np.array_equal(c, w) for c, w in zip(candidates, want))
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

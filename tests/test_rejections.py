@@ -8,7 +8,8 @@ import pytest
 
 from kthin import kernels as kn
 from kthin.cli import EXIT_DATA, main
-from kthin.discrepancy import DiscreteMeasure, check_interpolation, gauss_interpolation_triple
+from kthin.discrepancy import (DiscreteMeasure, Reference, SwapCache, check_interpolation,
+                               gauss_interpolation_triple, mmd_swap_delta)
 from kthin.harness import ExperimentPlan, fit_loglog
 from kthin.targets import ExternalTarget, IngestError, MogTarget, ingest
 from kthin.thinning import ThinningConfig, baseline_thin, generalized_kt, kt_split, kt_swap
@@ -32,6 +33,10 @@ def truncated_bin_file(tmp_path):
     path = tmp_path / "pts.bin"
     path.write_bytes(b"KTPS" + struct.pack("<II", 2, 2) + b"\0" * 24)  # 2 x 2 needs 32
     return str(path)
+
+
+def swap_cache():
+    return SwapCache(kn.gauss(1.0), POINTS, [0, 5])
 
 
 def interpolation_at(alpha):
@@ -58,6 +63,21 @@ REJECTIONS = {
         r"^ExperimentPlan spec key 'test_functions': expected one of \[.*\], got 'moment3'"),
     "fit-one-point": (
         lambda tmp: fit_loglog([4.0], [1.0]), ValueError, "need at least two points to fit a rate"),
+    "fit-zero-y": (
+        lambda tmp: fit_loglog([1, 2], [0, 1]), ValueError,
+        r"y_values must be finite and positive, got \[0.0, 1.0\]"),
+    "fit-negative-y": (
+        lambda tmp: fit_loglog([1, 2, 4], [1, -1, 2]), ValueError,
+        r"y_values must be finite and positive, got \[1.0, -1.0, 2.0\]"),
+    "fit-nan-y": (
+        lambda tmp: fit_loglog([1, 2], [1, np.nan]), ValueError,
+        r"y_values must be finite and positive, got \[1.0, nan\]"),
+    "fit-infinite-x": (
+        lambda tmp: fit_loglog([1, np.inf], [1, 2]), ValueError,
+        r"x_values must be finite and positive, got \[1.0, inf\]"),
+    "fit-equal-x": (
+        lambda tmp: fit_loglog([1, 1], [1, 2]), ValueError,
+        r"x_values must not all be equal, got \[1.0, 1.0\]"),
     "lengthscale-zero": (
         lambda tmp: kn.gauss(1.0).with_lengthscale(0), kn.KernelError,
         "length scale must be finite and > 0, got 0"),
@@ -127,6 +147,44 @@ REJECTIONS = {
         "unsupported split kernel type str"),
     "baseline-negative-m": (
         lambda tmp: baseline_thin(16, -1), ValueError, "m must be >= 0, got -1"),
+    "baseline-fractional-m": (
+        lambda tmp: baseline_thin(16, 2.5), ValueError, "m must be an integer, got 2.5"),
+    "baseline-bool-m": (
+        lambda tmp: baseline_thin(16, True), ValueError, "m must be an integer, got True"),
+    "baseline-zero-n": (
+        lambda tmp: baseline_thin(0, 0), ValueError, "n must be an integer >= 1, got 0"),
+    "baseline-fractional-n": (
+        lambda tmp: baseline_thin(16.5, 2), ValueError, "n must be an integer >= 1, got 16.5"),
+    "swap-apply-negative-candidate": (
+        lambda tmp: swap_cache().apply_swap(0, -1), ValueError,
+        r"candidate must be an integer in \[0, 16\), got -1"),
+    "swap-apply-candidate-past-end": (
+        lambda tmp: swap_cache().apply_swap(0, 99), ValueError,
+        r"candidate must be an integer in \[0, 16\), got 99"),
+    "swap-apply-fractional-candidate": (
+        lambda tmp: swap_cache().apply_swap(0, 1.0), ValueError,
+        r"candidate must be an integer in \[0, 16\), got 1.0"),
+    "swap-apply-position-past-end": (
+        lambda tmp: swap_cache().apply_swap(2, 1), ValueError,
+        r"position must be an integer in \[0, 2\), got 2"),
+    "swap-best-negative-position": (
+        lambda tmp: swap_cache().best_swap(-1), ValueError,
+        r"position must be an integer in \[0, 2\), got -1"),
+    "swap-best-bool-position": (
+        lambda tmp: swap_cache().best_swap(True), ValueError,
+        r"position must be an integer in \[0, 2\), got True"),
+    "swap-delta-negative-candidate": (
+        lambda tmp: mmd_swap_delta(swap_cache(), 0, -1), ValueError,
+        r"candidate must be an integer in \[0, 16\), got -1"),
+    "swap-delta-negative-position": (
+        lambda tmp: mmd_swap_delta(swap_cache(), -1, 0), ValueError,
+        r"position must be an integer in \[0, 2\), got -1"),
+    "reference-empty-indices": (
+        lambda tmp: Reference(kn.gauss(1.0), POINTS).mmd_sq(np.array([], int)), ValueError,
+        r"indices must be a non-empty 1-D integer array of entries in \[0, 16\)"),
+    "swap-cache-empty-coreset": (
+        lambda tmp: SwapCache(kn.gauss(1.0), POINTS, np.array([], int)), ValueError,
+        r"coreset must be a non-empty 1-D integer array of entries in \[0, 16\)"),
     "swap-no-candidates": (
         lambda tmp: kt_swap(kn.gauss(1.0), POINTS, [], CFG), ValueError,
         "kt_swap needs at least one candidate coreset"),

@@ -263,6 +263,13 @@ def test_baseline_thin_examples():
         baseline_thin(4, 3)
 
 
+def test_baseline_thin_reads_whole_numbers_as_integers():
+    # a whole-number float reads as its integer, as in plan.json
+    for n, m in ((16.0, 2), (16, 2.0), (np.int64(16), np.uint8(2))):
+        out = baseline_thin(n, m)
+        assert out.dtype.kind == "i" and out.tolist() == [3, 7, 11, 15]
+
+
 def test_anchored_stride_matches_both_strided_rules():
     # baseline_thin steps by 2^m and targets._thin_to by n // size; the two
     # differ, e.g. at n = 11, size 2: step 4 (m = 2) against step 5
