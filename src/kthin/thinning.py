@@ -19,12 +19,13 @@ level, bit-identical to drawing each with `rng.swap_uniform`.  It then runs
 over aligned blocks of 2^m input points, and within a block level by level.
 Each block has its split-kernel columns against the input prefix computed
 once, into one buffer of 8 2^m n bytes that every block reuses, and all m
-levels read their kernel values from it.  A level first runs the scale
-recursion over all of the block's pairs, which needs only their squared
-kernel distances, and then decides the pairs in order, halving all slots of
-a level in one array operation.  Swap decisions depend on the split kernel only through
-scale-free ratios, so the kernel's scale factor is divided out up front;
-c * k yields the same candidates as k under the same seed, bitwise.
+levels read their kernel values from it, alpha from a prefix table of the
+block's row sums over each finest coreset's points from before the block
+plus the terms of the block's earlier pairs.  A level decides pair by pair
+within each slot and writes all slots' children in one array operation.
+Swap decisions depend on the split kernel only through scale-free ratios,
+so the kernel's scale factor is divided out up front; c * k yields the same
+candidates as k under the same seed, bitwise.
 
 The blocks cover the lower triangle of the split kernel's Gram matrix.
 When the split kernel is the target kernel up to scale (target KT, or
@@ -162,8 +163,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     stage).  Returns index arrays into `points`.
 
     Level j halves each of its 2^(j-1) parent coresets pair by pair, in
-    order: its t-th pair (x, x~) is the parent's points 2t - 1 and 2t, and
-    all slots of a level are one array operation.  The pair splits against
+    order: its t-th pair (x, x~) is the parent's points 2t - 1 and 2t.  The
+    pair splits against
 
         alpha = sum_{y in right child} [k(y, x) - k(y, x~)]
                 - sum_{y in left child} [k(y, x) - k(y, x~)],
@@ -171,8 +172,6 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     which equals the parent/left-child form of the algorithm (the pair's own
     terms cancel).  It never meets a pair's own index, so the identity
     perturbation only adds 2w to b^2 = k(x, x) + k(x~, x~) - 2 k(x, x~).
-    The split computes alpha as written, from the points each child already
-    holds.
 
     The loops run block, then level, then pair.  An aligned block
     B = [2^m q, 2^m (q + 1)) of input points feeds exactly the pairs
@@ -180,14 +179,19 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     depend only on B's earlier levels, on the uniforms addressed by
     (round, level, slot), and on sigma^2, which stays sequential in t within
     each level; so this order makes the same decisions as consuming the
-    input pair by pair.  The threshold a and sigma^2 depend on the pairs'
-    b^2 alone, so each level runs its scale recursion over all of the
-    block's pairs first and then decides them in order.  k(y, x) for x in B
-    and every y before B's end comes from one `evaluate` call, and each pair
-    reads its values from it with one gather over the children built so
-    far.  A block holds at most 2^m x n doubles, and every block is written
-    into one buffer of that size, 8 2^m n bytes (0.5 MB at n = 2048, m = 5;
-    2 MB at n = 4096, m = 6), which gauss, laplace and imq fill in place.
+    input pair by pair.  k(y, x) for x in B and every y before B's end
+    comes from one `evaluate` call.  Each finest coreset holds one point of
+    every block before B; B's rows are summed over those points into a
+    prefix table that folds pairwise up the levels, so a pair reads its
+    children's terms from before B in four lookups, and each earlier pair
+    of B in its slot adds four terms, signed by its swap.  The table takes
+    one gather of |B| (start of B) entries per block, about n^2 / 2 in all,
+    against about n^2 for a gather per pair over the children built so far.
+    Summed in this order, alpha decides as in the scalar oracle unless a
+    uniform lands within rounding of a swap probability.  Every block is
+    written into one buffer of 2^m x n doubles, 8 2^m n bytes (0.5 MB at
+    n = 2048, m = 5; 2 MB at n = 4096, m = 6), which gauss, laplace and imq
+    fill in place, and gathered into another.
     The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2.
     `_split`, given the target kernel, decides whether the split kernel is
     it up to scale; only then does it add up the blocks' row sums (with one
@@ -236,60 +240,75 @@ def _split(k_split, points, cfg: ThinningConfig,
     uniforms = _split_uniforms(cfg.seed, used // 2, m)
     # the blocks' row sums, formed only when they are k_target's up to scale
     sums = None if k_target is None or kernel != k_target.normalized() else np.zeros(n)
-    # every block is evaluated into this one buffer, reshaped to the block so
-    # that kb stays C-contiguous and the flat offsets below stay valid
-    buf = np.empty(2 ** m * used)
+    # coordinate-major columns, whose coordinates numpy subtracts faster
+    cols = np.asfortranarray(points)
+    # each block is evaluated into buf (its scratch in gbuf) and gathered into
+    # gbuf, reshaped so that kb stays C-contiguous for the flat offsets below
+    buf, gbuf = np.empty(2 ** m * used), np.empty(2 ** m * used)
 
     for s0 in range(0, used, 2 ** m):
         end = min(s0 + 2 ** m, used)
         # kb[w, y] = k(points[y], points[s0 + w]): the block's points
         # against every input point up to the block's end, which is the
         # block's rows of the lower triangle and its columns of the upper
-        kb = evaluate(kernel, points[None, :end], points[s0:end, None],
-                      out=buf[:(end - s0) * end].reshape(end - s0, end))
+        kb = evaluate(kernel, cols[None, :end], points[s0:end, None],
+                      out=buf[:(end - s0) * end].reshape(end - s0, end),
+                      _scratch=gbuf[:(end - s0) * end].reshape(end - s0, end))
         if sums is not None:
             sums[s0:end] += kb.sum(1)
             sums[:s0] += kb[:, :s0].sum(0)
+        # table[w, c] sums kb's row w over the points that finest coreset c
+        # held before the block, one per earlier block; folded up the
+        # levels, prior[j][w, l] is that sum over child 2l + 1 of slot l
+        # less the sum over child 2l; mode "clip" spares numpy's copy of out
+        held = idx[m][:, :s0 >> m].T
+        table = np.take(kb, held, axis=1, mode="clip",
+                        out=gbuf[:(end - s0) * s0].reshape(end - s0, *held.shape)).sum(1)
+        prior = [None] * (m + 1)
+        for j in range(m, 0, -1):
+            prior[j], table = table[:, 1::2] - table[:, ::2], table[:, ::2] + table[:, 1::2]
         for j in range(1, m + 1):
             slots, t0, t1 = 2 ** (j - 1), (s0 >> j) + 1, (end >> j) + 1
-            children = idx[j].reshape(slots, 2, -1)
             # pairs[l, i] = (x, x~) of slot l's pair t0 + i, and base its
             # members' row offsets into the flat kb
             pairs = idx[j - 1][:, 2 * t0 - 2:2 * t1 - 2].reshape(slots, t1 - t0, 2)
             base = (pairs - s0) * end
             b_sq = np.maximum(diag + diag - 2.0 * kb.take(base[..., 1] + pairs[..., 0]), 0.0)
 
-            # the scale recursion, sequential in t within each slot
-            delta_hats = [deltas[t - 1] * 2 ** (j - 1) / m for t in range(t0, t1)]
-            thresholds = []
-            for l, row in enumerate(b_sq.tolist()):
-                s, a_row = sigma_sq[j][l], []
-                for b, delta_hat in zip(row, delta_hats):
-                    a, s = get_swap_params(s, b, delta_hat)
-                    a_row.append(a)
-                sigma_sq[j][l] = s
-                thresholds.append(a_row)
-            # b^2 = 0: either assignment is equivalent and the pair never
-            # swaps; a NaN threshold makes the swap test below false
-            thresholds = np.where(b_sq > 0.0, thresholds, np.nan)
+            # pre[l][i]: pair i's alpha over the points its children held
+            # before the block, four lookups
+            pre = prior[j].take((pairs - s0) * slots + np.arange(slots)[:, None, None])
+            pre = (pre[..., 0] - pre[..., 1]).tolist()
+            # k_p[l, i, p, i', p'] = k(member p' of pair i', member p of
+            # pair i) over slot l's pairs in the block, and d[l][i][i'] the
+            # term that pair i' adds to pair i's alpha when x' joins child
+            # 2l and x~' child 2l + 1; a swap negates it
+            k_p = kb.take(base[..., None, None] + pairs[:, None, None])
+            g = k_p[..., 1] - k_p[..., 0]
+            d = (g[:, :, 0] - g[:, :, 1]).tolist()
+            u = uniforms[j][t0 - 1:t1 - 1].T.tolist()
 
-            # pair-major views: index i holds the block's pair t0 + i of
-            # every slot, shaped to broadcast against the (slots, 1) alpha
-            pairs, base = pairs.swapaxes(0, 1), base.swapaxes(0, 1)[..., None, None]
-            thresholds, u = thresholds.T[..., None], uniforms[j][t0 - 1:t1 - 1, :, None]
-            for i, t in enumerate(range(t0, t1)):
-                # k_y[l, p, h, i] = k(y, pair member p) for the i-th point
-                # y of child h of parent l, over the t - 1 points each
-                # child already holds
-                k_y = kb.take(base[i] + children[:, None, :, :t - 1])
-                per_child = (k_y[:, 0] - k_y[:, 1]).sum(axis=2)
-                alpha = per_child[:, 1:] - per_child[:, :1]
-                # u in [0, 1) falls below 0.5 (1 - alpha / a) exactly when
-                # it falls below swap_probability(alpha, a), its clamp to
-                # [0, 1]
-                swap = u[i] < 0.5 * (1.0 - alpha / thresholds[i])
-                # children 2l and 2l+1 receive (x, x~), reversed on a swap
-                children[:, :, t - 1] = np.where(swap, pairs[i, :, ::-1], pairs[i])
+            # the scale recursion and the decisions, sequential in t per slot
+            delta_hats = [deltas[t - 1] * 2 ** (j - 1) / m for t in range(t0, t1)]
+            signs = []
+            for l, row in enumerate(b_sq.tolist()):
+                s, slot_signs = sigma_sq[j][l], []
+                for i, (b, delta_hat) in enumerate(zip(row, delta_hats)):
+                    a, s = get_swap_params(s, b, delta_hat)
+                    alpha = pre[l][i]
+                    for sign, term in zip(slot_signs, d[l][i]):
+                        alpha += sign * term
+                    # b^2 = 0: the pair never swaps; else u in [0, 1) falls
+                    # below 0.5 (1 - alpha / a) exactly when it falls below
+                    # swap_probability(alpha, a), its clamp to [0, 1]
+                    swap = b > 0.0 and u[l][i] < 0.5 * (1.0 - alpha / a)
+                    slot_signs.append(-1.0 if swap else 1.0)
+                sigma_sq[j][l] = s
+                signs.append(slot_signs)
+            # children 2l and 2l+1 receive (x, x~), reversed on a swap
+            swap = np.array(signs)[..., None] < 0.0
+            idx[j].reshape(slots, 2, -1)[:, :, t0 - 1:t1 - 1] = np.where(
+                swap, pairs[..., ::-1], pairs).swapaxes(1, 2)
     if sums is None:
         return list(idx[m]), None
     if n % 2:
