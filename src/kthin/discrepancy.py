@@ -52,7 +52,6 @@ from .kernels import (
     _as_points,
     _check_alpha,
     _in_order,
-    _pool_size,
     gauss_power_exact,
     gram,
 )
@@ -131,15 +130,15 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     rows I and w_I @ g to rows J, the sum over the transposed entries below
     the diagonal, which halves the kernel evaluations.
 
-    A sum of at least _POOL_STRIPS strips runs them on one thread per CPU
-    (`kernels._in_order`); a smaller one runs on the calling thread, since
-    on 2 CPUs the threads' hand-offs cost about what they saved on sums of
-    up to 4096 points against themselves.  Either way each strip's
-    matrix-vector products are formed from the same entries and added into
-    the result by the calling thread in strip order, so the sums are bitwise
-    the same at any thread count.  This call allocates each thread's strip
-    buffer of _ROWS x _COLS doubles (1 MB) and a scratch array of the same
-    size for the squared coordinate differences.
+    `kernels._in_order` runs the strips on one thread per CPU from
+    _POOL_STRIPS strips on, and on the calling thread below that, since on 2
+    CPUs the threads' hand-offs cost about what they saved on sums of up to
+    4096 points against themselves.  Either way each strip's matrix-vector
+    products are formed from the same entries and added into the result by
+    the calling thread in strip order, so the sums are bitwise the same at
+    any thread count.  Each thread has its own strip buffer of _ROWS x _COLS
+    doubles (1 MB) and a scratch array of the same size for the squared
+    coordinate differences.
     """
     symmetric = y is None
     flip = not symmetric and len(y) < len(x)
@@ -150,9 +149,7 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     strips = [(i0, min(i0 + _ROWS, len(rows)), j0, min(j0 + _COLS, len(cols)))
               for i0 in range(0, len(rows), _ROWS)
               for j0 in range(i0 if symmetric else 0, len(cols), _COLS)]
-    workers = _pool_size(len(strips)) if len(strips) >= _POOL_STRIPS else 1
     size = min(_ROWS, len(rows)) * min(_COLS, len(cols))
-    buffers = [(np.empty(size), np.empty(size)) for _ in range(workers)]
 
     def strip(s: int, bufs) -> list:
         """The strip's sums, each with the rows of the result it adds to."""
@@ -174,7 +171,7 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
         for at, v in sums:
             out[at] += v
 
-    _in_order(strip, len(strips), buffers, add)
+    _in_order(strip, len(strips), lambda: (np.empty(size), np.empty(size)), add, _POOL_STRIPS)
     return out
 
 
@@ -273,12 +270,13 @@ class SwapCache(Reference):
         coreset: np.ndarray,
         row_mean: np.ndarray | None = None,
     ):
+        points = _as_points(points)
         # before the row means
-        self.coreset = _as_indices(coreset, len(_as_points(points)), "coreset")
+        self.coreset = _as_indices(coreset, len(points), "coreset")
         super().__init__(k, points, row_mean)
-        # every family attains its sup-norm on the diagonal, bitwise equal to
-        # the Gram-path value at z = 0
-        self.diag = np.full(len(self.points), k.sup_norm())
+        # k(z, z) for every z: each family attains its sup-norm on the
+        # diagonal, bitwise equal to the Gram-path value at z = 0
+        self.diag = k.sup_norm()
         self.cross = _kernel_sums(
             k, self.points, np.ones(len(self.coreset)), self.points[self.coreset]
         )

@@ -19,15 +19,15 @@ all share one representation.  Fractional power kernels are returned up to
 a positive constant scaling: thinning decisions and MMD rankings are
 invariant to that constant, so it is left at 1.
 
-The package uses threads by one rule, in one helper, `_in_order`: the
-strips of a large kernel sum (`discrepancy._kernel_sums`) and the
-`_KV_CHUNK`-entry chunks of a Bessel-order Matern evaluation (scipy's `kv`,
-two orders of magnitude slower per entry than `np.exp`) run on the calling
-thread and one helper thread per further CPU the process's affinity allows.
-The helpers live only for that call, a task already on such a thread starts
-no more, and the calling thread combines the results in task order, so every
-value is bitwise the same whatever the thread count.  No option,
-environment variable or parameter sets that count.
+The package uses threads by one rule, in one helper, `_in_order`, which
+alone sets their count: the strips of a large kernel sum
+(`discrepancy._kernel_sums`) and the `_KV_CHUNK`-entry chunks of a
+Bessel-order Matern evaluation (scipy's `kv`, two orders of magnitude slower
+per entry than `np.exp`) run on one thread per CPU the process's affinity
+allows and per task, or on the calling thread alone below the caller's task
+threshold or inside a task.  Helpers live only for that call, and the calling
+thread combines the results in task order, so every value is bitwise the
+same whatever the thread count, which no option, variable or parameter sets.
 """
 
 from __future__ import annotations
@@ -324,25 +324,22 @@ def _cpu_count() -> int:
 _in_pool = threading.local()
 
 
-def _pool_size(tasks: int) -> int:
-    """The threads `_in_order` runs `tasks` tasks on: one per CPU this process
-    may use, at most one per task, and only the calling thread inside a task."""
-    return 1 if getattr(_in_pool, "busy", False) else max(1, min(_cpu_count(), tasks))
+def _in_order(task, count: int, state, take, least: int = 2) -> None:
+    """take(task(i, s)) for i = 0 .. count - 1, taken in order of i.
 
-
-def _in_order(task, count: int, states: list, take) -> None:
-    """take(task(i, state)) for i = 0 .. count - 1, taken in order of i.
-
-    The calling thread and one helper thread per further entry of `states`
-    each claim the next index in turn and run its task with their own state
-    (say, a buffer the caller allocated), so a faster thread runs more tasks.
-    Only the calling thread calls take, strictly in order of i, and no index
-    is claimed more than 2 * len(states) past the next one to take, so at
-    most that many results wait.  Whatever the thread count, take sees the
-    same results in the same order.  A task that raises stops the other
-    threads at their next claim; the calling thread's exception, else the
-    first helper's, is raised here once every helper has exited.
+    The one thread-count rule: one thread per CPU this process may use and
+    per task, or the calling thread alone when count < least or inside an
+    `_in_order` task.  Each thread claims the next index in turn and runs
+    its task with its own s = state() (say, a buffer), so a faster thread
+    runs more tasks.  Only the calling thread calls take, strictly in order
+    of i, and no index is claimed more than twice the thread count past the
+    next one to take, so at most that many results wait.  Whatever the
+    thread count, take sees the same results in the same order.  A task that
+    raises stops the other threads at their next claim; the calling thread's
+    exception, else the first helper's, is raised once every helper exited.
     """
+    alone = count < least or getattr(_in_pool, "busy", False)
+    states = [state() for _ in range(1 if alone else min(_cpu_count(), count))]
     if len(states) < 2:
         for i in range(count):
             take(task(i, states[0]))
@@ -415,22 +412,18 @@ def _in_order(task, count: int, states: list, take) -> None:
 
 
 def _chunked_kv(kv, a: float, t: np.ndarray) -> np.ndarray:
-    """kv(a, t), over chunks of `_KV_CHUNK` entries on `_in_order`'s threads.
+    """kv(a, t), over chunks of `_KV_CHUNK` entries run by `_in_order`.
 
     `kv` is an elementwise ufunc that releases the GIL, so every value is
-    bitwise what one call gives.
+    bitwise what one call gives, on any number of threads.
     """
-    count = -(-t.size // _KV_CHUNK)
-    workers = _pool_size(count)
-    if workers < 2:
-        return kv(a, t)
     res = np.empty_like(t)
 
     def chunk(i, _) -> None:
         at = slice(i * _KV_CHUNK, (i + 1) * _KV_CHUNK)
         kv(a, t[at], out=res[at])
 
-    _in_order(chunk, count, [None] * workers, lambda _: None)
+    _in_order(chunk, -(-t.size // _KV_CHUNK), lambda: None, lambda _: None)
     return res
 
 

@@ -109,7 +109,10 @@ class Coreset:
     provenance: dict
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=int)
+        indices = np.asarray(self.indices)
+        if indices.ndim != 1 or indices.dtype.kind not in "iu":
+            raise ValueError(f"indices must be a 1-D integer array, got {self.indices!r}")
+        self.indices = np.asarray(indices, dtype=int)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -151,7 +154,10 @@ def get_swap_params(sigma_sq: float, b_sq: float, delta_hat: float) -> tuple[flo
 
 
 def swap_probability(alpha: float, a: float) -> float:
-    """min(1, (1 - alpha/a)_+ / 2): always in [0, 1], and 1/2 when alpha = 0."""
+    """min(1, (1 - alpha/a)_+ / 2): always in [0, 1], and 1/2 when alpha = 0;
+    a ValueError unless alpha is finite and the threshold a finite and > 0."""
+    alpha = _number_in(alpha, float, lambda v: True, "alpha must be finite", ValueError)
+    a = _number_in(a, float, lambda v: v > 0, "a must be finite and > 0", ValueError)
     return min(1.0, max(0.0, 0.5 * (1.0 - alpha / a)))
 
 

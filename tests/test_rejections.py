@@ -12,7 +12,8 @@ from kthin.discrepancy import (DiscreteMeasure, Reference, SwapCache, check_inte
                                gauss_interpolation_triple, mmd_swap_delta)
 from kthin.harness import ExperimentPlan, fit_loglog
 from kthin.targets import ExternalTarget, IngestError, MogTarget, ingest
-from kthin.thinning import ThinningConfig, baseline_thin, generalized_kt, kt_split, kt_swap
+from kthin.thinning import (Coreset, ThinningConfig, baseline_thin, generalized_kt, kt_split,
+                             kt_swap, swap_probability)
 
 POINTS = np.random.default_rng(0).normal(size=(16, 2))
 CFG = ThinningConfig(m=2)
@@ -185,6 +186,19 @@ REJECTIONS = {
     "swap-cache-empty-coreset": (
         lambda tmp: SwapCache(kn.gauss(1.0), POINTS, np.array([], int)), ValueError,
         r"coreset must be a non-empty 1-D integer array of entries in \[0, 16\)"),
+    "swap-probability-zero-a": (
+        lambda tmp: swap_probability(1.0, 0.0), ValueError, "a must be finite and > 0, got 0.0"),
+    "swap-probability-negative-a": (
+        lambda tmp: swap_probability(1.0, -1.0), ValueError,
+        "a must be finite and > 0, got -1.0"),
+    "swap-probability-nan-alpha": (
+        lambda tmp: swap_probability(np.nan, 1.0), ValueError, "alpha must be finite, got nan"),
+    "coreset-fractional-indices": (
+        lambda tmp: Coreset([0.7, 2.9], {}), ValueError,
+        r"indices must be a 1-D integer array, got \[0.7, 2.9\]"),
+    "coreset-bool-indices": (
+        lambda tmp: Coreset([True, False], {}), ValueError,
+        r"indices must be a 1-D integer array, got \[True, False\]"),
     "swap-no-candidates": (
         lambda tmp: kt_swap(kn.gauss(1.0), POINTS, [], CFG), ValueError,
         "kt_swap needs at least one candidate coreset"),

@@ -145,19 +145,6 @@ def test_numbers_read_without_warnings():
 # kt_split
 # ---------------------------------------------------------------------------
 
-def test_two_point_split_is_a_fair_coin():
-    # alpha = 0 by hand-execution, so the pair swaps with probability 1/2;
-    # binomial 3 sigma band at 10^4 trials is +/- 0.015
-    x = np.array([[0.0], [1.0]])
-    trials = 10_000
-    swaps = 0
-    for seed in range(trials):
-        cands = kt_split(K, x, ThinningConfig(m=1, seed=seed))
-        swaps += int(cands[0][0] == 1)
-    freq = swaps / trials
-    assert abs(freq - 0.5) <= 3.0 * math.sqrt(0.25 / trials)
-
-
 def test_identical_pair_deterministic():
     x = np.array([[2.5], [2.5]])
     for seed in range(25):

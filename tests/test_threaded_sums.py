@@ -142,12 +142,17 @@ def test_a_strip_failing_on_a_helper_reaches_the_caller(monkeypatch):
     assert after in ([], [caller])
 
 
-def test_in_order_takes_every_result_in_order_within_its_window():
-    # more threads than CPUs, and a short switch interval, so that a lost
-    # claim or take would show as a missing, repeated or reordered index
-    states = ["caller", "helper 1", "helper 2"]
-    window = 2 * len(states)
-    taken, lags, runs = [], [], {}
+def test_in_order_takes_every_result_in_order_within_its_window(monkeypatch):
+    # three threads, more than a small host's CPUs, and a short switch
+    # interval, so that a lost claim or take would show as a missing,
+    # repeated or reordered index
+    monkeypatch.setattr(kn, "_cpu_count", lambda: 3)
+    window = 2 * 3
+    made, taken, lags, runs = [], [], [], {}
+
+    def state():
+        made.append(f"state {len(made)}")
+        return made[-1]
 
     def task(i, state):
         # how far the claimed index runs ahead of the results taken so far
@@ -160,24 +165,50 @@ def test_in_order_takes_every_result_in_order_within_its_window():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        kn._in_order(task, 2000, states, taken.append)
+        kn._in_order(task, 2000, state, taken.append)
     finally:
         sys.setswitchinterval(interval)
     assert taken == list(range(2000))
     assert max(lags) < window
-    # each thread runs its tasks with its own state, the caller with the first
-    assert runs["caller"] == {threading.get_ident()}
+    # one state per thread, and each thread runs its tasks with its own, the
+    # caller with the first
+    assert made == ["state 0", "state 1", "state 2"]
+    assert runs["state 0"] == {threading.get_ident()}
     assert all(len(threads) == 1 for threads in runs.values())
     assert len({t for threads in runs.values() for t in threads}) == len(runs)
 
 
-def test_pool_size_is_one_per_cpu_and_task_and_one_inside_a_task(monkeypatch):
+def test_pool_size_is_one_per_cpu_and_task_and_one_inside_a_task(monkeypatch, started):
     monkeypatch.setattr(kn, "_cpu_count", lambda: 4)
-    assert [kn._pool_size(t) for t in (0, 1, 3, 4, 9)] == [1, 1, 3, 4, 4]
+
+    def running(count, expect, least=2):
+        """The threads that run count tasks; each task holds its thread until
+        expect threads have run one, so that every thread shows."""
+        seen, cond = set(), threading.Condition()
+
+        def task(i, _) -> None:
+            with cond:
+                seen.add(threading.get_ident())
+                cond.notify_all()
+                assert cond.wait_for(lambda: len(seen) >= expect, 30)
+
+        kn._in_order(task, count, lambda: None, lambda _: None, least)
+        return seen
+
+    for count, expect in ((0, 0), (1, 1), (3, 3), (4, 4), (9, 4)):
+        started.clear()
+        assert len(running(count, expect)) == expect, count
+        assert len(started) == max(expect - 1, 0), count
+    # below the caller's threshold, and inside a task: the calling thread alone
+    started.clear()
+    assert running(3, 1, least=4) == {threading.get_ident()}
+    assert not started
     inside = []
-    kn._in_order(lambda i, _: inside.append(kn._pool_size(9)), 8, [None, None], lambda _: None)
-    assert inside == [1] * 8
-    assert kn._pool_size(9) == 4
+    kn._in_order(lambda i, _: inside.append(len(running(9, 1))), 2, lambda: None,
+                 lambda _: None)
+    assert inside == [1, 1]
+    assert len(started) == 1
+    assert len(running(9, 4)) == 4
 
 
 def test_no_thread_count_option():
