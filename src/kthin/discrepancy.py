@@ -49,6 +49,7 @@ import numpy as np
 
 from .kernels import (
     KernelSpec,
+    _as_indices,
     _as_points,
     _check_alpha,
     _in_order,
@@ -62,17 +63,6 @@ _COLS = 4096
 # the fewest strips a kernel sum spreads over threads: a symmetric sum of 4096
 # points, or 1024 points against 16384
 _POOL_STRIPS = 128
-
-
-def _as_indices(indices, n: int, name: str = "indices") -> np.ndarray:
-    """indices as a non-empty 1-D int array of entries in [0, n); anything
-    else is a ValueError naming the argument."""
-    out = np.asarray(indices)
-    if out.ndim != 1 or out.dtype.kind not in "iu" or not len(out) or not (
-            0 <= out.min() <= out.max() < n):
-        raise ValueError(f"{name} must be a non-empty 1-D integer array of entries in "
-                         f"[0, {n}), got {out!r}")
-    return out.astype(int)
 
 
 def _as_index(value, n: int, name: str) -> int:
@@ -156,7 +146,7 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
         i0, i1, j0, j1 = strips[s]
         shape, n = (i1 - i0, j1 - j0), (i1 - i0) * (j1 - j0)
         g = gram(k, rows[i0:i1], cols[j0:j1], out=bufs[0][:n].reshape(shape),
-                 _scratch=bufs[1][:n].reshape(shape))
+                 _scratch=(bufs[1][:n].reshape(shape),))
         if flip:
             return [(slice(j0, j1), w[i0:i1] @ g)]
         sums = [(slice(i0, i1), g @ w[j0:j1])]

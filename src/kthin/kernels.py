@@ -20,14 +20,17 @@ a positive constant scaling: thinning decisions and MMD rankings are
 invariant to that constant, so it is left at 1.
 
 The package uses threads by one rule, in one helper, `_in_order`, which
-alone sets their count: the strips of a large kernel sum
-(`discrepancy._kernel_sums`) and the `_KV_CHUNK`-entry chunks of a
+alone sets their count.  It has three callers: the strips of a large kernel
+sum (`discrepancy._kernel_sums`), the `_KV_CHUNK`-entry chunks of a
 Bessel-order Matern evaluation (scipy's `kv`, two orders of magnitude slower
-per entry than `np.exp`) run on one thread per CPU the process's affinity
-allows and per task, or on the calling thread alone below the caller's task
-threshold or inside a task.  Helpers live only for that call, and the calling
-thread combines the results in task order, so every value is bitwise the
-same whatever the thread count, which no option, variable or parameter sets.
+per entry than `np.exp`), and the blocks of a split whose kernel takes that
+`kv` path (`thinning._split`, see `_evaluates_kv`).  Each runs on one thread
+per CPU the process's affinity allows and per task, at most the caller's cap,
+or on the calling thread alone below the caller's task threshold or inside a
+task, so a split block's `kv` chunks run on the thread that runs the block.
+Helpers live only for that call, and the calling thread combines the results
+in task order, so every value is bitwise the same whatever the thread count,
+which no option, variable or parameter sets.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ _SINC_TAYLOR_CUTOFF = 1e-8
 _MATERN_ZERO_CUTOFF = 1e-290
 # entries per scipy Bessel call when the Matern profile spreads them over threads
 _KV_CHUNK = 8192
+# the smallest normal double; a smaller c_a sends the Matern profile to its log form
+_SMALLEST_NORMAL = 2.0 ** -1022
 # the largest bspline beta whose alternating sum stays within 1e-9 h_beta(0) of
 # de Boor's evaluation (1.4e-10 at 5, 2.1e-9 at 6; it overflows from 85 on)
 _BSPLINE_MAX_BETA = 5
@@ -324,13 +329,14 @@ def _cpu_count() -> int:
 _in_pool = threading.local()
 
 
-def _in_order(task, count: int, state, take, least: int = 2) -> None:
+def _in_order(task, count: int, state, take, least: int = 2, most: int | None = None) -> None:
     """take(task(i, s)) for i = 0 .. count - 1, taken in order of i.
 
     The one thread-count rule: one thread per CPU this process may use and
-    per task, or the calling thread alone when count < least or inside an
-    `_in_order` task.  Each thread claims the next index in turn and runs
-    its task with its own s = state() (say, a buffer), so a faster thread
+    per task, at most `most` when given, or the calling thread alone when
+    count < least or inside an `_in_order` task.  Each thread claims the
+    next index in turn and runs its task with its own s = state() (say, a
+    buffer), so a faster thread
     runs more tasks.  Only the calling thread calls take, strictly in order
     of i, and no index is claimed more than twice the thread count past the
     next one to take, so at most that many results wait.  Whatever the
@@ -339,7 +345,8 @@ def _in_order(task, count: int, state, take, least: int = 2) -> None:
     exception, else the first helper's, is raised once every helper exited.
     """
     alone = count < least or getattr(_in_pool, "busy", False)
-    states = [state() for _ in range(1 if alone else min(_cpu_count(), count))]
+    threads = 1 if alone else min(_cpu_count(), count, count if most is None else most)
+    states = [state() for _ in range(threads)]
     if len(states) < 2:
         for i in range(count):
             take(task(i, states[0]))
@@ -411,20 +418,48 @@ def _in_order(task, count: int, state, take, least: int = 2) -> None:
         raise errors[0]
 
 
-def _chunked_kv(kv, a: float, t: np.ndarray) -> np.ndarray:
-    """kv(a, t), over chunks of `_KV_CHUNK` entries run by `_in_order`.
+def _chunked_kv(kv, a: float, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """kv(a, t), into out when given, over chunks of `_KV_CHUNK` entries run
+    by `_in_order`; inside an `_in_order` task (a split block) they all run
+    on that task's thread.
 
     `kv` is an elementwise ufunc that releases the GIL, so every value is
     bitwise what one call gives, on any number of threads.
     """
-    res = np.empty_like(t)
+    res = np.empty_like(t) if out is None else out
+    flat_t, flat_res = t.reshape(-1), res.reshape(-1)
 
     def chunk(i, _) -> None:
         at = slice(i * _KV_CHUNK, (i + 1) * _KV_CHUNK)
-        kv(a, t[at], out=res[at])
+        kv(a, flat_t[at], out=flat_res[at])
 
     _in_order(chunk, -(-t.size // _KV_CHUNK), lambda: None, lambda _: None)
     return res
+
+
+def _half_integer(a: float) -> bool:
+    """Whether a = p + 1/2 for an integer p >= 0, the orders whose Matern
+    profile has a closed exponential-polynomial form."""
+    two_a = 2.0 * a
+    return abs(two_a - round(two_a)) < 1e-12 and int(round(two_a)) % 2 == 1
+
+
+def _evaluates_kv(k: KernelSpec, d: int) -> bool:
+    """Whether evaluating k on d-dimensional points calls scipy's `kv`: a
+    Matern of an order a = nu - d/2 that is not a half-integer, alone or in
+    a sum.  A split block of such a kernel takes longer to evaluate than to
+    decide, so the split pipelines its blocks for exactly these kernels (an
+    identity-perturbed kernel by its base)."""
+    if k.family == "sum":
+        return any(_evaluates_kv(c, d) for c in k.components)
+    return k.family == "matern" and not _half_integer(k.nu - d / 2.0)
+
+
+def _matern_constant(a: float) -> float:
+    """c_a = 2^(1-a) / Gamma(a), 0 once Gamma(a) overflows."""
+    from scipy.special import gamma
+
+    return 2.0 ** (1.0 - a) / gamma(a)
 
 
 def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
@@ -437,10 +472,11 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
     where that direct form is not a positive finite number come from
     `_matern_log_profile`: at large orders t^a or the polynomial overflows
     while K_a(t) or e^{-t} underflows, or c_a leaves the normal float range.
+    `_matern_kv_into` computes the Bessel orders in place, bitwise equal.
     """
     # imported here: scipy.special is most of the package's import time, and
     # only the Matern family needs it
-    from scipy.special import gamma as _gamma_fn, kv as _bessel_kv
+    from scipy.special import kv as _bessel_kv
 
     t = np.asarray(t, dtype=float)
     # the limits: 1 at t = 0, and exactly 0 from the cut-off on (t = inf
@@ -449,12 +485,11 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
     out = np.where(far, 0.0, 1.0)
     pos = (t > _MATERN_ZERO_CUTOFF) & ~far
     tp = t[pos]
-    two_a = 2.0 * a
-    c_a = 2.0 ** (1.0 - a) / _gamma_fn(a)
+    c_a = _matern_constant(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        if c_a < 2.0 ** -1022:  # the smallest normal double
+        if c_a < _SMALLEST_NORMAL:
             direct = np.full_like(tp, np.nan)
-        elif abs(two_a - round(two_a)) < 1e-12 and int(round(two_a)) % 2 == 1:
+        elif _half_integer(a):
             # K_{p+1/2}(t) = sqrt(pi/(2t)) e^{-t} sum_k (p+k)!/(k!(p-k)!) (2t)^{-k},
             # so c_a t^a K_a(t) = c_a sqrt(pi/2) e^{-t} sum_k coeff_k 2^{-k} t^{p-k};
             # coeff_k 2^{-k} as one division stays in float range wherever c_a does
@@ -474,6 +509,55 @@ def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
         # rounding where the profile is 1 to double precision
         direct[bad] = np.minimum(np.exp(_matern_log_profile(a, tp[bad])), 1.0)
     out[pos] = direct
+    return out
+
+
+def _matern_kv_into(a: float, gamma: float, x: np.ndarray, y: np.ndarray,
+                    out: np.ndarray | None, scratch: np.ndarray | None) -> np.ndarray:
+    """The Matern kernel of Bessel order a and scale parameter gamma at
+    (x, y), written into out and bitwise `_matern_profile(a, gamma |x - y|)`.
+
+    The radii t go into out and K_a(t) into scratch, and out becomes t^a,
+    then c_a t^a, then c_a t^a K_a(t): the profile's own product, since
+    multiplication commutes.  Before the `kv` call, clip(t) - t in scratch
+    marks the entries at the profile's limits, positive where
+    t <= `_MATERN_ZERO_CUTOFF` (every split block's diagonal) and negative
+    from the far cut-off on; after the product, v / v - 1 marks where it is
+    not a positive finite number.  The limits are set to 1 and 0, and the
+    other marked entries are recomputed by `_matern_profile` from their own
+    coordinates, which sends them to its log-domain form.  So with out and
+    scratch given, nothing is allocated but the marked entries' indices and
+    values, except where c_a is not a normal float and every entry takes the
+    log-domain form.
+    """
+    from scipy.special import kv as _bessel_kv
+
+    out = _sq_dists(x, y, out, scratch)
+    scratch = np.empty_like(out) if scratch is None else scratch
+    np.sqrt(out, out=out)
+    out *= gamma
+    c_a = _matern_constant(a)
+    if c_a < _SMALLEST_NORMAL:
+        out[...] = _matern_profile(a, out)
+        return out
+    np.clip(out, np.nextafter(_MATERN_ZERO_CUTOFF, np.inf),
+            np.nextafter(_matern_far_cutoff(a), 0.0), out=scratch)
+    scratch -= out
+    limits = np.flatnonzero(scratch)
+    limit_values = (scratch.flat[limits] > 0.0).astype(float)
+    _chunked_kv(_bessel_kv, a, out, scratch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out **= a
+        out *= c_a
+        out *= scratch
+        np.divide(out, out, out=scratch)
+    scratch -= 1.0
+    redo = np.setdiff1d(np.flatnonzero(scratch), limits, assume_unique=True)
+    out.flat[limits] = limit_values
+    if redo.size:
+        at = np.unravel_index(redo, out.shape)
+        xr, yr = (np.broadcast_to(v, out.shape + v.shape[-1:])[at] for v in (x, y))
+        out.flat[redo] = _matern_profile(a, gamma * np.sqrt(_sq_dists(xr, yr)))
     return out
 
 
@@ -548,6 +632,17 @@ def _as_points(x) -> np.ndarray:
         r, c = np.argwhere(~finite)[0]
         raise ValueError(f"non-finite input value at row {int(r)}, column {int(c)}")
     return x
+
+
+def _as_indices(indices, n: int, name: str = "indices") -> np.ndarray:
+    """indices as a non-empty 1-D int array of entries in [0, n); anything
+    else is a ValueError naming the argument."""
+    out = np.asarray(indices)
+    if out.ndim != 1 or out.dtype.kind not in "iu" or not len(out) or not (
+            0 <= out.min() <= out.max() < n):
+        raise ValueError(f"{name} must be a non-empty 1-D integer array of entries in "
+                         f"[0, {n}), got {out!r}")
+    return out.astype(int)
 
 
 def _as_number(value, kind: type = float):
@@ -643,7 +738,7 @@ def _sq_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None,
 
 
 def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None,
-         _scratch: np.ndarray | None = None) -> np.ndarray:
+         _scratch: tuple = ()) -> np.ndarray:
     """The matrix k(x_i, y_j); y defaults to x.
 
     Entries are evaluated independently, so any outer parallelization over
@@ -667,7 +762,7 @@ def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None,
 
 
 def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
-             out: np.ndarray | None = None, *, _scratch: np.ndarray | None = None) -> np.ndarray:
+             out: np.ndarray | None = None, *, _scratch: tuple = ()) -> np.ndarray:
     """k(x, y) elementwise over the broadcast of the leading axes of x and y.
 
     The last axis of both float arrays holds the d coordinates.  Nothing is
@@ -678,35 +773,44 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
 
     With `out`, a C-contiguous float array of the broadcast shape, the
     values are written into it and `out` is returned, bitwise equal to the
-    array returned without it.  The gauss, laplace and imq families compute
-    in place, so their only temporaries are the squared differences of the
-    coordinates after the first, and none when `_scratch`, an array of the
-    same shape and type as `out`, takes them; the others compute as without
-    `out` and copy in.
+    array returned without it.  `_scratch` is a tuple of C-contiguous arrays
+    of the same shape and type as `out`.  The gauss, laplace and imq
+    families and the Bessel-order Matern compute in place, with the squared
+    differences of the coordinates after the first, and the Matern's `kv`
+    values, in `_scratch[0]`.  A sum computes its first component into out
+    and each later one into `_scratch[0]`, with the rest of the tuple as its
+    scratch, then adds it.  Whatever the tuple lacks is allocated: with two
+    arrays, a Bessel-order Matern alone or in a sum with the in-place
+    families allocates nothing of out's size.  sinc, bspline and the
+    half-integer Matern compute as without `out` and copy in.
     """
     fam = k.family
+    scratch = _scratch[0] if _scratch else None
     if fam == "gauss":
-        out = _sq_dists(x, y, out, _scratch)
+        out = _sq_dists(x, y, out, scratch)
         out /= -2.0 * k.sigma**2
         np.exp(out, out=out)
     elif fam == "laplace":
-        out = _sq_dists(x, y, out, _scratch)
+        out = _sq_dists(x, y, out, scratch)
         np.sqrt(out, out=out)
         np.negative(out, out=out)
         out /= k.sigma
         np.exp(out, out=out)
     elif fam == "imq":
-        out = _sq_dists(x, y, out, _scratch)
+        out = _sq_dists(x, y, out, scratch)
         out /= k.gamma**2
         out += 1.0
         out **= -k.nu  # numpy's in-place ** takes the same scalar fast paths as **
     elif fam == "sum":
         out = evaluate(k.components[0], x, y, out=out, _scratch=_scratch)
         for c in k.components[1:]:
-            out += evaluate(c, x, y)
+            out += evaluate(c, x, y, out=scratch, _scratch=_scratch[1:])
     elif fam == "matern":
         a = k.nu - x.shape[-1] / 2.0
-        out = _into(out, _matern_profile(a, k.gamma * np.sqrt(_sq_dists(x, y))))
+        if _half_integer(a):
+            out = _into(out, _matern_profile(a, k.gamma * np.sqrt(_sq_dists(x, y))))
+        else:
+            out = _matern_kv_into(a, k.gamma, x, y, out, scratch)
     else:  # sinc, bspline: a product over coordinates of an even profile
         if fam == "sinc":
             width, profile = k.theta, _sinc_univariate
@@ -740,9 +844,12 @@ def kernel_eval(k: KernelSpec, x, y) -> float:
 
 
 def gram_rows(k: KernelSpec, points: np.ndarray, rows, cols) -> np.ndarray:
-    """k(points[rows], points[cols]) without forming the full Gram matrix."""
-    rows = np.atleast_1d(np.asarray(rows, dtype=int))
-    cols = np.atleast_1d(np.asarray(cols, dtype=int))
+    """k(points[rows], points[cols]) without forming the full Gram matrix;
+    rows and cols are integer indices into points, a scalar as one, read by
+    `_as_indices`."""
+    points = _as_points(points)
+    rows, cols = (_as_indices(np.atleast_1d(v), len(points), name)
+                  for v, name in ((rows, "rows"), (cols, "cols")))
     return gram(k, points[rows], points[cols])
 
 

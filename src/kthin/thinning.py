@@ -18,11 +18,16 @@ uniform up front, one vectorized Philox pass (`rng.swap_uniforms`) per
 level, bit-identical to drawing each with `rng.swap_uniform`.  It then runs
 over aligned blocks of 2^m input points, and within a block level by level.
 Each block has its split-kernel columns against the input prefix computed
-once, into one buffer of 8 2^m n bytes that every block reuses, and all m
-levels read their kernel values from it, alpha from a prefix table of the
-block's row sums over each finest coreset's points from before the block
-plus the terms of the block's earlier pairs.  A level decides pair by pair
-within each slot and writes all slots' children in one array operation.
+once, into a buffer of 8 2^m n bytes, and all m levels read their kernel
+values from it, alpha from a prefix table of the block's row sums over each
+finest coreset's points from before the block plus the terms of the block's
+earlier pairs.  A level decides pair by pair within each slot and writes all
+slots' children in one array operation.  The blocks are decided in order on
+the calling thread.  For a kernel that calls scipy's Bessel `kv`
+(`kernels._evaluates_kv`) they are evaluated through `kernels._in_order`,
+so helper threads evaluate the next blocks while the current one is
+decided; every other split evaluates them on the calling thread into one
+reused buffer.
 Swap decisions depend on the split kernel only through scale-free ratios,
 so the kernel's scale factor is divided out up front; c * k yields the same
 candidates as k under the same seed, bitwise.
@@ -47,7 +52,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from . import rng
-from .discrepancy import Reference, SwapCache, _as_indices, kernel_row_means
+from .discrepancy import Reference, SwapCache, kernel_row_means
 # gram and gram_rows are not called here; they stay module attributes because
 # perfbench/spans.py traces the kernel boundary by wrapping
 # kthin.thinning.gram and kthin.thinning.gram_rows
@@ -55,8 +60,11 @@ from .kernels import (  # noqa: F401
     IdentityPerturbedKernel,
     KernelSpec,
     KernelError,
+    _as_indices,
     _as_points,
     _check_alpha,
+    _evaluates_kv,
+    _in_order,
     _number_in,
     _read_fields,
     evaluate,
@@ -65,6 +73,12 @@ from .kernels import (  # noqa: F401
     ktplus_kernel,
     power_kernel,
 )
+
+# the most bytes a pipelined split's threads hold in block buffers: two
+# result buffers and one scratch buffer per thread, two for a sum (512 KB
+# each at n = 2048, m = 5); a split that cannot run two threads within it
+# evaluates its blocks on the calling thread
+_PIPELINE_BYTES = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -194,11 +208,26 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     one gather of |B| (start of B) entries per block, about n^2 / 2 in all,
     against about n^2 for a gather per pair over the children built so far.
     Summed in this order, alpha decides as in the scalar oracle unless a
-    uniform lands within rounding of a swap probability.  Every block is
-    written into one buffer of 2^m x n doubles, 8 2^m n bytes (0.5 MB at
-    n = 2048, m = 5; 2 MB at n = 4096, m = 6), which gauss, laplace and imq
-    fill in place, and gathered into another.
+    uniform lands within rounding of a swap probability.  A block fills a
+    buffer of 2^m x n doubles, 8 2^m n bytes (0.5 MB at n = 2048, m = 5;
+    2 MB at n = 4096, m = 6), which gauss, laplace, imq and the Bessel-order
+    Matern fill in place, and is gathered into another.
     The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2.
+
+    The blocks are decided on the calling thread in block order.  They are
+    evaluated there too, into one reused buffer with the gather buffer as
+    scratch, unless the kernel calls scipy's Bessel `kv`
+    (`kernels._evaluates_kv`), alone, in a sum or as an identity-perturbed
+    base, whose entries cost two orders of magnitude more than an `exp`.
+    Such a split evaluates its blocks as `kernels._in_order` tasks, on one
+    thread per CPU and block, so that the next blocks are evaluated while
+    the calling thread decides the current one, and the calling thread
+    evaluates one itself whenever the next is not ready; a block's `kv`
+    chunks run on its thread.  Each thread has two result buffers and one
+    scratch buffer, two for a sum, and the thread count is capped so that
+    they hold at most `_PIPELINE_BYTES` (32 MB); below two threads the
+    split stays on the calling thread.  Candidates and row means are
+    bitwise the same either way.
     `_split`, given the target kernel, decides whether the split kernel is
     it up to scale; only then does it add up the blocks' row sums (with one
     more kernel column for the last point when n is odd) into the swap
@@ -248,18 +277,24 @@ def _split(k_split, points, cfg: ThinningConfig,
     sums = None if k_target is None or kernel != k_target.normalized() else np.zeros(n)
     # coordinate-major columns, whose coordinates numpy subtracts faster
     cols = np.asfortranarray(points)
-    # each block is evaluated into buf (its scratch in gbuf) and gathered into
-    # gbuf, reshaped so that kb stays C-contiguous for the flat offsets below
-    buf, gbuf = np.empty(2 ** m * used), np.empty(2 ** m * used)
+    # block q's points [s0, end) against every input point up to its end:
+    # block(q, out, scratch) evaluates it into the flat buffer out, and
+    # decide(s0, kb) makes its pairs' decisions, in block order
+    size, blocks = 2 ** m * used, -(-used >> m)
 
-    for s0 in range(0, used, 2 ** m):
+    def block(q: int, out: np.ndarray, scratch: tuple) -> tuple[int, np.ndarray]:
+        s0 = q << m
         end = min(s0 + 2 ** m, used)
+        shape = end - s0, end
         # kb[w, y] = k(points[y], points[s0 + w]): the block's points
         # against every input point up to the block's end, which is the
         # block's rows of the lower triangle and its columns of the upper
-        kb = evaluate(kernel, cols[None, :end], points[s0:end, None],
-                      out=buf[:(end - s0) * end].reshape(end - s0, end),
-                      _scratch=gbuf[:(end - s0) * end].reshape(end - s0, end))
+        return s0, evaluate(kernel, cols[None, :end], points[s0:end, None],
+                            out=out[:shape[0] * end].reshape(shape),
+                            _scratch=tuple(a[:shape[0] * end].reshape(shape) for a in scratch))
+
+    def decide(s0: int, kb: np.ndarray) -> None:
+        end = s0 + len(kb)
         if sums is not None:
             sums[s0:end] += kb.sum(1)
             sums[:s0] += kb[:, :s0].sum(0)
@@ -315,6 +350,27 @@ def _split(k_split, points, cfg: ThinningConfig,
             swap = np.array(signs)[..., None] < 0.0
             idx[j].reshape(slots, 2, -1)[:, :, t0 - 1:t1 - 1] = np.where(
                 swap, pairs[..., ::-1], pairs).swapaxes(1, 2)
+
+    # gbuf takes decide's gather; the kt_split docstring says which splits
+    # pipeline and with which buffers
+    gbuf = np.empty(size)
+    n_scratch = 2 if kernel.family == "sum" else 1
+    most = _PIPELINE_BYTES // (8 * size * (2 + n_scratch))
+    if _evaluates_kv(kernel, d) and most >= 2:
+        # results cycle through two buffers per thread: `_in_order` claims
+        # block q + 2 threads only once block q is decided
+        ring: list = []
+
+        def state() -> tuple:
+            ring.extend(np.empty(size) for _ in range(2))
+            return tuple(np.empty(size) for _ in range(n_scratch))
+
+        _in_order(lambda q, own: block(q, ring[q % len(ring)], own), blocks, state,
+                  lambda res: decide(*res), most=most)
+    else:
+        buf = np.empty(size)
+        for q in range(blocks):
+            decide(*block(q, buf, (gbuf,)))
     if sums is None:
         return list(idx[m]), None
     if n % 2:

@@ -224,6 +224,80 @@ def test_bessel_caller_exception_stops_the_helpers(monkeypatch):
     assert len(helper_chunks) <= 2
 
 
+# the Bessel orders a = nu - d/2 that the Matern cases above reach, each with
+# a separation whose direct product c_a t^a K_a(t) is not a positive finite
+# number (a = 200: c_a itself is below the normal range)
+BESSEL_ORDERS = [(0.125, 700.0), (1.0, 705.0), (1.2, 1e120), (2.0, 1e150), (2.2, 1e-155),
+                 (2.8, 750.0), (3.0, 1e120), (5.0, 1e80), (120.0, 500.0), (150.0, 1.0),
+                 (200.0, 1.0)]
+
+
+def _bessel_pairs(a, fallback, d, gamma):
+    """Rows and columns whose radii gamma |x - y| hold zeros (repeated points),
+    tiny radii, the fallback separation, the far cut-off and past it, and a
+    squared separation that overflows to inf."""
+    rng = np.random.default_rng([int(a * 8), d])
+    cutoff = kn._matern_far_cutoff(a)
+    seps = np.concatenate([rng.exponential(3.0, 4000),
+                           [0.0, 1e-300, 1e-160, fallback, fallback / gamma,
+                            cutoff / gamma, 2 * cutoff / gamma, 1e160]])
+    y = np.zeros((len(seps), d))
+    y[:, 0] = seps
+    y[:, 1:] = rng.normal(size=(len(seps), d - 1)) * 1e-3
+    x = np.concatenate([np.zeros((1, d)), y[[0, 4001, 4002]], rng.normal(size=(4, d))])
+    return x[:, None], y[None]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("a, fallback", BESSEL_ORDERS)
+def test_bessel_matern_in_place_is_the_profile_bitwise(a, fallback, d):
+    import tracemalloc
+
+    gamma = 1.1
+    k = kn.matern(a + d / 2, gamma)
+    a = k.nu - d / 2  # the order evaluate computes, which rounding can move
+    x, y = _bessel_pairs(a, fallback, d, gamma)
+    with np.errstate(over="ignore"):
+        t = gamma * np.sqrt(kn._sq_dists(x, y))
+        want = kn._matern_profile(a, t)
+        n_fallback = _one_call_profile(a, t.ravel())[1]
+        assert (t == 0).any() and (t >= kn._matern_far_cutoff(a)).any() and n_fallback
+        allocated = kn.evaluate(k, x, y)
+        out, scratch = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
+        tracemalloc.start()
+        try:
+            got = kn.evaluate(k, x, y, out=out, _scratch=(scratch,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    assert allocated.tobytes() == want.tobytes()
+    if kn._matern_constant(a) >= kn._SMALLEST_NORMAL:
+        # nothing of out's size: what is allocated grows with the entries
+        # the log-domain form takes, most of them at large orders
+        assert peak < out.nbytes / 8 + 300 * n_fallback, (peak, n_fallback)
+
+
+def test_bessel_sum_in_place_allocates_nothing_of_its_size():
+    import tracemalloc
+
+    lap, mat = kn.laplace(0.9), kn.matern(1.125, 1.3)
+    x, y = _bessel_pairs(0.125, 700.0, 2, 1.3)
+    with np.errstate(over="ignore"):
+        want = kn.evaluate(lap, x, y)
+        want += kn.evaluate(mat, x, y)
+        out, first, second = (np.full(want.shape, np.nan) for _ in range(3))
+        tracemalloc.start()
+        try:
+            got = kn.evaluate(kn.kernel_sum(lap, mat), x, y, out=out, _scratch=(first, second))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < out.nbytes / 8, peak
+
+
 @pytest.mark.parametrize("k, threads", [
     (kn.gauss(1.5), False),
     (kn.laplace(1.0), False),

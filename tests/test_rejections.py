@@ -205,6 +205,21 @@ REJECTIONS = {
     "swap-candidate-size": (
         lambda tmp: kt_swap(kn.gauss(1.0), POINTS, [[0, 1, 2]], CFG), ValueError,
         "baseline size 4 does not match candidate size 3"),
+    "gram-rows-fractional-row": (
+        lambda tmp: kn.gram_rows(kn.gauss(1.0), POINTS, [0.7, True], [2.9]), ValueError,
+        r"^rows must be a non-empty 1-D integer array of entries in \[0, 16\), got array\(\[0.7, 1. \]"),
+    "gram-rows-bool-row": (
+        lambda tmp: kn.gram_rows(kn.gauss(1.0), POINTS, True, [2]), ValueError,
+        r"^rows must be a non-empty 1-D integer array of entries in \[0, 16\), got array\(\[ True\]\)"),
+    "gram-rows-negative-row": (
+        lambda tmp: kn.gram_rows(kn.gauss(1.0), POINTS, [-1], [2]), ValueError,
+        r"^rows must be a non-empty 1-D integer array of entries in \[0, 16\), got array\(\[-1\]\)"),
+    "gram-rows-fractional-column": (
+        lambda tmp: kn.gram_rows(kn.gauss(1.0), POINTS, [1], [2.9]), ValueError,
+        r"^cols must be a non-empty 1-D integer array of entries in \[0, 16\), got array\(\[2.9\]\)"),
+    "gram-rows-column-past-end": (
+        lambda tmp: kn.gram_rows(kn.gauss(1.0), POINTS, [1], [16]), ValueError,
+        r"^cols must be a non-empty 1-D integer array of entries in \[0, 16\), got array\(\[16\]\)"),
 }
 
 
