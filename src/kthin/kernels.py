@@ -11,7 +11,11 @@ Six families are supported, all normalized so the unscaled diagonal is 1:
 
 where K_a is the modified Bessel function of the second kind,
 c_a = 2^(1-a) / Gamma(a), and h_beta is the (2 beta + 2)-fold
-self-convolution of the indicator of [-1/2, 1/2].
+self-convolution of the indicator of [-1/2, 1/2].  One function,
+`_matern_into`, evaluates the Matern family at every order, in place: the
+exponential-polynomial closed form at half-integer orders, scipy's `kv` at
+the others (the Bessel orders), and a log-domain form wherever the direct
+product leaves the float range.
 
 A KernelSpec is immutable and carries an explicit positive `scale`
 multiplier so that scaled copies, normalized sums, and power-kernel results
@@ -418,23 +422,25 @@ def _in_order(task, count: int, state, take, least: int = 2, most: int | None = 
         raise errors[0]
 
 
-def _chunked_kv(kv, a: float, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """kv(a, t), into out when given, over chunks of `_KV_CHUNK` entries run
-    by `_in_order`; inside an `_in_order` task (a split block) they all run
-    on that task's thread.
+def _chunked_kv(a: float, t: np.ndarray, out: np.ndarray) -> None:
+    """K_a(t) into out, over chunks of `_KV_CHUNK` entries run by
+    `_in_order`; inside an `_in_order` task (a split block) they all run on
+    that task's thread.
 
-    `kv` is an elementwise ufunc that releases the GIL, so every value is
-    bitwise what one call gives, on any number of threads.
+    scipy's `kv` is an elementwise ufunc that releases the GIL, so every
+    value is bitwise what one call gives, on any number of threads.
     """
-    res = np.empty_like(t) if out is None else out
-    flat_t, flat_res = t.reshape(-1), res.reshape(-1)
+    # imported here: scipy.special is most of the package's import time, and
+    # only the Matern family needs it
+    from scipy.special import kv
+
+    flat_t, flat_out = t.reshape(-1), out.reshape(-1)
 
     def chunk(i, _) -> None:
         at = slice(i * _KV_CHUNK, (i + 1) * _KV_CHUNK)
-        kv(a, flat_t[at], out=flat_res[at])
+        kv(a, flat_t[at], out=flat_out[at])
 
     _in_order(chunk, -(-t.size // _KV_CHUNK), lambda: None, lambda _: None)
-    return res
 
 
 def _half_integer(a: float) -> bool:
@@ -462,94 +468,58 @@ def _matern_constant(a: float) -> float:
     return 2.0 ** (1.0 - a) / gamma(a)
 
 
-def _matern_profile(a: float, t: np.ndarray) -> np.ndarray:
-    """c_a t^a K_a(t) for t >= 0, with the limit value 1 at t = 0.
+def _matern_into(a: float, gamma: float, x: np.ndarray, y: np.ndarray,
+                 out: np.ndarray | None, scratch: np.ndarray | None) -> np.ndarray:
+    """The Matern kernel of order a and scale parameter gamma at (x, y),
+    c_a t^a K_a(t) at t = gamma |x - y|, written into out.
 
-    Half-integer orders a = p + 1/2 use the exact exponential-polynomial
-    form; other orders fall back to the scipy Bessel evaluation, computed in
-    chunks of `_KV_CHUNK` entries on as many threads as the process's CPU
-    affinity allows (`_chunked_kv`), bitwise equal to one call.  Entries
-    where that direct form is not a positive finite number come from
-    `_matern_log_profile`: at large orders t^a or the polynomial overflows
-    while K_a(t) or e^{-t} underflows, or c_a leaves the normal float range.
-    `_matern_kv_into` computes the Bessel orders in place, bitwise equal.
+    The radii t go into out.  Before anything else, clip(t) - t in scratch
+    marks the entries at the limits, positive where t <= `_MATERN_ZERO_CUTOFF`
+    (value 1; every split block's diagonal) and negative from the far
+    cut-off on (value 0; t = inf included), where the profile rounds to 0.
+    The direct value then replaces t in place: for a half-integer order
+    a = p + 1/2 the exact exponential-polynomial form, with the polynomial in
+    scratch; for other orders K_a(t) goes into scratch through `_chunked_kv`
+    and out becomes t^a, then c_a t^a, then c_a t^a K_a(t); where c_a is not
+    a normal float, NaN.  After that, v / v - 1 in scratch marks where the
+    value is not a positive finite number: at large orders t^a or the
+    polynomial overflows while K_a(t) or e^{-t} underflows.  The limits are
+    set, and the other marked entries are recomputed from their own
+    coordinates in the log-domain form `_matern_log_profile`.  So with out
+    and scratch given, a Bessel order allocates nothing but the marked
+    entries' indices, coordinates and values.
     """
-    # imported here: scipy.special is most of the package's import time, and
-    # only the Matern family needs it
-    from scipy.special import kv as _bessel_kv
-
-    t = np.asarray(t, dtype=float)
-    # the limits: 1 at t = 0, and exactly 0 from the cut-off on (t = inf
-    # included), where the profile rounds to 0 in double precision
-    far = t >= _matern_far_cutoff(a)
-    out = np.where(far, 0.0, 1.0)
-    pos = (t > _MATERN_ZERO_CUTOFF) & ~far
-    tp = t[pos]
-    c_a = _matern_constant(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if c_a < _SMALLEST_NORMAL:
-            direct = np.full_like(tp, np.nan)
-        elif _half_integer(a):
-            # K_{p+1/2}(t) = sqrt(pi/(2t)) e^{-t} sum_k (p+k)!/(k!(p-k)!) (2t)^{-k},
-            # so c_a t^a K_a(t) = c_a sqrt(pi/2) e^{-t} sum_k coeff_k 2^{-k} t^{p-k};
-            # coeff_k 2^{-k} as one division stays in float range wherever c_a does
-            p = int(round(a - 0.5))
-            poly = np.zeros_like(tp)
-            for k in range(p + 1):
-                coeff = math.factorial(p + k) / (math.factorial(k) * math.factorial(p - k) << k)
-                poly += coeff * tp ** (p - k)
-            direct = c_a * math.sqrt(math.pi / 2.0) * np.exp(-tp) * poly
-        else:
-            direct = c_a * tp ** a * _chunked_kv(_bessel_kv, a, tp)
-    ok = direct > 0.0
-    ok &= direct < np.inf
-    if not ok.all():
-        bad = ~ok
-        # clamped to the value at t = 0, which the log-domain sum can pass by
-        # rounding where the profile is 1 to double precision
-        direct[bad] = np.minimum(np.exp(_matern_log_profile(a, tp[bad])), 1.0)
-    out[pos] = direct
-    return out
-
-
-def _matern_kv_into(a: float, gamma: float, x: np.ndarray, y: np.ndarray,
-                    out: np.ndarray | None, scratch: np.ndarray | None) -> np.ndarray:
-    """The Matern kernel of Bessel order a and scale parameter gamma at
-    (x, y), written into out and bitwise `_matern_profile(a, gamma |x - y|)`.
-
-    The radii t go into out and K_a(t) into scratch, and out becomes t^a,
-    then c_a t^a, then c_a t^a K_a(t): the profile's own product, since
-    multiplication commutes.  Before the `kv` call, clip(t) - t in scratch
-    marks the entries at the profile's limits, positive where
-    t <= `_MATERN_ZERO_CUTOFF` (every split block's diagonal) and negative
-    from the far cut-off on; after the product, v / v - 1 marks where it is
-    not a positive finite number.  The limits are set to 1 and 0, and the
-    other marked entries are recomputed by `_matern_profile` from their own
-    coordinates, which sends them to its log-domain form.  So with out and
-    scratch given, nothing is allocated but the marked entries' indices and
-    values, except where c_a is not a normal float and every entry takes the
-    log-domain form.
-    """
-    from scipy.special import kv as _bessel_kv
-
     out = _sq_dists(x, y, out, scratch)
     scratch = np.empty_like(out) if scratch is None else scratch
     np.sqrt(out, out=out)
     out *= gamma
-    c_a = _matern_constant(a)
-    if c_a < _SMALLEST_NORMAL:
-        out[...] = _matern_profile(a, out)
-        return out
     np.clip(out, np.nextafter(_MATERN_ZERO_CUTOFF, np.inf),
             np.nextafter(_matern_far_cutoff(a), 0.0), out=scratch)
     scratch -= out
     limits = np.flatnonzero(scratch)
     limit_values = (scratch.flat[limits] > 0.0).astype(float)
-    _chunked_kv(_bessel_kv, a, out, scratch)
+    c_a = _matern_constant(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        out **= a
-        out *= c_a
-        out *= scratch
+        if c_a < _SMALLEST_NORMAL:  # marks every entry for the log-domain form
+            out.fill(np.nan)
+        elif _half_integer(a):
+            # K_{p+1/2}(t) = sqrt(pi/(2t)) e^{-t} sum_k (p+k)!/(k!(p-k)!) (2t)^{-k},
+            # so c_a t^a K_a(t) = c_a sqrt(pi/2) e^{-t} sum_k coeff_k 2^{-k} t^{p-k};
+            # coeff_k 2^{-k} as one division stays in float range wherever c_a does
+            p = int(round(a - 0.5))
+            scratch[...] = 0.0
+            for k in range(p + 1):
+                coeff = math.factorial(p + k) / (math.factorial(k) * math.factorial(p - k) << k)
+                scratch += coeff * out ** (p - k)
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            out *= c_a * math.sqrt(math.pi / 2.0)
+            out *= scratch
+        else:
+            _chunked_kv(a, out, scratch)
+            out **= a
+            out *= c_a
+            out *= scratch
         np.divide(out, out, out=scratch)
     scratch -= 1.0
     redo = np.setdiff1d(np.flatnonzero(scratch), limits, assume_unique=True)
@@ -557,7 +527,10 @@ def _matern_kv_into(a: float, gamma: float, x: np.ndarray, y: np.ndarray,
     if redo.size:
         at = np.unravel_index(redo, out.shape)
         xr, yr = (np.broadcast_to(v, out.shape + v.shape[-1:])[at] for v in (x, y))
-        out.flat[redo] = _matern_profile(a, gamma * np.sqrt(_sq_dists(xr, yr)))
+        log_values = _matern_log_profile(a, gamma * np.sqrt(_sq_dists(xr, yr)))
+        # clamped to the value at t = 0, which the log-domain sum can pass by
+        # rounding where the profile is 1 to double precision
+        out.flat[redo] = np.minimum(np.exp(log_values), 1.0)
     return out
 
 
@@ -774,15 +747,15 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
     With `out`, a C-contiguous float array of the broadcast shape, the
     values are written into it and `out` is returned, bitwise equal to the
     array returned without it.  `_scratch` is a tuple of C-contiguous arrays
-    of the same shape and type as `out`.  The gauss, laplace and imq
-    families and the Bessel-order Matern compute in place, with the squared
-    differences of the coordinates after the first, and the Matern's `kv`
-    values, in `_scratch[0]`.  A sum computes its first component into out
-    and each later one into `_scratch[0]`, with the rest of the tuple as its
-    scratch, then adds it.  Whatever the tuple lacks is allocated: with two
-    arrays, a Bessel-order Matern alone or in a sum with the in-place
-    families allocates nothing of out's size.  sinc, bspline and the
-    half-integer Matern compute as without `out` and copy in.
+    of the same shape and type as `out`.  The gauss, laplace, imq and
+    Matern families compute in place, with the squared differences of the
+    coordinates after the first, and the Matern's `kv` values or closed-form
+    polynomial, in `_scratch[0]`.  A sum computes its first component into
+    out and each later one into `_scratch[0]`, with the rest of the tuple as
+    its scratch, then adds it.  Whatever the tuple lacks is allocated: with
+    two arrays, a Bessel-order Matern alone or in a sum with the other
+    in-place families allocates nothing of out's size.  Only sinc and
+    bspline compute as without `out` and copy in.
     """
     fam = k.family
     scratch = _scratch[0] if _scratch else None
@@ -806,11 +779,7 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
         for c in k.components[1:]:
             out += evaluate(c, x, y, out=scratch, _scratch=_scratch[1:])
     elif fam == "matern":
-        a = k.nu - x.shape[-1] / 2.0
-        if _half_integer(a):
-            out = _into(out, _matern_profile(a, k.gamma * np.sqrt(_sq_dists(x, y))))
-        else:
-            out = _matern_kv_into(a, k.gamma, x, y, out, scratch)
+        out = _matern_into(k.nu - x.shape[-1] / 2.0, k.gamma, x, y, out, scratch)
     else:  # sinc, bspline: a product over coordinates of an even profile
         if fam == "sinc":
             width, profile = k.theta, _sinc_univariate

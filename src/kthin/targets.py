@@ -64,6 +64,7 @@ class GaussTarget:
         return self.d
 
     def sample(self, n: int, seed: int) -> np.ndarray:
+        n = _sample_size(n)
         gen = rng.substream(seed, 101)
         return gen.standard_normal((n, self.d))
 
@@ -82,6 +83,7 @@ class MogTarget:
         return 2
 
     def sample(self, n: int, seed: int) -> np.ndarray:
+        n = _sample_size(n)
         gen = rng.substream(seed, 102)
         labels = gen.integers(0, self.components, size=n)
         return MOG_MEANS[labels] + gen.standard_normal((n, 2))
@@ -124,12 +126,14 @@ class ExternalTarget:
         return head.shape[1]
 
     def sample(self, n: int, seed: int) -> np.ndarray:
+        n = _sample_size(n)
         head, _ = self._rows
         if n > len(head):
             raise IngestError(f"requested {n} points but file provides {len(head)}")
         return _thin_to(head, n)
 
     def holdout(self, n: int) -> np.ndarray:
+        n = _sample_size(n)
         _, tail = self._rows
         if len(tail) == 0:
             raise IngestError("no held-out rows: holdout_fraction is 0")
@@ -137,6 +141,12 @@ class ExternalTarget:
 
 
 TargetSpec = GaussTarget | MogTarget | ExternalTarget
+
+
+def _sample_size(n) -> int:
+    """n, a number of points asked of a target, as an int >= 1, else a
+    ValueError naming it."""
+    return _number_in(n, int, lambda v: v >= 1, "n must be an integer >= 1", ValueError)
 
 
 def _thin_to(points: np.ndarray, size: int) -> np.ndarray:

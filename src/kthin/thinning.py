@@ -210,8 +210,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     Summed in this order, alpha decides as in the scalar oracle unless a
     uniform lands within rounding of a swap probability.  A block fills a
     buffer of 2^m x n doubles, 8 2^m n bytes (0.5 MB at n = 2048, m = 5;
-    2 MB at n = 4096, m = 6), which gauss, laplace, imq and the Bessel-order
-    Matern fill in place, and is gathered into another.
+    2 MB at n = 4096, m = 6), which gauss, laplace, imq and Matern fill in
+    place, and is gathered into another.
     The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2.
 
     The blocks are decided on the calling thread in block order.  They are

@@ -101,13 +101,20 @@ def test_matern_log_domain_fallback_matches_mpmath(nu, sep):
     assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+def _matern_at(a, t):
+    """evaluate's Matern of order a = nu - 1/2 at the radii t, as the
+    separations of t from 0 in d = 1: sqrt((0 - t)^2) is t wherever t^2
+    neither underflows nor overflows."""
+    return kn.evaluate(kn.matern(a + 0.5, 1.0), np.zeros((1, 1)), t[:, None])
+
+
 def test_matern_halfinteger_matches_bessel_path():
     # closed forms and the scipy Bessel evaluation agree away from zero
     from scipy.special import kv, gamma
 
     t = np.linspace(0.05, 12.0, 40)
     for a in (0.5, 1.5, 2.5, 3.5):
-        closed = kn._matern_profile(a, t)
+        closed = _matern_at(a, t)
         direct = 2.0 ** (1 - a) / gamma(a) * t ** a * kv(a, t)
         assert np.max(np.abs(closed - direct)) < 1e-12
 
@@ -117,14 +124,18 @@ def test_matern_halfinteger_matches_bessel_path():
 # ---------------------------------------------------------------------------
 
 def _one_call_profile(a, t):
-    """The Bessel-order profile from one kv call over every positive entry."""
+    """The profile c_a t^a K_a(t) from one kv call over every entry inside the
+    limits (1 at t <= `_MATERN_ZERO_CUTOFF`, 0 from the far cut-off on), with
+    the log-domain form where that product is not a positive finite number or
+    c_a is not a normal float; and the count of those entries."""
     from scipy.special import gamma, kv
 
     far = t >= kn._matern_far_cutoff(a)
-    pos = (t > 0.0) & ~far
+    pos = (t > kn._MATERN_ZERO_CUTOFF) & ~far
+    c_a = 2.0 ** (1 - a) / gamma(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        direct = 2.0 ** (1 - a) / gamma(a) * t[pos] ** a * kv(a, t[pos])
-    bad = ~((direct > 0.0) & (direct < np.inf))
+        direct = c_a * t[pos] ** a * kv(a, t[pos])
+    bad = ~((direct > 0.0) & (direct < np.inf)) | (c_a < kn._SMALLEST_NORMAL)
     direct[bad] = np.minimum(np.exp(kn._matern_log_profile(a, t[pos][bad])), 1.0)
     out = np.where(far, 0.0, 1.0)
     out[pos] = direct
@@ -147,7 +158,7 @@ def test_bessel_profile_matches_one_call_at_chunk_edges(monkeypatch, workers, a,
         t = rng.permutation(np.concatenate([inner, [0.0, 0.0, cutoff, 2 * cutoff, np.inf]]))
         want, n_fallback = _one_call_profile(a, t)
         assert n_fallback >= 1
-        assert np.array_equal(kn._matern_profile(a, t), want), (length, workers)
+        assert np.array_equal(_matern_at(a, t), want), (length, workers)
 
 
 def test_bessel_chunks_run_on_helper_threads(monkeypatch):
@@ -162,11 +173,11 @@ def test_bessel_chunks_run_on_helper_threads(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counting)
     before = threading.active_count()
     t = np.random.default_rng(1).exponential(3.0, 3 * kn._KV_CHUNK + 5)
-    assert np.array_equal(kn._matern_profile(0.125, t), _one_call_profile(0.125, t)[0])
+    assert np.array_equal(_matern_at(0.125, t), _one_call_profile(0.125, t)[0])
     assert len(started) == 2
     assert threading.active_count() == before
     # one chunk: the single call, no helper
-    kn._matern_profile(0.125, t[:kn._KV_CHUNK])
+    _matern_at(0.125, t[:kn._KV_CHUNK])
     assert len(started) == 2
 
 
@@ -190,7 +201,7 @@ def test_bessel_helper_exception_reaches_the_caller(monkeypatch):
     before = threading.active_count()
     t = np.random.default_rng(2).exponential(3.0, 4 * kn._KV_CHUNK)
     with pytest.raises(ArithmeticError, match="helper's chunk"):
-        kn._matern_profile(0.125, t)
+        _matern_at(0.125, t)
     assert threading.active_count() == before
 
 
@@ -218,7 +229,7 @@ def test_bessel_caller_exception_stops_the_helpers(monkeypatch):
     before = threading.active_count()
     t = np.random.default_rng(4).exponential(3.0, 40 * kn._KV_CHUNK)
     with pytest.raises(ArithmeticError, match="caller's chunk"):
-        kn._matern_profile(0.125, t)
+        _matern_at(0.125, t)
     assert threading.active_count() == before
     # the caller emptied the chunk iterator, so the helper stopped after its chunk
     assert len(helper_chunks) <= 2
@@ -226,10 +237,14 @@ def test_bessel_caller_exception_stops_the_helpers(monkeypatch):
 
 # the Bessel orders a = nu - d/2 that the Matern cases above reach, each with
 # a separation whose direct product c_a t^a K_a(t) is not a positive finite
-# number (a = 200: c_a itself is below the normal range)
+# number (a = 153: c_a itself is subnormal; a = 200: it is 0)
 BESSEL_ORDERS = [(0.125, 700.0), (1.0, 705.0), (1.2, 1e120), (2.0, 1e150), (2.2, 1e-155),
                  (2.8, 750.0), (3.0, 1e120), (5.0, 1e80), (120.0, 500.0), (150.0, 1.0),
-                 (200.0, 1.0)]
+                 (153.0, 1.0), (200.0, 1.0)]
+# half-integer orders, which take the closed form, each with a separation
+# where K_a(t) underflows, and at 1.5 and 2.5 e^{-t} too, or t^p overflows
+HALF_INTEGER_ORDERS = [(0.5, 740.0), (1.5, 750.0), (2.5, 755.0), (120.5, 500.0),
+                       (120.5, 900.0)]
 
 
 def _bessel_pairs(a, fallback, d, gamma):
@@ -249,7 +264,7 @@ def _bessel_pairs(a, fallback, d, gamma):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("a, fallback", BESSEL_ORDERS)
+@pytest.mark.parametrize("a, fallback", BESSEL_ORDERS + HALF_INTEGER_ORDERS)
 def test_bessel_matern_in_place_is_the_profile_bitwise(a, fallback, d):
     import tracemalloc
 
@@ -259,8 +274,7 @@ def test_bessel_matern_in_place_is_the_profile_bitwise(a, fallback, d):
     x, y = _bessel_pairs(a, fallback, d, gamma)
     with np.errstate(over="ignore"):
         t = gamma * np.sqrt(kn._sq_dists(x, y))
-        want = kn._matern_profile(a, t)
-        n_fallback = _one_call_profile(a, t.ravel())[1]
+        want, n_fallback = _one_call_profile(a, t)
         assert (t == 0).any() and (t >= kn._matern_far_cutoff(a)).any() and n_fallback
         allocated = kn.evaluate(k, x, y)
         out, scratch = np.full(want.shape, np.nan), np.full(want.shape, np.nan)
@@ -271,12 +285,16 @@ def test_bessel_matern_in_place_is_the_profile_bitwise(a, fallback, d):
         finally:
             tracemalloc.stop()
     assert got is out
-    assert got.tobytes() == want.tobytes()
-    assert allocated.tobytes() == want.tobytes()
-    if kn._matern_constant(a) >= kn._SMALLEST_NORMAL:
-        # nothing of out's size: what is allocated grows with the entries
-        # the log-domain form takes, most of them at large orders
-        assert peak < out.nbytes / 8 + 300 * n_fallback, (peak, n_fallback)
+    assert got.tobytes() == allocated.tobytes()
+    if kn._half_integer(a):
+        # the closed form, which agrees with kv to rounding
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+    else:
+        assert got.tobytes() == want.tobytes()
+        if kn._matern_constant(a) >= kn._SMALLEST_NORMAL:
+            # nothing of out's size: what is allocated grows with the entries
+            # the log-domain form takes, most of them at large orders
+            assert peak < out.nbytes / 8 + 300 * n_fallback, (peak, n_fallback)
 
 
 def test_bessel_sum_in_place_allocates_nothing_of_its_size():

@@ -11,7 +11,7 @@ from kthin.cli import EXIT_DATA, main
 from kthin.discrepancy import (DiscreteMeasure, Reference, SwapCache, check_interpolation,
                                gauss_interpolation_triple, mmd_swap_delta)
 from kthin.harness import ExperimentPlan, fit_loglog
-from kthin.targets import ExternalTarget, IngestError, MogTarget, ingest
+from kthin.targets import ExternalTarget, GaussTarget, IngestError, MogTarget, ingest
 from kthin.thinning import (Coreset, ThinningConfig, baseline_thin, generalized_kt, kt_split,
                              kt_swap, swap_probability)
 
@@ -121,6 +121,25 @@ REJECTIONS = {
     "holdout-at-fraction-zero": (
         lambda tmp: ExternalTarget(csv_file(tmp), holdout_fraction=0.0).holdout(1), IngestError,
         "no held-out rows: holdout_fraction is 0"),
+    "gauss-sample-zero": (
+        lambda tmp: GaussTarget(2).sample(0, 0), ValueError, "n must be an integer >= 1, got 0"),
+    "gauss-sample-fractional": (
+        lambda tmp: GaussTarget(2).sample(2.5, 0), ValueError,
+        "n must be an integer >= 1, got 2.5"),
+    "mog-sample-zero": (
+        lambda tmp: MogTarget(8).sample(0, 0), ValueError, "n must be an integer >= 1, got 0"),
+    "external-sample-zero": (
+        lambda tmp: ExternalTarget(csv_file(tmp)).sample(0, 0), ValueError,
+        "n must be an integer >= 1, got 0"),
+    "external-sample-negative": (
+        lambda tmp: ExternalTarget(csv_file(tmp)).sample(-1, 0), ValueError,
+        "n must be an integer >= 1, got -1"),
+    "external-holdout-zero": (
+        lambda tmp: ExternalTarget(csv_file(tmp)).holdout(0), ValueError,
+        "n must be an integer >= 1, got 0"),
+    "external-holdout-negative": (
+        lambda tmp: ExternalTarget(csv_file(tmp)).holdout(-2), ValueError,
+        "n must be an integer >= 1, got -2"),
     "ingest-unknown-format": (
         lambda tmp: ingest(csv_file(tmp), "tsv"), IngestError,
         "unknown format 'tsv'; expected 'csv' or 'bin'"),
