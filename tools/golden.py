@@ -17,8 +17,8 @@ rebuilt from:
          over gauss, laplace, Matern(2.5), IMQ, B-spline(1) and sinc, d = 1..3,
          m = 1..6, both delta rules, with integer-grid inputs (many tied
          pairs) in a fifth of them, and six `target_kt` runs at the
-         half-integer Matern orders 0.5 and 2.5.  Each keeps the sha256 of its indices
-         and its `selection_mmds`, `sigma_m` and `p_sg`.
+         half-integer Matern orders 0.5 and 2.5.  Each keeps the sha256 of
+         its indices and its `selection_mmds`, `sigma_m` and `p_sg`.
   plans  raw.csv and report.json of two small `run_experiment` plans.
   cli    the coreset CSV and the JSON sidecar of `kthin thin`, once per
          variant and once with `--delta-rule oblivious`.
@@ -102,7 +102,7 @@ def run_specs() -> list[dict]:
     # target KT at the half-integer Matern orders a = nu - d/2 = 0.5 and 2.5,
     # which the family kernel above (a = 1.5 in d = 2) does not reach
     halves = ((kn.matern(1.0, 1.0), 1), (kn.matern(3.5, 1.0), 2), (kn.matern(3.0, 0.8), 1))
-    for j, (k, d) in enumerate(halves):
+    for k, d in halves:
         for n, m, grid in ((97, 3, False), (128, 4, True)):
             specs.append({"front": "target_kt", "kernel": k.to_json_dict(), "d": d, "n": n,
                           "m": m, "seed": 300 + len(specs), "points_seed": 3000 + len(specs),
