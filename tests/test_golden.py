@@ -32,7 +32,7 @@ def test_battery_size():
     runs = [entry["spec"] for entry in GOLDEN["runs"]]
     assert len(runs) >= 240 and max(s["n"] for s in runs) <= 512
     assert {s["m"] for s in runs} == set(range(1, 7)) and {s["d"] for s in runs} == {1, 2, 3}
-    assert len(GOLDEN["plans"]) == 2 and len(GOLDEN["cli"]) == 5
+    assert len(GOLDEN["plans"]) == 4 and len(GOLDEN["cli"]) == 5
 
 
 def test_thinning_runs_unchanged():

@@ -19,7 +19,8 @@ rebuilt from:
          pairs) in a fifth of them, and six `target_kt` runs at the
          half-integer Matern orders 0.5 and 2.5.  Each keeps the sha256 of
          its indices and its `selection_mmds`, `sigma_m` and `p_sg`.
-  plans  raw.csv and report.json of two small `run_experiment` plans.
+  plans  raw.csv and report.json of four small `run_experiment` plans, with
+         and without `mmd_input` and with generalized split kernels.
   cli    the coreset CSV and the JSON sidecar of `kthin thin`, once per
          variant and once with `--delta-rule oblivious`.
 
@@ -140,6 +141,18 @@ def plan_specs() -> list[dict]:
          "variants": [{"name": "standard"}, {"name": "targetkt"}, {"name": "ktplus", "alpha": 0.8}],
          "sizes": [16, 64, 256], "replicates": 2, "seed": 9, "bandwidth_rule": "median",
          "aggregate": "median", "test_functions": test_functions, "surrogate_size": 300},
+        # no mmd_input: no study cell has the input's row means to hand to rootkt or ktplus
+        {"target": {"kind": "gauss", "d": 2}, "kernel": kn.gauss(1.5).to_json_dict(),
+         "variants": [{"name": "standard"}, {"name": "rootkt"}, {"name": "ktplus", "alpha": 0.5}],
+         "sizes": [16, 64, 256], "replicates": 2, "seed": 11, "metrics": ["mmd_surrogate"],
+         "test_functions": ["moment1"], "surrogate_size": 400},
+        # mmd_input with generalized split kernels: 2k, whose split forms the
+        # row means itself, and laplace, which forms none
+        {"target": {"kind": "mog", "components": 4}, "kernel": kn.gauss(2.0).to_json_dict(),
+         "variants": [{"name": "targetkt"}, {"name": "rootkt"},
+                      {"name": "generalized", "split_kernel": kn.gauss(2.0, 2.0).to_json_dict()},
+                      {"name": "generalized", "split_kernel": kn.laplace(1.0).to_json_dict()}],
+         "sizes": [16, 64, 256], "replicates": 2, "seed": 13, "metrics": ["mmd_input"]},
     ]
 
 
