@@ -19,8 +19,8 @@ that the call allocates for it.  The full matrix is never materialized, and
 the working set is those buffers plus vectors of the inputs' lengths.  The
 one exception is target KT's input row means: its split stage has already
 evaluated the lower triangle of the same Gram matrix block by block, so
-`thinning._split`, the one place that decides this, returns them from its
-blocks' row sums and `kernel_row_means` is not called.
+`thinning._split`, the one place that decides this, returns the input's
+`Reference` from its blocks' row sums and `kernel_row_means` is not called.
 Against the points themselves (y = x) the Gram matrix is symmetric: each
 strip is evaluated only from its own diagonal block on, and every column
 past that block adds to both the strip's rows and its own, which halves
@@ -30,11 +30,12 @@ Point arrays are read by `kernels._as_points`, as everywhere in the
 package, so NaN or inf coordinates are rejected at the boundary instead of
 surfacing as a NaN MMD.
 
-A `Reference` gives the MMD to fixed points from their cached row means:
-kt_swap's selection, `mmd_input` and `mmd_surrogate` measure against one.
-Its subclass SwapCache supports the coreset refinement loop: given a fixed
-input set and a current coreset, it answers "how does MMD^2 change if
-coreset slot i is replaced by input point z".  Each query costs O(n),
+A `Reference` gives the MMD to fixed points from their cached row means,
+and is the only way row means reach the swap stage: kt_swap's selection,
+`mmd_input` and `mmd_surrogate` measure against one.  A SwapCache holds the
+input's for the coreset refinement loop: given a fixed input set and a
+current coreset, it answers "how does MMD^2 change if coreset slot i is
+replaced by input point z".  Each query costs O(n),
 accepted or not: it builds the delta vector over all n candidates, plus one
 kernel column of n entries unless that column is cached; an accepted swap
 adds one more column.
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
+    KernelError,
     KernelSpec,
     _as_indices,
     _as_points,
@@ -63,6 +65,13 @@ _COLS = 4096
 # the fewest strips a kernel sum spreads over threads: a symmetric sum of 4096
 # points, or 1024 points against 16384
 _POOL_STRIPS = 128
+
+
+def _as_target(k) -> KernelSpec:
+    """k if it is a KernelSpec, the kernel of every MMD; else a KernelError."""
+    if not isinstance(k, KernelSpec):
+        raise KernelError(f"the target kernel must be a KernelSpec, got {type(k).__name__}")
+    return k
 
 
 def _as_index(value, n: int, name: str) -> int:
@@ -214,7 +223,7 @@ class Reference:
     """
 
     def __init__(self, k: KernelSpec, points, row_mean: np.ndarray | None = None):
-        self.kernel = k
+        self.kernel = _as_target(k)
         self.points = _as_points(points)
         n = len(self.points)
         out = np.asarray(kernel_row_means(k, self.points) if row_mean is None else row_mean, float)
@@ -222,6 +231,13 @@ class Reference:
             raise ValueError(f"row_mean must be a finite array of shape ({n},), got shape "
                              f"{out.shape} with {int((~np.isfinite(out)).sum())} non-finite values")
         self.row_mean, self.self_term = out, float(out.mean())
+
+    def _on(self, k: KernelSpec, points: np.ndarray) -> Reference:
+        """self, if it is on the kernel k and these points; else a ValueError."""
+        if self.kernel != _as_target(k) or not np.array_equal(self.points, points):
+            raise ValueError(f"the reference is on {self.kernel} and {len(self.points)} points, "
+                             f"not on {k} and the {len(points)} given")
+        return self
 
     def _clamped_mmd_sq(self, out_self: float, cross: float) -> float:
         # max(x, 0.0), not max(0.0, x): a NaN stays NaN, as in _clamped_sqrt
@@ -242,10 +258,11 @@ class Reference:
         return _clamped_sqrt(self._clamped_mmd_sq(_quadratic_form(self.kernel, out, wv), cross))
 
 
-class SwapCache(Reference):
+class SwapCache:
     """Running cross-sums for one coreset against a fixed input point set.
 
-    Maintains, for every input point z, the `Reference` row means and
+    Maintains, for every input point z, the row means of the input's
+    `reference` (built here unless given, else on k and these points) and
 
         cross[z] = sum_{w in coreset} k(z, w)   (updated per accepted swap)
 
@@ -253,17 +270,12 @@ class SwapCache(Reference):
     arithmetic per candidate, done for all n candidates at once.
     """
 
-    def __init__(
-        self,
-        k: KernelSpec,
-        points: np.ndarray,
-        coreset: np.ndarray,
-        row_mean: np.ndarray | None = None,
-    ):
-        points = _as_points(points)
+    def __init__(self, k: KernelSpec, points, coreset, reference: Reference | None = None):
+        self.kernel, self.points = _as_target(k), _as_points(points)
         # before the row means
-        self.coreset = _as_indices(coreset, len(points), "coreset")
-        super().__init__(k, points, row_mean)
+        self.coreset = _as_indices(coreset, len(self.points), "coreset")
+        self.reference = (Reference(k, self.points) if reference is None
+                          else reference._on(k, self.points))
         # k(z, z) for every z: each family attains its sup-norm on the
         # diagonal, bitwise equal to the Gram-path value at z = 0
         self.diag = k.sup_norm()
@@ -282,8 +294,8 @@ class SwapCache(Reference):
         old = self.coreset[_as_index(position, self.out_size, "position")]
         s = float(self.out_size)
         k_z_old = self._column(old)
-        g = 2.0 * (self.cross - k_z_old) + self.diag
-        return (g - g[old]) / (s * s) - 2.0 * (self.row_mean - self.row_mean[old]) / s
+        g, r = 2.0 * (self.cross - k_z_old) + self.diag, self.reference.row_mean
+        return (g - g[old]) / (s * s) - 2.0 * (r - r[old]) / s
 
     def _column(self, index: int) -> np.ndarray:
         """k(z, points[index]) for every input z.  The last column is kept:

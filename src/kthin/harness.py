@@ -160,15 +160,16 @@ _TEST_FUNCTIONS = {
 }
 
 
-def _thin(variant: Variant, k: KernelSpec, points: np.ndarray, cfg: ThinningConfig) -> Coreset:
+def _thin(variant: Variant, k: KernelSpec, points: np.ndarray, cfg: ThinningConfig,
+          inputs: Reference | None) -> Coreset:
     # perfbench/workloads.py counts coresets by rebinding target_kt and power_kt
     # here, so targetkt and rootkt (power KT at alpha 1/2) call them by module
-    # name until the benchmark captures them elsewhere (ROADMAP item 3)
+    # name until the benchmark captures them elsewhere (ROADMAP item 6)
     if variant.name == "targetkt":
         return target_kt(k, points, cfg)
     if variant.name == "rootkt":
-        return power_kt(k, points, cfg, alpha=0.5)
-    return thin(variant, k, points, cfg)
+        return power_kt(k, points, cfg, alpha=0.5, reference=inputs)
+    return thin(variant, k, points, cfg, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +265,15 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
             points = plan.target.sample(
                 n, rng.derive_seed(plan.seed, n, rep, _INPUT_SALT)
             )
-            if "mmd_input" in plan.metrics:
-                inputs = Reference(kernel, points)
+            # for mmd_input, and for each swap stage whose split forms no row means
+            inputs = Reference(kernel, points) if "mmd_input" in plan.metrics else None
             input_means = {
                 name: float(np.mean(fn(points))) for name, fn in test_fns.items()
             }
             for variant in runnable:
                 seed = rng.derive_seed(plan.seed, n, rep, *variant._seed_parts())
                 cfg = ThinningConfig(m=m, seed=seed, delta=plan.delta)
-                coreset = _thin(variant, kernel, points, cfg)
+                coreset = _thin(variant, kernel, points, cfg, inputs)
                 out_points = points[coreset.indices]
                 values = [_clamped_sqrt(inputs.mmd_sq(coreset.indices)) if name == "mmd_input"
                           else surrogate.mmd_to(out_points) for name in plan.metrics] + [

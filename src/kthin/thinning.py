@@ -35,9 +35,10 @@ candidates as k under the same seed, bitwise.
 The blocks cover the lower triangle of the split kernel's Gram matrix.
 When the split kernel is the target kernel up to scale (target KT, or
 generalized KT with k_split = c * k), the split adds up their row sums and
-hands the swap stage its row means, and the whole pipeline evaluates about
-n^2 / 2 kernel entries instead of n^2; `_split` is the one place that
-decides this.
+hands the swap stage the input's `Reference` built from them, and the whole
+pipeline evaluates about n^2 / 2 kernel entries instead of n^2; `_split` is
+the one place that decides this.  Otherwise the caller's `Reference` (the
+harness's, for `mmd_input`) serves, else the swap stage makes its own.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from . import rng
-from .discrepancy import Reference, SwapCache, kernel_row_means
+from .discrepancy import Reference, SwapCache, _as_target, kernel_row_means
 # gram and gram_rows are not called here; they stay module attributes because
 # perfbench/spans.py traces the kernel boundary by wrapping
 # kthin.thinning.gram and kthin.thinning.gram_rows
@@ -230,8 +231,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     bitwise the same either way.
     `_split`, given the target kernel, decides whether the split kernel is
     it up to scale; only then does it add up the blocks' row sums (with one
-    more kernel column for the last point when n is odd) into the swap
-    stage's row means.
+    more kernel column for the last point when n is odd) into the row means
+    of the input's `Reference` for the swap stage.
 
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
@@ -243,8 +244,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
 
 
 def _split(k_split, points, cfg: ThinningConfig,
-           k_target: KernelSpec | None = None) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """`kt_split`'s candidates, and k_target's row means
+           k_target: KernelSpec | None = None) -> tuple[list[np.ndarray], Reference | None]:
+    """`kt_split`'s candidates, and the `Reference` on k_target with row means
     (1/n) sum_y k_target(x, y) from the blocks when the split kernel's
     normalized base is k_target's, else None and no sums are formed."""
     points = _as_points(points)
@@ -378,7 +379,7 @@ def _split(k_split, points, cfg: ThinningConfig,
         last = evaluate(kernel, points, points[-1])
         sums[:-1] += last[:-1]
         sums[-1] = last.sum()
-    return list(idx[m]), sums * (k_target.scale / kernel.scale) / n
+    return list(idx[m]), Reference(k_target, points, sums * (k_target.scale / kernel.scale) / n)
 
 
 def _split_uniforms(seed: int, rounds: int, m: int) -> list:
@@ -417,13 +418,8 @@ def anchored_stride(n: int, size: int, step: int) -> np.ndarray:
     return n - 1 - step * np.arange(size - 1, -1, -1)
 
 
-def kt_swap(
-    k: KernelSpec,
-    points,
-    candidates: list[np.ndarray],
-    cfg: ThinningConfig,
-    row_mean: np.ndarray | None = None,
-) -> Coreset:
+def kt_swap(k: KernelSpec, points, candidates: list[np.ndarray], cfg: ThinningConfig,
+            reference: Reference | None = None) -> Coreset:
     """Select the best of {baseline, candidates} by MMD, then refine it.
 
     One greedy sweep over coreset positions replaces each element by the
@@ -431,19 +427,20 @@ def kt_swap(
     The incumbent is always a valid replacement, so MMD never increases and
     the result never exceeds the baseline's MMD to the input.
 
-    Candidates are ranked by the input's `Reference`.  `row_mean`, its row
-    means (1/n) sum_y k(z, y), is computed with `kernel_row_means` unless
-    given, and must then be a finite array of shape (n,), else a ValueError.
+    Candidates are ranked by the input's `reference`, built with a
+    `kernel_row_means` pass unless given, and then on k and these points,
+    else a ValueError.  A k that is not a KernelSpec is a KernelError.
 
     At m = 1 on an even input the two split candidates are the two halves of
     the input, whose MMDs to it are equal in exact arithmetic, so rounding
     decides which of them is selected.
     """
-    points = _as_points(points)
+    points, k = _as_points(points), _as_target(k)
     n = len(points)
+    # one per row of a 2-D array, before the count
+    candidates = [_as_indices(c, n, "candidate coreset") for c in candidates]
     if not candidates:
         raise ValueError("kt_swap needs at least one candidate coreset")
-    candidates = [_as_indices(c, n, "candidate coreset") for c in candidates]
     sizes = {len(c) for c in candidates}
     if len(sizes) != 1:
         raise ValueError(f"candidate coresets differ in size: {sorted(sizes)}")
@@ -455,13 +452,14 @@ def kt_swap(
         )
 
     # the row means serve candidate ranking and the refinement cache: one
-    # pass of n^2 / 2 kernel evaluations unless the split already summed them
-    ref = Reference(k, points, kernel_row_means(k, points) if row_mean is None else row_mean)
+    # pass of n^2 / 2 kernel evaluations unless the split or the caller has them
+    ref = (Reference(k, points, kernel_row_means(k, points)) if reference is None
+           else reference._on(k, points))
     pool = [base] + list(candidates)
     mmd_sqs = [ref.mmd_sq(c) for c in pool]
     chosen = int(np.argmin(mmd_sqs))
 
-    cache = SwapCache(k, points, pool[chosen], row_mean=ref.row_mean)
+    cache = SwapCache(k, points, pool[chosen], ref)
     accepted = 0
     for pos in range(cache.out_size):
         best, _ = cache.best_swap(pos)
@@ -581,22 +579,26 @@ class Variant:
         return VARIANTS[self.name].build(self, k, dim)
 
 
-def thin(variant: Variant, k: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
+def thin(variant: Variant, k: KernelSpec, points, cfg: ThinningConfig,
+         reference: Reference | None = None) -> Coreset:
     """Thin points with the variant, selecting and refining with k.
 
     Standard thinning keeps every 2^m-th point.  Every other variant splits
-    with `variant.split_kernel_for(k, d)` and runs `kt_swap` with k, fed the
-    row means that `_split` returns when it finds the split kernel is k up
-    to scale (see the module docstring).  The provenance names the variant,
-    and the alpha of a power kernel built from a given one.
+    with `variant.split_kernel_for(k, d)` and runs `kt_swap` with k and the
+    `Reference` that `_split` returns when the split kernel is k up to scale,
+    else the given `reference`, which must be on k and these points.  A k
+    that is not a KernelSpec is a KernelError.  The provenance names the
+    variant, and the alpha of a power kernel built from a given one.
     """
-    points = _as_points(points)
+    points, k = _as_points(points), _as_target(k)
+    if reference is not None:
+        reference._on(k, points)
     k_split = variant.split_kernel_for(k, points.shape[1])
     if k_split is None:
         out = Coreset(baseline_thin(len(points), cfg.m), {})
     else:
-        candidates, row_mean = _split(k_split, points, cfg, k)
-        out = kt_swap(k, points, candidates, cfg, row_mean=row_mean)
+        candidates, own = _split(k_split, points, cfg, k)
+        out = kt_swap(k, points, candidates, cfg, own or reference)
         out.provenance.update(_sigma_diagnostics(len(points), cfg, k_split.sup_norm()))
     out.provenance["variant"] = variant.name
     if variant.alpha is not None and variant.split_kernel is None:
@@ -614,19 +616,15 @@ def target_kt(k: KernelSpec, points, cfg: ThinningConfig) -> Coreset:
     return thin(Variant("targetkt"), k, points, cfg)
 
 
-def power_kt(
-    k: KernelSpec,
-    points,
-    cfg: ThinningConfig,
-    alpha: float,
-    split_kernel: KernelSpec | None = None,
-) -> Coreset:
+def power_kt(k: KernelSpec, points, cfg: ThinningConfig, alpha: float,
+             split_kernel: KernelSpec | None = None, reference: Reference | None = None) -> Coreset:
     """Split with the alpha-power kernel of k, refine with k.
 
     If the family has no closed-form power kernel, pass `split_kernel`
-    explicitly.
+    explicitly.  `reference`, the input's `Reference` on k, spares the swap
+    stage its row-mean pass (see `thin`).
     """
-    return thin(Variant("powerkt", alpha, split_kernel), k, points, cfg)
+    return thin(Variant("powerkt", alpha, split_kernel), k, points, cfg, reference)
 
 
 def kt_plus(

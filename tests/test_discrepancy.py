@@ -463,7 +463,7 @@ def test_kernel_row_means_match_direct():
             full = kn.gram(k, pts)
             np.testing.assert_allclose(means, full.mean(axis=1), rtol=1e-12, atol=0)
             coreset = np.arange(0, n, 2)
-            cache = SwapCache(k, pts, coreset, row_mean=means)
+            cache = SwapCache(k, pts, coreset, Reference(k, pts, means))
             np.testing.assert_allclose(
                 cache.cross, full[:, coreset].sum(axis=1), rtol=1e-12, atol=0
             )

@@ -1,21 +1,27 @@
-"""The split's row sums against the row-mean pass they replace.
+"""The split's row sums against the row-mean pass they replace, and the
+input's `Reference` as the one way row means reach the swap stage.
 
 When the split kernel is the target kernel up to scale, the split's blocks
 already cover the lower triangle of the target's Gram matrix, so
-`generalized_kt` (and `target_kt` through it) hands their row sums to
-`kt_swap` instead of calling `kernel_row_means`.  The row means agree with
-the tiled pass up to summation order, and the coresets agree with the
-unfused path except where rounding decides an exact tie.
+`generalized_kt` (and `target_kt` through it) hands `kt_swap` a `Reference`
+built from their row sums instead of calling `kernel_row_means`.  The row
+means agree with the tiled pass up to summation order, and the coresets
+agree with the unfused path except where rounding decides an exact tie.
+Any other split takes the caller's `Reference`, which the harness builds
+once per study cell, else one pass in `kt_swap`.
 """
 
 import numpy as np
 import pytest
 
+import kthin.discrepancy
 import kthin.thinning
 from kthin import kernels as kn
-from kthin.discrepancy import SwapCache, kernel_row_means
+from kthin.discrepancy import Reference, SwapCache, kernel_row_means
+from kthin.harness import ExperimentPlan, run_experiment
 from kthin.targets import MogTarget
-from kthin.thinning import ThinningConfig, generalized_kt, kt_split, kt_swap, power_kt, target_kt
+from kthin.thinning import (ThinningConfig, Variant, generalized_kt, kt_split, kt_swap, power_kt,
+                            target_kt, thin)
 
 KERNELS = {
     "gauss": kn.gauss(1.3),
@@ -29,18 +35,19 @@ KERNELS = {
 
 
 def _captured_row_mean(monkeypatch, k_split, k_target, x, cfg):
-    """The row_mean that generalized_kt passes to kt_swap."""
+    """The row means of the reference that generalized_kt passes to
+    kt_swap, or None for none."""
     seen = {}
     inner = kthin.thinning.kt_swap
 
-    def capturing(k, points, candidates, cfg, row_mean=None):
-        seen["row_mean"] = row_mean
-        return inner(k, points, candidates, cfg, row_mean=row_mean)
+    def capturing(k, points, candidates, cfg, reference=None):
+        seen["reference"] = reference
+        return inner(k, points, candidates, cfg, reference)
 
     monkeypatch.setattr(kthin.thinning, "kt_swap", capturing)
     generalized_kt(k_split, k_target, x, cfg)
     monkeypatch.undo()
-    return seen["row_mean"]
+    return None if seen["reference"] is None else seen["reference"].row_mean
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
@@ -68,8 +75,8 @@ def test_other_split_kernels_keep_the_row_mean_pass(monkeypatch):
                     kn.IdentityPerturbedKernel(kn.gauss(2.0))):
         assert _captured_row_mean(monkeypatch, k_split, k_target, x, cfg) is None
         # the split itself returns no row means, and the same candidates
-        candidates, row_mean = kthin.thinning._split(k_split, x, cfg, k_target)
-        assert row_mean is None
+        candidates, reference = kthin.thinning._split(k_split, x, cfg, k_target)
+        assert reference is None
         want = kt_split(k_split, x, cfg)
         assert len(candidates) == len(want)
         assert all(np.array_equal(c, w) for c, w in zip(candidates, want))
@@ -114,12 +121,71 @@ def test_row_mean_pass_runs_only_without_a_matching_split(monkeypatch):
                                  np.ones(65), np.ones((64, 1))])
 def test_a_malformed_row_mean_is_rejected(bad):
     # a NaN row mean once selected 16 copies of index 0 with every
-    # selection MMD 0.0, and a wrong length failed deep inside numpy
+    # selection MMD 0.0, and a wrong length failed deep inside numpy; row
+    # means reach the swap stage only through a Reference
+    x = MogTarget(4).sample(64, 0)
+    with pytest.raises(ValueError, match="row_mean must be a finite array of shape"):
+        Reference(kn.gauss(2.0), x, bad)
+
+
+def test_one_row_mean_pass_per_study_cell(monkeypatch):
+    # the harness's input Reference serves mmd_input and every swap stage
+    # whose split forms no row means; target KT and generalized with 2k
+    # form their own from the split's blocks
+    calls = []
+    for module in (kthin.thinning, kthin.discrepancy):
+        def counting(k, points, _inner=module.kernel_row_means):
+            calls.append(len(points))
+            return _inner(k, points)
+
+        monkeypatch.setattr(module, "kernel_row_means", counting)
+    k = kn.gauss(2.0)
+    variants = (Variant("standard"), Variant("targetkt"), Variant("rootkt"),
+                Variant("powerkt", 0.75), Variant("ktplus", 0.5),
+                Variant("generalized", split_kernel=kn.laplace(1.0)),
+                Variant("generalized", split_kernel=k.scaled(2.0)))
+    plan = ExperimentPlan(target=MogTarget(4), kernel=k, variants=variants, sizes=(16, 64),
+                          replicates=2, seed=1, metrics=("mmd_input",))
+    run_experiment(plan)
+    assert calls == [16, 16, 64, 64]
+
+
+def _reference_on(case: str, k, x):
+    """A reference that differs from (k, x) in one way."""
+    if case == "kernel":
+        return Reference(k.scaled(2.0), x)
+    if case == "points":
+        return Reference(k, x[::-1])
+    return Reference(k, x[:-1])
+
+
+CALLERS = {
+    "kt_swap": lambda k, x, cfg, ref: kt_swap(k, x, kt_split(k, x, cfg), cfg, ref),
+    "SwapCache": lambda k, x, cfg, ref: SwapCache(k, x, [0, 5], ref),
+    "power_kt": lambda k, x, cfg, ref: power_kt(k, x, cfg, 0.5, reference=ref),
+    **{f"thin-{name}": (lambda k, x, cfg, ref, _v=v: thin(_v, k, x, cfg, ref))
+       for name, v in (("standard", Variant("standard")), ("targetkt", Variant("targetkt")),
+                       ("generalized", Variant("generalized", split_kernel=kn.laplace(1.0))))},
+}
+
+
+@pytest.mark.parametrize("case", ["kernel", "points", "n"])
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_a_reference_on_another_kernel_or_points_is_rejected(caller, case):
     x = MogTarget(4).sample(64, 0)
     k = kn.gauss(2.0)
-    cfg = ThinningConfig(m=2, seed=0)
-    candidates = kt_split(k, x, cfg)
-    with pytest.raises(ValueError, match="row_mean must be a finite array of shape"):
-        kt_swap(k, x, candidates, cfg, row_mean=bad)
-    with pytest.raises(ValueError, match="row_mean must be a finite array of shape"):
-        SwapCache(k, x, candidates[0], row_mean=bad)
+    with pytest.raises(ValueError, match="the reference is on"):
+        CALLERS[caller](k, x, ThinningConfig(m=2, seed=0), _reference_on(case, k, x))
+
+
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_a_matching_reference_changes_no_coreset(caller):
+    # a Reference built apart from the call is the one the call would make
+    x = MogTarget(4).sample(64, 1)
+    k, cfg = kn.gauss(2.0), ThinningConfig(m=2, seed=1)
+    got, want = (CALLERS[caller](k, x, cfg, ref) for ref in (Reference(k, x.copy()), None))
+    if caller == "SwapCache":
+        got, want = got._delta_vector(1), want._delta_vector(1)
+    else:
+        got, want = got.indices, want.indices
+    assert np.array_equal(got, want)

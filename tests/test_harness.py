@@ -331,8 +331,8 @@ def test_mmd_input_records_match_mmd_points(monkeypatch, tmp_path):
     # record against the uncached MMD of the coreset it measured
     want = []
 
-    def thin(variant, k, points, cfg, _inner=harness._thin):
-        coreset = _inner(variant, k, points, cfg)
+    def thin(variant, k, points, cfg, inputs, _inner=harness._thin):
+        coreset = _inner(variant, k, points, cfg, inputs)
         want.append(mmd_points(k, points, points[coreset.indices]))
         return coreset
 

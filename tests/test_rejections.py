@@ -205,6 +205,17 @@ REJECTIONS = {
     "swap-cache-empty-coreset": (
         lambda tmp: SwapCache(kn.gauss(1.0), POINTS, np.array([], int)), ValueError,
         r"coreset must be a non-empty 1-D integer array of entries in \[0, 16\)"),
+    # the swap stage names a target kernel that is not a KernelSpec before
+    # evaluating any kernel, where its missing methods were AttributeErrors
+    "kt-swap-perturbed-target": (
+        lambda tmp: kt_swap(kn.IdentityPerturbedKernel(kn.gauss(1.0)), POINTS, [[0, 1, 2, 3]], CFG),
+        kn.KernelError, "target kernel must be a KernelSpec, got IdentityPerturbedKernel"),
+    "swap-cache-perturbed-target": (
+        lambda tmp: SwapCache(kn.IdentityPerturbedKernel(kn.gauss(1.0)), POINTS, [0, 5]),
+        kn.KernelError, "target kernel must be a KernelSpec, got IdentityPerturbedKernel"),
+    "reference-str-target": (
+        lambda tmp: Reference("gauss", POINTS), kn.KernelError,
+        "target kernel must be a KernelSpec, got str"),
     "swap-probability-zero-a": (
         lambda tmp: swap_probability(1.0, 0.0), ValueError, "a must be finite and > 0, got 0.0"),
     "swap-probability-negative-a": (

@@ -104,7 +104,7 @@ def _assert_same(k_split, x, cfg, k_target=None):
     if want_mean is None:
         assert got_mean is None
     else:
-        assert got_mean.tobytes() == want_mean.tobytes()
+        assert got_mean.row_mean.tobytes() == want_mean.tobytes()
 
 
 @pytest.mark.parametrize("block", range(9))

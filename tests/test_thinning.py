@@ -408,6 +408,17 @@ def test_swap_rejects_malformed_candidates(bad):
         kt_swap(K, x, [good, bad], ThinningConfig(m=3, seed=0))
 
 
+def test_swap_reads_a_2d_candidate_array_one_per_row():
+    # the candidates are read before they are counted: a 2-D array has no
+    # truth value
+    x = gauss_points(32, 64)
+    cfg = ThinningConfig(m=5, seed=0)
+    rows = np.array([[0, 1], [2, 3]])
+    assert np.array_equal(kt_swap(K, x, rows, cfg).indices, kt_swap(K, x, list(rows), cfg).indices)
+    with pytest.raises(ValueError, match="needs at least one candidate coreset"):
+        kt_swap(K, x, np.empty((0, 2), int), cfg)
+
+
 def test_swap_allows_duplicates_in_output():
     # two identical clusters: the argmin may pick the same point repeatedly
     x = np.concatenate([np.zeros((8, 1)), np.ones((8, 1))])

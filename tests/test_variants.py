@@ -52,6 +52,16 @@ def test_thin_matches_the_front_end(name):
         assert out.provenance["variant"] == name
 
 
+@pytest.mark.parametrize("k", [kn.IdentityPerturbedKernel(K), "gauss"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_target_kernel_that_is_not_a_kernelspec_is_rejected(name, k):
+    # checked before the variant runs: standard thinning once returned a
+    # coreset, and target KT blamed its split kernel
+    with pytest.raises(kn.KernelError, match=f"target kernel must be a KernelSpec, got "
+                                             f"{type(k).__name__}$"):
+        thin(CASES[name][0], k, np.zeros((16, 2)), ThinningConfig(m=2))
+
+
 def _cli_indices(tmp_path, name, points, cfg, delta):
     src, out = str(tmp_path / "in.csv"), str(tmp_path / "out.csv")
     np.savetxt(src, points, delimiter=",", fmt="%.17g")
@@ -70,8 +80,8 @@ def test_a_study_cell_thins_alike_in_the_harness_and_the_cli(tmp_path, monkeypat
     cells = []
     inner = harness._thin
 
-    def recording(variant, k, points, cfg):
-        out = inner(variant, k, points, cfg)
+    def recording(variant, k, points, cfg, inputs):
+        out = inner(variant, k, points, cfg, inputs)
         cells.append((variant, points, cfg, out.indices))
         return out
 
@@ -117,9 +127,9 @@ def test_variants_that_differ_only_in_the_split_kernel_share_a_plan(monkeypatch)
     seeds = {}
     inner = harness._thin
 
-    def recording(variant, k, points, cfg):
+    def recording(variant, k, points, cfg, inputs):
         seeds[variant.tag, len(points)] = cfg.seed
-        return inner(variant, k, points, cfg)
+        return inner(variant, k, points, cfg, inputs)
 
     monkeypatch.setattr(harness, "_thin", recording)
     plan = ExperimentPlan(target=MogTarget(4), kernel=K, variants=tuple(pairs), sizes=(16, 64),
