@@ -51,24 +51,19 @@ def _load_points(args, from_file: bool) -> np.ndarray:
     return target.sample(args.n, args.seed)
 
 
-# the thin flags an explicit split kernel and each kind of input would
-# otherwise silently ignore; a variant's own follow from VARIANTS
-_UNUSED_FLAGS = {"--split-kernel": ("alpha",),
-                 "an --input file": ("n",),
-                 "an --input target spec": ("format", "burn_in")}
-
-
 def _cmd_thin(args) -> int:
     from_file = os.path.exists(args.input)
     entry = VARIANTS[args.variant]
-    unused_flags = {f"--variant {args.variant}": [
-        name for name, takes in (("alpha", entry.takes_alpha),
-                                 ("split_kernel", entry.takes_split_kernel)) if not takes
-    ], **_UNUSED_FLAGS}
-    for user in (f"--variant {args.variant}",
-                 "--split-kernel" if args.split_kernel is not None else None,
-                 "an --input " + ("file" if from_file else "target spec")):
-        unused = [name for name in unused_flags.get(user, ()) if getattr(args, name) is not None]
+    # the flags each user would otherwise silently ignore, in the order they
+    # are reported: the variant's follow from VARIANTS
+    rules = [(f"--variant {args.variant}",
+              [name for name, takes in (("alpha", entry.takes_alpha),
+                                        ("split_kernel", entry.takes_split_kernel)) if not takes]),
+             ("--split-kernel", ["alpha"] if args.split_kernel is not None else []),
+             ("an --input file", ["n"]) if from_file
+             else ("an --input target spec", ["format", "burn_in"])]
+    for user, names in rules:
+        unused = [name for name in names if getattr(args, name) is not None]
         if unused:
             flags = " or ".join("--" + name.replace("_", "-") for name in unused)
             print(f"usage error: {user} does not use {flags}", file=sys.stderr)

@@ -30,12 +30,12 @@ Point arrays are read by `kernels._as_points`, as everywhere in the
 package, so NaN or inf coordinates are rejected at the boundary instead of
 surfacing as a NaN MMD.
 
-A `Reference` gives the MMD to fixed points from their cached row means,
-and is the only way row means reach the swap stage: kt_swap's selection,
-`mmd_input` and `mmd_surrogate` measure against one.  A SwapCache holds the
-input's for the coreset refinement loop: given a fixed input set and a
-current coreset, it answers "how does MMD^2 change if coreset slot i is
-replaced by input point z".  Each query costs O(n),
+A `Reference` gives the MMD to fixed points from their row means (given,
+else one pass on first read) and is the only way row means reach the swap
+stage: kt_swap's selection, `mmd_input` and `mmd_surrogate` measure against
+one.  A SwapCache holds the input's for the coreset refinement loop: given
+a fixed input set and a current coreset, it answers "how does MMD^2 change
+if coreset slot i is replaced by input point z".  Each query costs O(n),
 accepted or not: it builds the delta vector over all n candidates, plus one
 kernel column of n entries unless that column is cached; an accepted swap
 adds one more column.
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -218,19 +219,30 @@ class Reference:
     row_mean[z] = (1/n) sum_y k(z, y) and the self-term, the mean of those.
 
     The row means are the caller's (a finite array of shape (n,), else a
-    ValueError) or `kernel_row_means`.  The cross term is a lookup in them
-    against points[indices] (`mmd_sq`), a kernel sum against others (`mmd_to`).
+    ValueError), else one `kernel_row_means` pass on their or the self-term's
+    first read, so a Reference that nothing reads evaluates no kernel.  The
+    cross term is a lookup in them against points[indices] (`mmd_sq`), a
+    kernel sum against others (`mmd_to`).
     """
 
     def __init__(self, k: KernelSpec, points, row_mean: np.ndarray | None = None):
         self.kernel = _as_target(k)
         self.points = _as_points(points)
-        n = len(self.points)
-        out = np.asarray(kernel_row_means(k, self.points) if row_mean is None else row_mean, float)
-        if out.shape != (n,) or not np.isfinite(out).all():
-            raise ValueError(f"row_mean must be a finite array of shape ({n},), got shape "
-                             f"{out.shape} with {int((~np.isfinite(out)).sum())} non-finite values")
-        self.row_mean, self.self_term = out, float(out.mean())
+        if row_mean is not None:
+            n, out = len(self.points), np.asarray(row_mean, float)
+            finite = np.isfinite(out)
+            if out.shape != (n,) or not finite.all():
+                raise ValueError(f"row_mean must be a finite array of shape ({n},), got shape "
+                                 f"{out.shape} with {int((~finite).sum())} non-finite values")
+            self.row_mean = out
+
+    @cached_property
+    def row_mean(self) -> np.ndarray:
+        return kernel_row_means(self.kernel, self.points)
+
+    @cached_property
+    def self_term(self) -> float:
+        return float(self.row_mean.mean())
 
     def _on(self, k: KernelSpec, points: np.ndarray) -> Reference:
         """self, if it is on the kernel k and these points; else a ValueError."""
@@ -262,7 +274,7 @@ class SwapCache:
     """Running cross-sums for one coreset against a fixed input point set.
 
     Maintains, for every input point z, the row means of the input's
-    `reference` (built here unless given, else on k and these points) and
+    `reference` (given on k and these points, else built here, read lazily) and
 
         cross[z] = sum_{w in coreset} k(z, w)   (updated per accepted swap)
 
@@ -272,7 +284,6 @@ class SwapCache:
 
     def __init__(self, k: KernelSpec, points, coreset, reference: Reference | None = None):
         self.kernel, self.points = _as_target(k), _as_points(points)
-        # before the row means
         self.coreset = _as_indices(coreset, len(self.points), "coreset")
         self.reference = (Reference(k, self.points) if reference is None
                           else reference._on(k, self.points))

@@ -161,7 +161,7 @@ _TEST_FUNCTIONS = {
 
 
 def _thin(variant: Variant, k: KernelSpec, points: np.ndarray, cfg: ThinningConfig,
-          inputs: Reference | None) -> Coreset:
+          inputs: Reference) -> Coreset:
     # perfbench/workloads.py counts coresets by rebinding target_kt and power_kt
     # here, so targetkt and rootkt (power KT at alpha 1/2) call them by module
     # name until the benchmark captures them elsewhere (ROADMAP item 6)
@@ -265,8 +265,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
             points = plan.target.sample(
                 n, rng.derive_seed(plan.seed, n, rep, _INPUT_SALT)
             )
-            # for mmd_input, and for each swap stage whose split forms no row means
-            inputs = Reference(kernel, points) if "mmd_input" in plan.metrics else None
+            # shared by mmd_input and every swap stage whose split forms no row means
+            inputs = Reference(kernel, points)
             input_means = {
                 name: float(np.mean(fn(points))) for name, fn in test_fns.items()
             }

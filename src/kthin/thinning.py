@@ -38,7 +38,7 @@ generalized KT with k_split = c * k), the split adds up their row sums and
 hands the swap stage the input's `Reference` built from them, and the whole
 pipeline evaluates about n^2 / 2 kernel entries instead of n^2; `_split` is
 the one place that decides this.  Otherwise the caller's `Reference` (the
-harness's, for `mmd_input`) serves, else the swap stage makes its own.
+harness's, one per study cell) serves, else the swap stage makes its own.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2.
 
     The blocks are decided on the calling thread in block order.  They are
-    evaluated there too, into one reused buffer with the gather buffer as
-    scratch, unless the kernel calls scipy's Bessel `kv`
+    evaluated there too, into one reused buffer with the gather buffer (and
+    one more for a sum) as scratch, unless the kernel calls scipy's Bessel `kv`
     (`kernels._evaluates_kv`), alone, in a sum or as an identity-perturbed
     base, whose entries cost two orders of magnitude more than an `exp`.
     Such a split evaluates its blocks as `kernels._in_order` tasks, on one
@@ -369,9 +369,9 @@ def _split(k_split, points, cfg: ThinningConfig,
         _in_order(lambda q, own: block(q, ring[q % len(ring)], own), blocks, state,
                   lambda res: decide(*res), most=most)
     else:
-        buf = np.empty(size)
+        buf, scratch = np.empty(size), (gbuf, *(np.empty(size) for _ in range(n_scratch - 1)))
         for q in range(blocks):
-            decide(*block(q, buf, (gbuf,)))
+            decide(*block(q, buf, scratch))
     if sums is None:
         return list(idx[m]), None
     if n % 2:
@@ -586,8 +586,8 @@ def thin(variant: Variant, k: KernelSpec, points, cfg: ThinningConfig,
     Standard thinning keeps every 2^m-th point.  Every other variant splits
     with `variant.split_kernel_for(k, d)` and runs `kt_swap` with k and the
     `Reference` that `_split` returns when the split kernel is k up to scale,
-    else the given `reference`, which must be on k and these points.  A k
-    that is not a KernelSpec is a KernelError.  The provenance names the
+    else the given `reference`, on k and these points and unread until then.
+    A k that is not a KernelSpec is a KernelError.  The provenance names the
     variant, and the alpha of a power kernel built from a given one.
     """
     points, k = _as_points(points), _as_target(k)

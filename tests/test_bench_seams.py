@@ -3,9 +3,11 @@
 perfbench/spans.py traces layers by rebinding module attributes, and the
 study-mog workload counts KT coresets by rebinding `kthin.harness.target_kt`
 and `kthin.harness.power_kt`.  A refactor that renames or stops calling one
-of them breaks the benchmark without failing any library test.
+of them, or moves a name the benchmark imports, breaks the benchmark
+without failing any library test.
 """
 
+import ast
 import importlib
 import pathlib
 
@@ -43,3 +45,22 @@ def test_harness_calls_front_ends_by_module_name(monkeypatch):
     run_experiment(plan)
     cells = len(plan.sizes) * plan.replicates
     assert calls == {"target_kt": cells, "power_kt": cells}
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # perfbench/workloads.py imports from kthin at module level, and
+    # perfbench/run.py inside probe_layers and family_sweep; a name that
+    # moves breaks those only when the benchmark runs
+    imported = []
+    for script in ("workloads.py", "run.py"):
+        tree = ast.parse((PERFBENCH / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kthin":
+                imported += [(script, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(script, alias.name, None) for alias in node.names
+                             if alias.name.split(".")[0] == "kthin"]
+    assert {script for script, _, _ in imported} == {"workloads.py", "run.py"}
+    for script, module, name in imported:
+        owner = importlib.import_module(module)
+        assert name is None or hasattr(owner, name), (script, module, name)

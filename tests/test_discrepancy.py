@@ -431,6 +431,7 @@ def test_refinement_reuses_the_best_swap_column(monkeypatch):
         return kn.gram(kernel, x, y, **kwargs)
 
     cache = SwapCache(k, pts, np.arange(1, 60, 6))
+    cache.reference.row_mean  # the row-mean pass, made on first read, is not a column
     reference = cache.cross.copy()
     monkeypatch.setattr(discrepancy, "gram", counting_gram)
     total_accepted = 0

@@ -7,8 +7,10 @@ already cover the lower triangle of the target's Gram matrix, so
 built from their row sums instead of calling `kernel_row_means`.  The row
 means agree with the tiled pass up to summation order, and the coresets
 agree with the unfused path except where rounding decides an exact tie.
-Any other split takes the caller's `Reference`, which the harness builds
-once per study cell, else one pass in `kt_swap`.
+Any other split takes the caller's `Reference`, else one pass in `kt_swap`.
+A `Reference` built without row means makes its pass on first read, so the
+harness builds one per study cell for every plan, and a cell makes one pass
+if mmd_input or a variant reads it and none otherwise.
 """
 
 import numpy as np
@@ -128,10 +130,23 @@ def test_a_malformed_row_mean_is_rejected(bad):
         Reference(kn.gauss(2.0), x, bad)
 
 
-def test_one_row_mean_pass_per_study_cell(monkeypatch):
+K_VARIANTS = (Variant("standard"), Variant("targetkt"), Variant("rootkt"), Variant("powerkt", 0.75),
+              Variant("ktplus", 0.5), Variant("generalized", split_kernel=kn.laplace(1.0)),
+              Variant("generalized", split_kernel=kn.gauss(2.0).scaled(2.0)))
+
+
+@pytest.mark.parametrize("metrics, variants, passes", [
+    (("mmd_input",), K_VARIANTS, 1),
+    (("mmd_surrogate",), K_VARIANTS, 1),
+    (("mmd_surrogate",), K_VARIANTS[:2], 0),
+], ids=["mmd_input", "mmd_surrogate", "standard-targetkt-mmd_surrogate"])
+def test_one_row_mean_pass_per_study_cell(monkeypatch, metrics, variants, passes):
     # the harness's input Reference serves mmd_input and every swap stage
-    # whose split forms no row means; target KT and generalized with 2k
-    # form their own from the split's blocks
+    # whose split forms no row means, whatever the plan measures; target KT
+    # and generalized with 2k form their own from the split's blocks, so a
+    # cell of standard and target KT alone reads it only for mmd_input.
+    # The surrogate's pass (32 points) is one per study, made when the
+    # first cell's standard coreset is measured
     calls = []
     for module in (kthin.thinning, kthin.discrepancy):
         def counting(k, points, _inner=module.kernel_row_means):
@@ -139,15 +154,34 @@ def test_one_row_mean_pass_per_study_cell(monkeypatch):
             return _inner(k, points)
 
         monkeypatch.setattr(module, "kernel_row_means", counting)
-    k = kn.gauss(2.0)
-    variants = (Variant("standard"), Variant("targetkt"), Variant("rootkt"),
-                Variant("powerkt", 0.75), Variant("ktplus", 0.5),
-                Variant("generalized", split_kernel=kn.laplace(1.0)),
-                Variant("generalized", split_kernel=k.scaled(2.0)))
-    plan = ExperimentPlan(target=MogTarget(4), kernel=k, variants=variants, sizes=(16, 64),
-                          replicates=2, seed=1, metrics=("mmd_input",))
+    plan = ExperimentPlan(target=MogTarget(4), kernel=kn.gauss(2.0), variants=variants,
+                          sizes=(16, 64), replicates=2, seed=1, metrics=metrics,
+                          surrogate_size=32)
     run_experiment(plan)
-    assert calls == [16, 16, 64, 64]
+    surrogate = [32] if "mmd_surrogate" in metrics else []
+    assert calls == surrogate + [n for n in (16, 16, 64, 64) for _ in range(passes)]
+
+
+def test_a_reference_evaluates_no_kernel_until_read(monkeypatch):
+    # built and checked against (k, x) for free; one pass on the first read,
+    # which the self-term and later reads share
+    strips = []
+    inner = kthin.discrepancy.gram
+
+    def counting(*args, **kwargs):
+        strips.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(kthin.discrepancy, "gram", counting)
+    x, k = MogTarget(4).sample(64, 2), kn.gauss(2.0)
+    reference = Reference(k, x)._on(k, x)
+    assert strips == []
+    row_mean = reference.row_mean
+    pass_strips = len(strips)
+    assert pass_strips > 0
+    assert reference.self_term == float(row_mean.mean()) and reference.row_mean is row_mean
+    assert len(strips) == pass_strips
+    assert np.array_equal(row_mean, kernel_row_means(k, x))
 
 
 def _reference_on(case: str, k, x):

@@ -149,6 +149,43 @@ def test_pipelined_split_memory_stays_within_its_buffers(monkeypatch, case):
     assert peak <= 2 * _per_thread_bytes(k_split, n, m) + 2.5 * block, peak / block
 
 
+@pytest.mark.parametrize("case", ["targetkt-gauss", "ktplus-gauss", "ktplus-laplace"])
+def test_calling_thread_split_evaluates_into_its_buffers(monkeypatch, case):
+    # n = 2048, m = 5 on the calling thread, where a byte budget of 0 keeps
+    # the Bessel split too: each block is evaluated into the split's result
+    # and scratch buffers, so an `evaluate` call allocates only numpy's ufunc
+    # buffers (8192 entries an operand), under half a block of 8 2^m n
+    # bytes.  A sum given only the gather buffer as scratch allocated a
+    # block for its second component in every block
+    gauss, laplace = kn.gauss(1.0), kn.laplace(1.0)
+    k_split, k_target = {
+        "targetkt-gauss": (gauss, gauss),
+        "ktplus-gauss": (Variant("ktplus", alpha=0.5).split_kernel_for(gauss, 2), gauss),
+        "ktplus-laplace": CASES["ktplus-laplace"](2),
+    }[case]
+    monkeypatch.setattr(kthin.thinning, "_PIPELINE_BYTES", 0)
+    n, m = 2048, 5
+    x = np.random.default_rng(5).normal(size=(n, 2))
+    _split(k_split, x[:64], ThinningConfig(m=m, seed=5), k_target)  # warm the caches
+    inner, rises = kthin.thinning.evaluate, []
+
+    def measuring(*args, **kwargs):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = inner(*args, **kwargs)
+        rises.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(kthin.thinning, "evaluate", measuring)
+    tracemalloc.start()
+    try:
+        _split(k_split, x, ThinningConfig(m=m, seed=5), k_target)
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == n >> m
+    assert max(rises) <= 0.5 * 8 * 2 ** m * n, max(rises) / (8 * 2 ** m * n)
+
+
 @pytest.mark.parametrize("case", ["targetkt-bessel-matern", "ktplus-laplace"])
 def test_a_lower_byte_budget_keeps_the_blocks_on_the_calling_thread(monkeypatch, started, case):
     monkeypatch.setattr(kn, "_cpu_count", lambda: 4)
