@@ -586,7 +586,7 @@ def thin(variant: Variant, k: KernelSpec, points, cfg: ThinningConfig,
     Standard thinning keeps every 2^m-th point.  Every other variant splits
     with `variant.split_kernel_for(k, d)` and runs `kt_swap` with k and the
     `Reference` that `_split` returns when the split kernel is k up to scale,
-    else the given `reference`, on k and these points and unread until then.
+    else the given `reference` on k and these points, which `kt_swap` reads.
     A k that is not a KernelSpec is a KernelError.  The provenance names the
     variant, and the alpha of a power kernel built from a given one.
     """

@@ -130,15 +130,16 @@ def test_a_malformed_row_mean_is_rejected(bad):
         Reference(kn.gauss(2.0), x, bad)
 
 
-K_VARIANTS = (Variant("standard"), Variant("targetkt"), Variant("rootkt"), Variant("powerkt", 0.75),
-              Variant("ktplus", 0.5), Variant("generalized", split_kernel=kn.laplace(1.0)),
-              Variant("generalized", split_kernel=kn.gauss(2.0).scaled(2.0)))
+STUDY_VARIANTS = (Variant("standard"), Variant("targetkt"), Variant("rootkt"),
+                  Variant("powerkt", 0.75), Variant("ktplus", 0.5),
+                  Variant("generalized", split_kernel=kn.laplace(1.0)),
+                  Variant("generalized", split_kernel=kn.gauss(2.0).scaled(2.0)))
 
 
 @pytest.mark.parametrize("metrics, variants, passes", [
-    (("mmd_input",), K_VARIANTS, 1),
-    (("mmd_surrogate",), K_VARIANTS, 1),
-    (("mmd_surrogate",), K_VARIANTS[:2], 0),
+    (("mmd_input",), STUDY_VARIANTS, 1),
+    (("mmd_surrogate",), STUDY_VARIANTS, 1),
+    (("mmd_surrogate",), STUDY_VARIANTS[:2], 0),
 ], ids=["mmd_input", "mmd_surrogate", "standard-targetkt-mmd_surrogate"])
 def test_one_row_mean_pass_per_study_cell(monkeypatch, metrics, variants, passes):
     # the harness's input Reference serves mmd_input and every swap stage
