@@ -56,6 +56,7 @@ from .kernels import (
     _as_points,
     _check_alpha,
     _in_order,
+    _scratch_count,
     gauss_power_exact,
     gram,
 )
@@ -137,8 +138,9 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     products are formed from the same entries and added into the result by
     the calling thread in strip order, so the sums are bitwise the same at
     any thread count.  Each thread has its own strip buffer of _ROWS x _COLS
-    doubles (1 MB) and a scratch array of the same size for the squared
-    coordinate differences.
+    doubles (1 MB) and `kernels._scratch_count(k)` scratch arrays of the
+    same size, for the squared coordinate differences and a sum's later
+    components, so a strip allocates nothing of its size.
     """
     symmetric = y is None
     flip = not symmetric and len(y) < len(x)
@@ -156,7 +158,7 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
         i0, i1, j0, j1 = strips[s]
         shape, n = (i1 - i0, j1 - j0), (i1 - i0) * (j1 - j0)
         g = gram(k, rows[i0:i1], cols[j0:j1], out=bufs[0][:n].reshape(shape),
-                 _scratch=(bufs[1][:n].reshape(shape),))
+                 _scratch=tuple(b[:n].reshape(shape) for b in bufs[1:]))
         if flip:
             return [(slice(j0, j1), w[i0:i1] @ g)]
         sums = [(slice(i0, i1), g @ w[j0:j1])]
@@ -171,7 +173,9 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
         for at, v in sums:
             out[at] += v
 
-    _in_order(strip, len(strips), lambda: (np.empty(size), np.empty(size)), add, _POOL_STRIPS)
+    n_bufs = 1 + _scratch_count(k)
+    _in_order(strip, len(strips), lambda: tuple(np.empty(size) for _ in range(n_bufs)), add,
+              _POOL_STRIPS)
     return out
 
 

@@ -68,6 +68,8 @@ _SINC_TAYLOR_CUTOFF = 1e-8
 _MATERN_ZERO_CUTOFF = 1e-290
 # entries per scipy Bessel call when the Matern profile spreads them over threads
 _KV_CHUNK = 8192
+# entries per chunk of the half-integer Matern polynomial's terms
+_POLY_CHUNK = 8192
 # the smallest normal double; a smaller c_a sends the Matern profile to its log form
 _SMALLEST_NORMAL = 2.0 ** -1022
 # the largest bspline beta whose alternating sum stays within 1e-9 h_beta(0) of
@@ -487,7 +489,8 @@ def _matern_into(a: float, gamma: float, x: np.ndarray, y: np.ndarray,
     set, and the other marked entries are recomputed from their own
     coordinates in the log-domain form `_matern_log_profile`.  So with out
     and scratch given, a Bessel order allocates nothing but the marked
-    entries' indices, coordinates and values.
+    entries' indices, coordinates and values, and a half-integer order also
+    a buffer of `_POLY_CHUNK` entries for the polynomial's terms.
     """
     out = _sq_dists(x, y, out, scratch)
     scratch = np.empty_like(out) if scratch is None else scratch
@@ -506,11 +509,22 @@ def _matern_into(a: float, gamma: float, x: np.ndarray, y: np.ndarray,
             # K_{p+1/2}(t) = sqrt(pi/(2t)) e^{-t} sum_k (p+k)!/(k!(p-k)!) (2t)^{-k},
             # so c_a t^a K_a(t) = c_a sqrt(pi/2) e^{-t} sum_k coeff_k 2^{-k} t^{p-k};
             # coeff_k 2^{-k} as one division stays in float range wherever c_a does
+            # summed over chunks of a small buffer, each term formed as
+            # coeff * t ** (p - k) is, numpy's scalar fast paths included
             p = int(round(a - 0.5))
+            coeffs = [math.factorial(p + k) / (math.factorial(k) * math.factorial(p - k) << k)
+                      for k in range(p + 1)]
             scratch[...] = 0.0
-            for k in range(p + 1):
-                coeff = math.factorial(p + k) / (math.factorial(k) * math.factorial(p - k) << k)
-                scratch += coeff * out ** (p - k)
+            flat_t, flat_poly = out.reshape(-1), scratch.reshape(-1)
+            term = np.empty(min(out.size, _POLY_CHUNK))
+            for i in range(0, out.size, _POLY_CHUNK):
+                t, poly = flat_t[i:i + _POLY_CHUNK], flat_poly[i:i + _POLY_CHUNK]
+                buf = term[:len(t)]
+                for k, coeff in enumerate(coeffs):
+                    np.copyto(buf, t)
+                    buf **= p - k
+                    buf *= coeff
+                    poly += buf
             np.negative(out, out=out)
             np.exp(out, out=out)
             out *= c_a * math.sqrt(math.pi / 2.0)
@@ -795,6 +809,16 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
     if k.scale != 1.0:
         out *= k.scale
     return out
+
+
+def _scratch_count(k: KernelSpec) -> int:
+    """How many `_scratch` arrays let `evaluate` compute k allocating nothing
+    of out's size: one, and a sum's later components each take the first
+    for their values and their own count after it."""
+    if k.family != "sum":
+        return 1
+    return max([_scratch_count(k.components[0]),
+                *(1 + _scratch_count(c) for c in k.components[1:])])
 
 
 def _into(out: np.ndarray | None, value: np.ndarray) -> np.ndarray:

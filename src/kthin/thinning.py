@@ -14,9 +14,9 @@ the input than the baseline does.
 Randomness is confined to the split stage and drawn from counter-based
 streams keyed by (round, level, slot), so results are reproducible across
 platforms and independent of evaluation order.  The split draws every
-uniform up front, one vectorized Philox pass (`rng.swap_uniforms`) per
-level, bit-identical to drawing each with `rng.swap_uniform`.  It then runs
-over aligned blocks of 2^m input points, and within a block level by level.
+uniform up front from numpy's own Philox, one `rng.swap_uniforms` call
+per level, each the draw `rng.swap_uniform` makes.  It then runs over
+aligned blocks of 2^m input points, and within a block level by level.
 Each block has its split-kernel columns against the input prefix computed
 once, into a buffer of 8 2^m n bytes, and all m levels read their kernel
 values from it, alpha from a prefix table of the block's row sums over each
@@ -68,6 +68,7 @@ from .kernels import (  # noqa: F401
     _in_order,
     _number_in,
     _read_fields,
+    _scratch_count,
     evaluate,
     gram,
     gram_rows,
@@ -355,7 +356,7 @@ def _split(k_split, points, cfg: ThinningConfig,
     # gbuf takes decide's gather; the kt_split docstring says which splits
     # pipeline and with which buffers
     gbuf = np.empty(size)
-    n_scratch = 2 if kernel.family == "sum" else 1
+    n_scratch = _scratch_count(kernel)
     most = _PIPELINE_BYTES // (8 * size * (2 + n_scratch))
     if _evaluates_kv(kernel, d) and most >= 2:
         # results cycle through two buffers per thread: `_in_order` claims
@@ -384,12 +385,8 @@ def _split(k_split, points, cfg: ThinningConfig,
 
 def _split_uniforms(seed: int, rounds: int, m: int) -> list:
     """uniforms[j][t - 1, l - 1] = swap_uniform(seed, t 2^(j-1), j, l), the
-    draw of slot l at the t-th halving of level j, one Philox pass per level."""
-    return [None] + [
-        rng.swap_uniforms(seed, np.arange(1, (rounds >> (j - 1)) + 1)[:, None] << (j - 1), j,
-                          np.arange(1, 2 ** (j - 1) + 1))
-        for j in range(1, m + 1)
-    ]
+    draw of slot l at the t-th halving of level j, by `rng.swap_uniforms`."""
+    return [None] + [rng.swap_uniforms(seed, j, rounds >> (j - 1)) for j in range(1, m + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,42 @@ def test_threaded_self_term_holds_one_buffer_pair_per_thread(monkeypatch):
     assert peak < workers * (2 * strip + 4 * (_COLS + _ROWS) * 8) + 4 * x_bytes
 
 
+KTPLUS_KERNELS = {
+    "ktplus-gauss": kn.ktplus_kernel(kn.gauss(1.0), kn.power_kernel(kn.gauss(1.0), 0.5).power),
+    # laplace + Matern(1.125) in d = 2, which takes the Bessel path
+    "ktplus-laplace": kn.ktplus_kernel(
+        kn.laplace(1.0), kn.power_kernel(kn.laplace(1.0), 0.75, dim=2).power),
+}
+
+
+@pytest.mark.parametrize("k", KTPLUS_KERNELS.values(), ids=KTPLUS_KERNELS.keys())
+def test_sum_kernel_strips_allocate_nothing_of_their_size(monkeypatch, k):
+    # each strip of a sum evaluates into its thread's buffers, the later
+    # components into a scratch array with one of their own after it; what
+    # a strip still allocates is numpy's iterator buffers for the broadcast
+    # subtraction, 2 x 8192 doubles, a quarter of a strip at 2048 points
+    n = 2048
+    x = np.random.default_rng(4).normal(size=(n, 2))
+    kernel_row_means(k, x[:64])  # scipy's import and the Matern cut-off's cache
+    inner, peaks = discrepancy.gram, []
+
+    def traced(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = inner(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return g
+
+    monkeypatch.setattr(discrepancy, "gram", traced)
+    tracemalloc.start()
+    try:
+        kernel_row_means(k, x)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == n // _ROWS
+    assert max(peaks) < _ROWS * n * 8 / 2, max(peaks)
+
+
 # ---------------------------------------------------------------------------
 # integration error
 # ---------------------------------------------------------------------------

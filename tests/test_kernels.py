@@ -316,6 +316,37 @@ def test_bessel_sum_in_place_allocates_nothing_of_its_size():
     assert peak < out.nbytes / 8, peak
 
 
+@pytest.mark.parametrize("a", [0.5, 2.5, 10.5])
+def test_half_integer_matern_in_place_sums_terms_in_chunks(a):
+    # the closed form's polynomial is summed over a _POLY_CHUNK-entry buffer,
+    # bitwise the whole-array sum of coeff * t ** (p - k)
+    import tracemalloc
+
+    gamma, d = 1.1, 2
+    k = kn.matern(a + d / 2, gamma)
+    rng = np.random.default_rng(int(2 * a))
+    x, y = rng.normal(size=(100, 1, d)), 3.0 * rng.normal(size=(1, 4000, d))
+    t = gamma * np.sqrt(kn._sq_dists(x, y))
+    p = int(a - 0.5)
+    poly = np.zeros_like(t)
+    for j in range(p + 1):
+        coeff = math.factorial(p + j) / (math.factorial(j) * math.factorial(p - j) << j)
+        poly += coeff * t ** (p - j)
+    want = np.exp(-t)
+    want *= kn._matern_constant(a) * math.sqrt(math.pi / 2.0)
+    want *= poly
+    out, scratch = np.full(t.shape, np.nan), np.full(t.shape, np.nan)
+    tracemalloc.start()
+    try:
+        got = kn.evaluate(k, x, y, out=out, _scratch=(scratch,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.size > 4 * kn._POLY_CHUNK and (want > 0.0).all()
+    assert got.tobytes() == want.tobytes()
+    assert peak < out.nbytes / 8, peak
+
+
 @pytest.mark.parametrize("k, threads", [
     (kn.gauss(1.5), False),
     (kn.laplace(1.0), False),
@@ -501,11 +532,28 @@ def test_shift_invariance(spec):
         assert np.max(np.abs(g0 - g1)) < 1e-12
 
 
-@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda s: s.family)
+DIAGONAL_KERNELS = {
+    **{s.family: s for s in ALL_FAMILIES},
+    "sum": kn.kernel_sum(kn.gauss(1.3), kn.laplace(0.8, scale=2.5), kn.imq(0.7, 1.2)),
+    "ktplus-gauss": kn.ktplus_kernel(kn.gauss(1.3), kn.power_kernel(kn.gauss(1.3), 0.5).power),
+    # laplace + Matern(1.125) in d = 2, an order that takes the Bessel path
+    "ktplus-laplace": kn.ktplus_kernel(
+        kn.laplace(0.8), kn.power_kernel(kn.laplace(0.8), 0.75, dim=2).power),
+}
+
+
+@pytest.mark.parametrize("spec", DIAGONAL_KERNELS.values(), ids=DIAGONAL_KERNELS.keys())
 def test_unscaled_diagonal_is_one(spec):
-    rng = np.random.default_rng(3)
-    for x in rng.normal(size=(5, 2)):
-        assert kn.kernel_eval(spec, x, x) == pytest.approx(1.0, abs=1e-14)
+    # SwapCache.diag and the split's b^2 take k(x, x) to be k.sup_norm(),
+    # bitwise: so for each kernel as given and normalized, and scaled copies
+    x = random_points(3, 500, 2)
+    assert kn._evaluates_kv(spec, 2) == (spec is DIAGONAL_KERNELS["ktplus-laplace"])
+    for k in (spec, spec.normalized(), spec.scaled(3.7), spec.scaled(1e-3).normalized(),
+              spec.normalized().scaled(0.3)):
+        assert np.array_equal(kn.evaluate(k, x, x), np.full(len(x), k.sup_norm())), k
+    if spec.family != "sum":
+        assert spec.sup_norm() == spec.normalized().sup_norm() == 1.0
+        assert kn.kernel_eval(spec, x[0], x[0]) == 1.0
 
 
 def test_scale_multiplies_values():
