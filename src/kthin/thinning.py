@@ -18,16 +18,19 @@ uniform up front from numpy's own Philox, one `rng.swap_uniforms` call
 per level, each the draw `rng.swap_uniform` makes.  It then runs over
 aligned blocks of 2^m input points, and within a block level by level.
 Each block has its split-kernel columns against the input prefix computed
-once, into a buffer of 8 2^m n bytes, and all m levels read their kernel
-values from it, alpha from a prefix table of the block's row sums over each
-finest coreset's points from before the block plus the terms of the block's
-earlier pairs.  A level decides pair by pair within each slot and writes all
-slots' children in one array operation.  The blocks are decided in order on
-the calling thread.  For a kernel that calls scipy's Bessel `kv`
-(`kernels._evaluates_kv`) they are evaluated through `kernels._in_order`,
-so helper threads evaluate the next blocks while the current one is
-decided; every other split evaluates them on the calling thread into one
-reused buffer.
+once, into a buffer of 8 2^m n bytes, under a numpy ufunc buffer of the
+block's row width, and all m levels read their kernel values from it, alpha
+from a prefix table of the block's row sums over each finest coreset's
+points from before the block plus the terms of the block's earlier pairs.
+A level reads its pairs' terms with one gather from the block's own
+columns and their prefix terms with one lookup, decides pair by pair
+within each slot in one loop that runs `get_swap_params`' recursion
+inline, and writes all slots' children in one array operation.  The blocks
+are decided in order on the calling thread.  For a kernel that calls
+scipy's Bessel `kv` (`kernels._evaluates_kv`) they are evaluated through
+`kernels._in_order`, so helper threads evaluate the next blocks while the
+current one is decided; every other split evaluates them on the calling
+thread into one reused buffer.
 Swap decisions depend on the split kernel only through scale-free ratios,
 so the kernel's scale factor is divided out up front; c * k yields the same
 candidates as k under the same seed, bitwise.
@@ -43,6 +46,7 @@ harness's, one per study cell) serves, else the swap stage makes its own.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -162,11 +166,15 @@ def get_swap_params(sigma_sq: float, b_sq: float, delta_hat: float) -> tuple[flo
     """
     if b_sq == 0.0:
         return 0.0, sigma_sq
-    # clamped at 0: extreme schedules can push delta_hat above 2
-    log_term = max(0.0, 2.0 * math.log(2.0 / delta_hat))
-    a = max(math.sqrt(b_sq * sigma_sq * log_term), b_sq)
+    a = max(math.sqrt(b_sq * sigma_sq * _log_term(delta_hat)), b_sq)
     growth = max(1.0 + (b_sq - 2.0 * a) * sigma_sq / (a * a), 0.0)
     return a, sigma_sq + b_sq * growth
+
+
+def _log_term(delta_hat: float) -> float:
+    """The scale recursion's log term max(0, 2 log(2 / delta_hat)), clamped
+    at 0 because extreme schedules can push delta_hat above 2."""
+    return max(0.0, 2.0 * math.log(2.0 / delta_hat))
 
 
 def swap_probability(alpha: float, a: float) -> float:
@@ -202,13 +210,24 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     (round, level, slot), and on sigma^2, which stays sequential in t within
     each level; so this order makes the same decisions as consuming the
     input pair by pair.  k(y, x) for x in B and every y before B's end
-    comes from one `evaluate` call.  Each finest coreset holds one point of
-    every block before B; B's rows are summed over those points into a
-    prefix table that folds pairwise up the levels, so a pair reads its
-    children's terms from before B in four lookups, and each earlier pair
-    of B in its slot adds four terms, signed by its swap.  The table takes
-    one gather of |B| (start of B) entries per block, about n^2 / 2 in all,
-    against about n^2 for a gather per pair over the children built so far.
+    comes from one `evaluate` call, under a numpy ufunc buffer of one row
+    (a multiple of 16 entries, at most numpy's default 8192) that an
+    `np.errstate` scope restores on exit: at the default size numpy
+    buffers the broadcast subtractions of rows narrower than about 2.7k
+    entries, and a 64 x 1536 gauss block took 5.1 ns per entry that way,
+    3.2 ns with a row-wide buffer (numpy 2.4, 2-vCPU Xeon).  Each finest
+    coreset holds one point of every block before B; B's rows are summed
+    over those points into a prefix table that folds pairwise up the
+    levels, so a pair reads its children's terms from before B in four
+    lookups, and each earlier pair of B in its slot adds four terms,
+    signed by its swap.  A level reads all of these with one gather from
+    B's own 2^m x 2^m columns, k(x, x~) for b^2 included, and one lookup in
+    the folded table, and converts each to a list once; one loop then runs
+    the scale recursion of `get_swap_params` inline, bit for bit, with its
+    log term formed once per round of the level rather than once per pair.
+    The table takes one gather of |B| (start of B) entries per block, about
+    n^2 / 2 in all, against about n^2 for a gather per pair over the
+    children built so far.
     Summed in this order, alpha decides as in the scalar oracle unless a
     uniform lands within rounding of a swap probability.  A block fills a
     buffer of 2^m x n doubles, 8 2^m n bytes (0.5 MB at n = 2048, m = 5;
@@ -265,16 +284,26 @@ def _split(k_split, points, cfg: ThinningConfig,
     else:
         raise KernelError(f"unsupported split kernel type {type(k_split).__name__}")
     kernel.validate_dim(d)
+    # b^2 = k(x, x) + k(x~, x~) - 2 k(x, x~), with k(x, x) = diag
     diag = kernel.sup_norm() + weight
-    deltas = cfg.deltas(n)
-    used = 2 * (n // 2)
-
-    # Level j holds 2^j coresets of used >> j points; level 0 is the input.
-    # Children 2l and 2l+1 of parent l are written side by side through a
-    # (2^(j-1), 2, used >> j) view.
-    idx = [np.arange(used)[None]] + [np.empty((2 ** j, used >> j), int) for j in range(1, m + 1)]
-    sigma_sq = [None] + [[0.0] * 2 ** (j - 1) for j in range(1, m + 1)]
+    two_diag = diag + diag
+    used, width = 2 * (n // 2), 2 ** m
     uniforms = _split_uniforms(cfg.seed, used // 2, m)
+    # log_terms[j][t - 1]: the log term of level j's round t, whose budget
+    # is delta_t 2^(j-1) / m, formed once per distinct budget
+    deltas, log_terms = cfg.deltas(n), [None]
+    for j in range(1, m + 1):
+        level = deltas[:used >> j]
+        of = {v: _log_term(v * 2 ** (j - 1) / m) for v in dict.fromkeys(level)}
+        log_terms.append(list(map(of.__getitem__, level)))
+    # the gather positions of each pair count, built once per split: they
+    # grow as the square of the count, so no cache outlives the split
+    pair_terms = functools.cache(_pair_terms)
+    # slot_index[j][l, 0] = l, which picks slot l's column of a level-j table
+    slot_index = [None] + [np.arange(2 ** (j - 1))[:, None] for j in range(1, m + 1)]
+    sigma_sq = [None] + [[0.0] * 2 ** (j - 1) for j in range(1, m + 1)]
+    # finest[q, c]: the point that finest coreset c takes from block q
+    finest = np.empty((used >> m, width), int)
     # the blocks' row sums, formed only when they are k_target's up to scale
     sums = None if k_target is None or kernel != k_target.normalized() else np.zeros(n)
     # coordinate-major columns, whose coordinates numpy subtracts faster
@@ -282,21 +311,26 @@ def _split(k_split, points, cfg: ThinningConfig,
     # block q's points [s0, end) against every input point up to its end:
     # block(q, out, scratch) evaluates it into the flat buffer out, and
     # decide(s0, kb) makes its pairs' decisions, in block order
-    size, blocks = 2 ** m * used, -(-used >> m)
+    size, blocks = width * used, -(-used >> m)
 
     def block(q: int, out: np.ndarray, scratch: tuple) -> tuple[int, np.ndarray]:
         s0 = q << m
-        end = min(s0 + 2 ** m, used)
+        end = min(s0 + width, used)
         shape = end - s0, end
-        # kb[w, y] = k(points[y], points[s0 + w]): the block's points
-        # against every input point up to the block's end, which is the
-        # block's rows of the lower triangle and its columns of the upper
-        return s0, evaluate(kernel, cols[None, :end], points[s0:end, None],
-                            out=out[:shape[0] * end].reshape(shape),
-                            _scratch=tuple(a[:shape[0] * end].reshape(shape) for a in scratch))
+        # a ufunc buffer of one row keeps numpy from buffering the broadcast
+        # subtractions (see kt_split); errstate restores the caller's buffer
+        # size on exit, on whichever thread evaluates the block
+        with np.errstate():
+            np.setbufsize(min(-(-end // 16) * 16, 8192))
+            # kb[w, y] = k(points[y], points[s0 + w]): the block's points
+            # against every input point up to the block's end, which is the
+            # block's rows of the lower triangle and its columns of the upper
+            return s0, evaluate(kernel, cols[None, :end], points[s0:end, None],
+                                out=out[:shape[0] * end].reshape(shape),
+                                _scratch=tuple(a[:shape[0] * end].reshape(shape) for a in scratch))
 
     def decide(s0: int, kb: np.ndarray) -> None:
-        end = s0 + len(kb)
+        q, end = s0 >> m, s0 + len(kb)
         if sums is not None:
             sums[s0:end] += kb.sum(1)
             sums[:s0] += kb[:, :s0].sum(0)
@@ -304,54 +338,80 @@ def _split(k_split, points, cfg: ThinningConfig,
         # held before the block, one per earlier block; folded up the
         # levels, prior[j][w, l] is that sum over child 2l + 1 of slot l
         # less the sum over child 2l; mode "clip" spares numpy's copy of out
-        held = idx[m][:, :s0 >> m].T
-        table = np.take(kb, held, axis=1, mode="clip",
-                        out=gbuf[:(end - s0) * s0].reshape(end - s0, *held.shape)).sum(1)
+        table = np.take(kb, finest[:q], axis=1, mode="clip",
+                        out=gbuf[:len(kb) * s0].reshape(len(kb), q, width)).sum(1)
         prior = [None] * (m + 1)
         for j in range(m, 0, -1):
             prior[j], table = table[:, 1::2] - table[:, ::2], table[:, ::2] + table[:, 1::2]
+        # loc[l]: the points of level j's parent coreset l in the block, less
+        # s0, in order; level 1 has one, the whole block
+        loc = np.arange(len(kb))[None]
         for j in range(1, m + 1):
-            slots, t0, t1 = 2 ** (j - 1), (s0 >> j) + 1, (end >> j) + 1
-            # pairs[l, i] = (x, x~) of slot l's pair t0 + i, and base its
-            # members' row offsets into the flat kb
-            pairs = idx[j - 1][:, 2 * t0 - 2:2 * t1 - 2].reshape(slots, t1 - t0, 2)
-            base = (pairs - s0) * end
-            b_sq = np.maximum(diag + diag - 2.0 * kb.take(base[..., 1] + pairs[..., 0]), 0.0)
-
+            # slot l's pairs in the block are loc[l, 2i], loc[l, 2i + 1] for
+            # i < n_pairs, its rounds t0 + i + 1; a partial last block runs
+            # out of pairs before level m
+            slots, n_pairs, t0 = len(loc), loc.shape[1] // 2, s0 >> j
+            if not n_pairs:
+                return
+            loc, runs = loc[:, :2 * n_pairs], n_pairs * (n_pairs - 1) // 2
+            # one gather from the block's own columns: terms[l, :n_pairs] is
+            # k(x, x~) of each pair, the rest four runs of the entries
+            # k(member p' of pair i', member p of pair i) for each i' < i
+            at_rows, at_cols = pair_terms(n_pairs)
+            at = np.take(loc, at_rows, 1)
+            at *= end
+            at += np.take(loc, at_cols, 1)
+            at += s0
+            terms = kb.take(at)
+            k_pair = terms[:, :n_pairs].tolist()
+            # d_terms[l]: the term that pair i' adds to pair i's alpha when x'
+            # joins child 2l and x~' child 2l + 1, a swap negating it, for
+            # i = 1, 2, ... and i' < i in turn; none with one pair a slot
+            if n_pairs > 1:
+                # the runs hold k00, k10, k01, k11, kpp' the entry of member
+                # p of pair i against member p' of pair i', and
+                # d = (k01 - k00) - (k11 - k10)
+                g = terms[:, n_pairs + 2 * runs:] - terms[:, n_pairs:n_pairs + 2 * runs]
+                d_terms = (g[:, :runs] - g[:, runs:]).tolist()
+            else:
+                d_terms = [()] * slots
             # pre[l][i]: pair i's alpha over the points its children held
-            # before the block, four lookups
-            pre = prior[j].take((pairs - s0) * slots + np.arange(slots)[:, None, None])
-            pre = (pre[..., 0] - pre[..., 1]).tolist()
-            # k_p[l, i, p, i', p'] = k(member p' of pair i', member p of
-            # pair i) over slot l's pairs in the block, and d[l][i][i'] the
-            # term that pair i' adds to pair i's alpha when x' joins child
-            # 2l and x~' child 2l + 1; a swap negates it
-            k_p = kb.take(base[..., None, None] + pairs[:, None, None])
-            g = k_p[..., 1] - k_p[..., 0]
-            d = (g[:, :, 0] - g[:, :, 1]).tolist()
-            u = uniforms[j][t0 - 1:t1 - 1].T.tolist()
+            # before the block
+            pre = prior[j][loc, slot_index[j]]
+            pre = (pre[:, ::2] - pre[:, 1::2]).tolist()
+            u = uniforms[j][t0:t0 + n_pairs].T.tolist()
+            logs = log_terms[j][t0:t0 + n_pairs]
 
             # the scale recursion and the decisions, sequential in t per slot
-            delta_hats = [deltas[t - 1] * 2 ** (j - 1) / m for t in range(t0, t1)]
-            signs = []
-            for l, row in enumerate(b_sq.tolist()):
-                s, slot_signs = sigma_sq[j][l], []
-                for i, (b, delta_hat) in enumerate(zip(row, delta_hats)):
-                    a, s = get_swap_params(s, b, delta_hat)
-                    alpha = pre[l][i]
-                    for sign, term in zip(slot_signs, d[l][i]):
+            sig, signs = [], []
+            for s, k_row, d_row, pre_row, u_row in zip(sigma_sq[j], k_pair, d_terms, pre, u):
+                earlier, d_row = [], iter(d_row)
+                for k, alpha, v, log_term in zip(k_row, pre_row, u_row, logs):
+                    for sign, term in zip(earlier, d_row):
                         alpha += sign * term
-                    # b^2 = 0: the pair never swaps; else u in [0, 1) falls
-                    # below 0.5 (1 - alpha / a) exactly when it falls below
+                    b = two_diag - 2.0 * k
+                    # get_swap_params(s, b, delta_hat), inlined: a pair with
+                    # b^2 = 0 (or less, from rounding) never swaps and leaves
+                    # sigma unchanged; else u in [0, 1) falls below
+                    # 0.5 (1 - alpha / a) exactly when it falls below
                     # swap_probability(alpha, a), its clamp to [0, 1]
-                    swap = b > 0.0 and u[l][i] < 0.5 * (1.0 - alpha / a)
-                    slot_signs.append(-1.0 if swap else 1.0)
-                sigma_sq[j][l] = s
-                signs.append(slot_signs)
-            # children 2l and 2l+1 receive (x, x~), reversed on a swap
-            swap = np.array(signs)[..., None] < 0.0
-            idx[j].reshape(slots, 2, -1)[:, :, t0 - 1:t1 - 1] = np.where(
-                swap, pairs[..., ::-1], pairs).swapaxes(1, 2)
+                    if b > 0.0:
+                        root = math.sqrt(b * s * log_term)
+                        a = b if b > root else root
+                        growth = 1.0 + (b - 2.0 * a) * s / (a * a)
+                        s += b * (0.0 if growth < 0.0 else growth)
+                        earlier.append(-1.0 if v < 0.5 * (1.0 - alpha / a) else 1.0)
+                    else:
+                        earlier.append(1.0)
+                sig.append(s)
+                signs += earlier
+            sigma_sq[j] = sig
+            # children 2l and 2l+1 receive (x, x~), reversed on a swap, and
+            # are the next level's parents 2l and 2l + 1
+            members = loc.reshape(slots, n_pairs, 2).transpose(0, 2, 1)
+            swap = np.array(signs).reshape(slots, 1, n_pairs) < 0.0
+            loc = np.where(swap, members[:, ::-1], members).reshape(2 * slots, n_pairs)
+        finest[q] = loc[:, 0] + s0
 
     # gbuf takes decide's gather; the kt_split docstring says which splits
     # pipeline and with which buffers
@@ -373,14 +433,27 @@ def _split(k_split, points, cfg: ThinningConfig,
         buf, scratch = np.empty(size), (gbuf, *(np.empty(size) for _ in range(n_scratch - 1)))
         for q in range(blocks):
             decide(*block(q, buf, scratch))
+    candidates = list(finest.T.copy())
     if sums is None:
-        return list(idx[m]), None
+        return candidates, None
     if n % 2:
         # the last point of an odd input is in no block: one column for it
         last = evaluate(kernel, points, points[-1])
         sums[:-1] += last[:-1]
         sums[-1] = last.sum()
-    return list(idx[m]), Reference(k_target, points, sums * (k_target.scale / kernel.scale) / n)
+    return candidates, Reference(k_target, points, sums * (k_target.scale / kernel.scale) / n)
+
+
+def _pair_terms(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column positions, in a slot's row of pair members (x, x~ of
+    pair 0, then of pair 1, ...), of the block entries a level reads: row x~
+    and column x of each pair, then four runs over the pairs i = 1, 2, ...
+    and each i' < i in turn, of row member p of pair i and column member p'
+    of pair i', for (p, p') = (0, 0), (1, 0), (0, 1) and (1, 1)."""
+    i, i2 = np.tril_indices(n_pairs, -1)
+    rows = np.concatenate([np.arange(1, 2 * n_pairs, 2), 2 * i, 2 * i + 1, 2 * i, 2 * i + 1])
+    cols = np.concatenate([np.arange(0, 2 * n_pairs, 2), 2 * i2, 2 * i2, 2 * i2 + 1, 2 * i2 + 1])
+    return rows, cols
 
 
 def _split_uniforms(seed: int, rounds: int, m: int) -> list:

@@ -162,3 +162,44 @@ def test_split_matches_scalar_oracle(block):
             assert np.array_equal(a, b), (case, k, cfg)
     # every block meets b^2 = 0 pairs, which skip the threshold update
     assert stats.get("tied", 0) > 0, stats
+
+
+def _deep_instance(case):
+    """A split at m = 4..6 over 2^m to 3 2^m points: few pairs per slot and
+    many slots at the deep levels, odd n and partial last blocks."""
+    gen = np.random.default_rng([case, 46])
+    family = FAMILIES[case % len(FAMILIES)]
+    d = int(gen.integers(1, 4))
+    m = 4 + case % 3
+    n = 2 ** m * int(gen.integers(1, 3)) + int(gen.integers(0, 2 ** m))
+    if case % 4 == 3:
+        x = gen.integers(-2, 3, size=(n, d)).astype(float)  # a coarse grid
+    else:
+        x = gen.normal(size=(n, d)) * float(gen.uniform(0.3, 3.0))
+        # identical pairs: b^2 = 0
+        dup = gen.random(n // 2) < 0.2
+        x[1:2 * (n // 2):2][dup] = x[0:2 * (n // 2):2][dup]
+    rule = "oblivious" if case % 2 else "known_n"
+    cfg = ThinningConfig(m=m, delta=float(gen.uniform(0.05, 0.9)), delta_rule=rule,
+                         seed=int(gen.integers(-2 ** 63, 2 ** 63)))
+    return _family_kernel(family, d, gen), x, cfg
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_split_matches_scalar_oracle_at_deep_levels(block):
+    # 3 blocks of 18 instances: m = 4, 5, 6 under both delta rules, every
+    # family, d = 1..3, n from 2^m to 3 2^m - 1
+    stats, shapes = {}, set()
+    for case in range(block * 18, (block + 1) * 18):
+        k, x, cfg = _deep_instance(case)
+        shapes.add((cfg.m, cfg.delta_rule, len(x) % 2, len(x) % 2 ** cfg.m > 1))
+        got = kt_split(k, x, cfg)
+        want = oracle_split(k, x, cfg, stats)
+        assert len(got) == len(want) == 2 ** cfg.m
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (case, k, cfg, len(x))
+    assert stats.get("tied", 0) > 0, stats
+    # both delta rules at every depth, odd n, and partial last blocks
+    assert {(m, rule) for m, rule, _, _ in shapes} == {
+        (m, rule) for m in (4, 5, 6) for rule in ("known_n", "oblivious")}
+    assert any(odd for _, _, odd, _ in shapes) and any(part for *_, part in shapes)

@@ -206,3 +206,39 @@ def test_a_lower_byte_budget_keeps_the_blocks_on_the_calling_thread(monkeypatch,
     assert evaluating == {threading.get_ident()}
     for cands, _ in results[1:]:
         assert np.array_equal(cands, results[0][0])
+
+
+@pytest.mark.parametrize("case", ["calling-thread", "pipelined", "failing-block"])
+def test_split_leaves_numpy_state_as_it_found_it(monkeypatch, started, case):
+    # each block is evaluated with a ufunc buffer of its width, a multiple
+    # of 16 entries up to numpy's default 8192; the caller's buffer size and
+    # error settings are as before once the split returns or raises
+    monkeypatch.setattr(kn, "_cpu_count", lambda: 2)
+    seen, inner = [], kthin.thinning.evaluate
+    caller = threading.get_ident()
+
+    def recording(kernel, x, y, **kwargs):
+        seen.append((np.getbufsize(), np.geterr(), x.shape[-2], threading.get_ident()))
+        if case == "failing-block" and len(seen) == 3:
+            raise ArithmeticError("block failed")
+        return inner(kernel, x, y, **kwargs)
+
+    monkeypatch.setattr(kthin.thinning, "evaluate", recording)
+    k = _bessel_matern(2) if case == "pipelined" else kn.gauss(1.0)
+    # 375 blocks of 8 points, the last ones wider than 2.7k columns
+    x = np.random.default_rng(7).normal(size=(3000, 2))
+    with np.errstate(divide="ignore", over="ignore"):
+        np.setbufsize(4096)
+        before = np.getbufsize(), np.geterr()
+        if case == "failing-block":
+            with pytest.raises(ArithmeticError, match="block failed"):
+                _split(k, x, ThinningConfig(m=3, seed=1), k)
+        else:
+            _split(k, x, ThinningConfig(m=3, seed=1), k)
+        assert (np.getbufsize(), np.geterr()) == before
+    assert len(started) == (1 if case == "pipelined" else 0)
+    assert len(seen) == (3 if case == "failing-block" else 375)
+    for bufsize, errors, width, thread in seen:
+        assert bufsize == min(-(-width // 16) * 16, 8192)
+        if thread == caller:
+            assert errors == before[1]

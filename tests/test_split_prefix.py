@@ -148,8 +148,10 @@ def test_prefix_table_matches_gather_split_on_small_inputs(m, extra, d, grid, se
                                kn.kernel_sum(kn.gauss(1.0), kn.laplace(2.0, scale=0.5))],
                          ids=["gauss", "laplace", "matern-bessel", "sum"])
 def test_split_blocks_equal_gram_bitwise(monkeypatch, d, k):
-    # the split evaluates against coordinate-major columns; every block's
-    # entries are still those of gram, bit for bit
+    # the split evaluates against coordinate-major columns, under a ufunc
+    # buffer of the block's width; every block's entries are still those of
+    # gram, bit for bit, at n = 3000 also on both sides of the 2.7k columns
+    # below which numpy's default buffer size buffers the subtractions
     blocks = []
     inner = kthin.thinning.evaluate
 
@@ -159,11 +161,13 @@ def test_split_blocks_equal_gram_bitwise(monkeypatch, d, k):
         return out
 
     monkeypatch.setattr(kthin.thinning, "evaluate", recording)
-    x = np.random.default_rng(d).normal(size=(77, d))
-    kt_split(k, x, ThinningConfig(m=3, seed=d))
-    assert len(blocks) == 10
-    for kernel, rows, end, block in blocks:
-        assert block.tobytes() == gram(kernel, rows, x[:end]).tobytes()
+    for n in (77, 3000):
+        blocks.clear()
+        x = np.random.default_rng(d).normal(size=(n, d))
+        kt_split(k, x, ThinningConfig(m=3, seed=d))
+        assert len(blocks) == -(-2 * (n // 2) // 2 ** 3)
+        for kernel, rows, end, block in blocks:
+            assert block.tobytes() == gram(kernel, rows, x[:end]).tobytes()
 
 
 def test_split_memory_stays_within_its_block_buffers():
