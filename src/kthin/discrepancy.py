@@ -12,11 +12,14 @@ means and the coreset self-terms and cross-terms of its MMDs, and the swap
 cache's coreset cross-sums -- runs through one loop, `_kernel_sums`,
 which forms the weighted sums sum_j w_j k(x_i, y_j) over strips of the Gram
 matrix: at most _ROWS points of the shorter set against at most _COLS
-points of the other.  A large sum runs its strips on one thread per CPU and
-adds them up in strip order, bitwise the one-thread sums; each thread writes
-its strips into one 1 MB buffer, with one scratch array of the same size,
-that the call allocates for it.  The full matrix is never materialized, and
-the working set is those buffers plus vectors of the inputs' lengths.  The
+points of the other, whose matrix-vector products are `np.dot` calls,
+which release the GIL while BLAS runs (`@` does not).  A large sum runs its
+strips on one thread per CPU and adds them up in strip order, bitwise the
+one-thread sums; each thread writes its strips into one 1 MB buffer, with
+one scratch array of the same size, that the call allocates for it, under
+a numpy ufunc buffer of one strip row.  The full matrix is never
+materialized, and the working set is those buffers plus vectors of the
+inputs' lengths.  The
 one exception is target KT's input row means: its split stage has already
 evaluated the lower triangle of the same Gram matrix block by block, so
 `thinning._split`, the one place that decides this, returns the input's
@@ -28,7 +31,7 @@ the kernel evaluations.
 
 Point arrays are read by `kernels._as_points`, as everywhere in the
 package, so NaN or inf coordinates are rejected at the boundary instead of
-surfacing as a NaN MMD.
+surfacing as a NaN MMD; a kernel sum reads them once, not once per strip.
 
 A `Reference` gives the MMD to fixed points from their row means (given,
 else one pass on first read) and is the only way row means reach the swap
@@ -56,6 +59,7 @@ from .kernels import (
     _as_points,
     _check_alpha,
     _in_order,
+    _row_buffered,
     _scratch_count,
     gauss_power_exact,
     gram,
@@ -117,25 +121,37 @@ class DiscreteMeasure:
 def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     """sum_j w_j k(x_i, y_j) for every i, summed over strips of the Gram matrix.
 
-    Each strip is at most _ROWS points of the shorter of x and y against at
-    most _COLS points of the other.  A strip is short and wide, so numpy's
-    per-row cost on the broadcast operand is paid over rows of up to _COLS
-    entries.  With x on the rows the strip g = k(x_I, y_J) adds g @ w_J to
-    rows I; with y on the rows (len(y) < len(x)) it adds w_I @ g to rows J
-    of x.  Every kernel is symmetric, bitwise, so either orientation sums
-    the same entries.
+    x and y are read by `_as_points` once here, and every strip's `gram`
+    call takes them as read (its `_scratch` contract).  Each strip is at
+    most _ROWS points of the shorter of x and y against at most _COLS
+    points of the other.  A strip is short and wide, so numpy's per-row
+    cost on the broadcast operand is paid over rows of up to _COLS entries,
+    and it is evaluated under a ufunc buffer of one row
+    (`kernels._row_buffered`), which the narrow strip ending each row of
+    strips needs to escape numpy's buffering.  With x on the rows the
+    strip g = k(x_I, y_J) adds np.dot(g, w_J) to rows I; with y on the rows
+    (len(y) < len(x)) it adds np.dot(w_I, g) to rows J of x.  Every kernel
+    is symmetric, bitwise, so either orientation sums the same entries.
+    The products are `np.dot`, not `@`: both make the same BLAS call and
+    the same bits, but numpy 2.4's matmul holds the GIL through it, so
+    pooled strips would wait on each other's products.
 
     With y omitted, y = x: strip I = [i0, i1) is evaluated only against
     the columns from i0 on.  Its diagonal block k(x_I, x_I) is evaluated in
-    full and adds only to rows I; each column J past it adds both g @ w_J to
-    rows I and w_I @ g to rows J, the sum over the transposed entries below
-    the diagonal, which halves the kernel evaluations.  A symmetric sum of
-    two strips (more than _ROWS and at most 2 _ROWS points, as a selection's
-    coreset) makes one `gram` call over its points against themselves
-    instead of one per strip, and copies each strip's entries into the
-    strip's buffer, so every product is formed as for the strip evaluated
-    alone; this spares one call's overhead, about a quarter of a 64-point
-    `Reference.mmd_sq`.
+    full and adds only to rows I; each column J past it adds both
+    np.dot(g, w_J) to rows I and w_I g to rows J, the sum over the
+    transposed entries below the diagonal, which halves the kernel
+    evaluations.  On the diagonal strip w_I g is formed over the whole
+    strip and its columns past the block are kept: `np.dot` would copy the
+    non-contiguous view of them first, which was 2.8 times slower.  Only a
+    single such column is one dot product over the view, the product `@`
+    forms there, whose summation order the whole-strip product does not
+    share.  A symmetric sum of two strips (more than _ROWS and at most
+    2 _ROWS points, as a selection's coreset) makes one `gram` call over its
+    points against themselves instead of one per strip, and copies each
+    strip's entries into the strip's buffer, so every product is formed as
+    for the strip evaluated alone; this spares one call's overhead, about a
+    quarter of a 64-point `Reference.mmd_sq`.
 
     `kernels._in_order` runs the strips on one thread per CPU from
     _POOL_STRIPS strips on, and on the calling thread below that, since on 2
@@ -149,8 +165,10 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     components, so a strip allocates nothing of its size.
     """
     symmetric = y is None
+    x = _as_points(x)
+    y = x if symmetric else _as_points(y)
     flip = not symmetric and len(y) < len(x)
-    rows, cols = (y, x) if flip else (x, x if symmetric else y)
+    rows, cols = (y, x) if flip else (x, y)
     # coordinate-major columns: each coordinate of a strip's columns is then
     # one contiguous run, which numpy subtracts several times faster
     cols = np.asfortranarray(cols)
@@ -166,17 +184,22 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
         i0, i1, j0, j1 = strips[s]
         shape, n = (i1 - i0, j1 - j0), (i1 - i0) * (j1 - j0)
         if square is None:
-            g = gram(k, rows[i0:i1], cols[j0:j1], out=bufs[0][:n].reshape(shape),
-                     _scratch=tuple(b[:n].reshape(shape) for b in bufs[1:]))
+            g = _row_buffered(j1 - j0, gram, k, rows[i0:i1], cols[j0:j1],
+                              out=bufs[0][:n].reshape(shape),
+                              _scratch=tuple(b[:n].reshape(shape) for b in bufs[1:]))
         else:
             g = bufs[0][:n].reshape(shape)
             g[...] = square[i0:i1, j0:j1]
         if flip:
-            return [(slice(j0, j1), w[i0:i1] @ g)]
-        sums = [(slice(i0, i1), g @ w[j0:j1])]
+            return [(slice(j0, j1), np.dot(w[i0:i1], g))]
+        sums = [(slice(i0, i1), np.dot(g, w[j0:j1]))]
         if symmetric and j1 > i1:
+            # the columns past the diagonal block, kept from the product over
+            # the whole strip; one column is one dot product, as `@` forms it
             past = max(j0, i1)
-            sums.append((slice(past, j1), w[i0:i1] @ g[:, past - j0:]))
+            wg = (np.dot(w[i0:i1], g[:, past - j0:]) if j1 - past == 1
+                  else np.dot(w[i0:i1], g)[past - j0:])
+            sums.append((slice(past, j1), wg))
         return sums
 
     out = np.zeros(len(x))

@@ -72,6 +72,7 @@ from .kernels import (  # noqa: F401
     _in_order,
     _number_in,
     _read_fields,
+    _row_buffered,
     _scratch_count,
     evaluate,
     gram,
@@ -211,11 +212,7 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     each level; so this order makes the same decisions as consuming the
     input pair by pair.  k(y, x) for x in B and every y before B's end
     comes from one `evaluate` call, under a numpy ufunc buffer of one row
-    (a multiple of 16 entries, at most numpy's default 8192) that an
-    `np.errstate` scope restores on exit: at the default size numpy
-    buffers the broadcast subtractions of rows narrower than about 2.7k
-    entries, and a 64 x 1536 gauss block took 5.1 ns per entry that way,
-    3.2 ns with a row-wide buffer (numpy 2.4, 2-vCPU Xeon).  Each finest
+    (`kernels._row_buffered`, which says what that saves).  Each finest
     coreset holds one point of every block before B; B's rows are summed
     over those points into a prefix table that folds pairwise up the
     levels, so a pair reads its children's terms from before B in four
@@ -317,17 +314,12 @@ def _split(k_split, points, cfg: ThinningConfig,
         s0 = q << m
         end = min(s0 + width, used)
         shape = end - s0, end
-        # a ufunc buffer of one row keeps numpy from buffering the broadcast
-        # subtractions (see kt_split); errstate restores the caller's buffer
-        # size on exit, on whichever thread evaluates the block
-        with np.errstate():
-            np.setbufsize(min(-(-end // 16) * 16, 8192))
-            # kb[w, y] = k(points[y], points[s0 + w]): the block's points
-            # against every input point up to the block's end, which is the
-            # block's rows of the lower triangle and its columns of the upper
-            return s0, evaluate(kernel, cols[None, :end], points[s0:end, None],
-                                out=out[:shape[0] * end].reshape(shape),
-                                _scratch=tuple(a[:shape[0] * end].reshape(shape) for a in scratch))
+        # kb[w, y] = k(points[y], points[s0 + w]): the block's points against
+        # every input point up to the block's end, which is the block's rows
+        # of the lower triangle and its columns of the upper
+        return s0, _row_buffered(end, evaluate, kernel, cols[None, :end], points[s0:end, None],
+                                 out=out[:shape[0] * end].reshape(shape),
+                                 _scratch=tuple(a[:shape[0] * end].reshape(shape) for a in scratch))
 
     def decide(s0: int, kb: np.ndarray) -> None:
         q, end = s0 >> m, s0 + len(kb)

@@ -76,3 +76,59 @@ def test_the_rule_lives_in_in_order():
 def test_threads_start_only_in_in_order(path):
     uses = thread_uses(path.read_text(encoding="utf-8"))
     assert [u for u in uses if path.name != "kernels.py" or u[2] != "_in_order"] == []
+
+
+# numpy 2.4's matmul holds the GIL through its BLAS call, np.dot releases it
+GIL_NOTE = ("`@` and np.matmul hold the GIL through BLAS in numpy 2.4: while another thread "
+            "looped g @ w on a 32 x 4096 strip, a pure-Python thread ran at 0.49x its speed, "
+            "and at 0.91x with np.dot(g, w); so a task that `_in_order` may run on a helper "
+            "thread forms its products with np.dot")
+
+
+def helper_tasks(source: str) -> dict[str, list[int]]:
+    """{name: lines of `@` or matmul in it} for each function passed to an
+    `_in_order` call in source as its task, by name or called from a
+    lambda, and defined in the same module."""
+    tree = ast.parse(source)
+    defs = {node.name: node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node.func) == "_in_order" and node.args:
+            task = node.args[0]
+            inner = task.body if isinstance(task, ast.Lambda) else task
+            names |= {_called(c.func) if isinstance(c, ast.Call) else c.id
+                      for c in ast.walk(inner) if isinstance(c, (ast.Call, ast.Name))}
+    found = {}
+    for name in sorted(names & defs.keys()):
+        found[name] = [n.lineno for n in ast.walk(defs[name])
+                       if isinstance(n, (ast.BinOp, ast.AugAssign))
+                       and isinstance(n.op, ast.MatMult)
+                       or isinstance(n, ast.Call) and _called(n.func) == "matmul"]
+    return found
+
+
+def test_finds_matmul_in_helper_tasks():
+    source = ("def outer():\n"
+              "    def strip(i, s):\n"
+              "        return g @ w\n"
+              "    def block(q, out):\n"
+              "        out @= w\n"
+              "        return np.matmul(w, g)\n"
+              "    def fine(i, s):\n"
+              "        return np.dot(g, w)\n"
+              "    def caller_only():\n"
+              "        return g @ w\n"
+              "    _in_order(strip, 4, None, print)\n"
+              "    _in_order(lambda q, own: block(q, own), 4, None, print)\n"
+              "    _in_order(fine, 4, None, print)\n")
+    assert helper_tasks(source) == {"strip": [3], "block": [5, 6], "fine": []}
+
+
+def test_helper_tasks_form_no_matmul():
+    found = {}
+    for path in MODULES:
+        found.update({f"{path.stem}.{name}": lines
+                      for name, lines in helper_tasks(path.read_text(encoding="utf-8")).items()})
+    assert found.keys() == {"discrepancy.strip", "kernels.chunk", "thinning.block"}
+    assert {name: lines for name, lines in found.items() if lines} == {}, GIL_NOTE
