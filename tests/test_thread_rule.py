@@ -5,7 +5,8 @@ task, the calling thread alone inside a task; see the `kernels` module
 docstring) lives in that one helper.  So in src/kthin, `threading.Thread`
 (or a bare `Thread`), calls of `_cpu_count()` and uses of `_in_pool` occur
 only inside `_in_order`, apart from the definitions of `_cpu_count` and
-`_in_pool`.
+`_in_pool`.  The tasks `_in_order` may run on a helper thread form no
+product with `@` or `np.matmul`, which hold the GIL.
 """
 
 import ast
