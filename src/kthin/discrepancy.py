@@ -55,6 +55,7 @@ import numpy as np
 from .kernels import (
     KernelError,
     KernelSpec,
+    _PointsRead,
     _as_indices,
     _as_points,
     _check_alpha,
@@ -122,11 +123,12 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     """sum_j w_j k(x_i, y_j) for every i, summed over strips of the Gram matrix.
 
     x and y are read by `_as_points` once here, and every strip's `gram`
-    call takes them as read (its `_scratch` contract).  Each strip is at
-    most _ROWS points of the shorter of x and y against at most _COLS
-    points of the other.  A strip is short and wide, so numpy's per-row
-    cost on the broadcast operand is paid over rows of up to _COLS entries,
-    and it is evaluated under a ufunc buffer of one row
+    call takes them as read, its scratch buffers passed as a
+    `kernels._PointsRead`.  Each strip is at most _ROWS points of the
+    shorter of x and y against at most _COLS points of the other.  A strip
+    is short and wide, so numpy's per-row cost on the broadcast operand is
+    paid over rows of up to _COLS entries, and it is evaluated under a
+    ufunc buffer of one row
     (`kernels._row_buffered`), which the narrow strip ending each row of
     strips needs to escape numpy's buffering.  With x on the rows the
     strip g = k(x_I, y_J) adds np.dot(g, w_J) to rows I; with y on the rows
@@ -186,7 +188,7 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
         if square is None:
             g = _row_buffered(j1 - j0, gram, k, rows[i0:i1], cols[j0:j1],
                               out=bufs[0][:n].reshape(shape),
-                              _scratch=tuple(b[:n].reshape(shape) for b in bufs[1:]))
+                              _scratch=_PointsRead(b[:n].reshape(shape) for b in bufs[1:]))
         else:
             g = bufs[0][:n].reshape(shape)
             g[...] = square[i0:i1, j0:j1]

@@ -751,6 +751,12 @@ def _row_buffered(width: int, f, *args, **kwargs):
         return f(*args, **kwargs)
 
 
+class _PointsRead(tuple):
+    """`_scratch` buffers from a caller that read x and y through
+    `_as_points` itself, once per kernel sum: `gram` given them does not
+    read the points again.  A plain tuple of buffers keeps the check."""
+
+
 def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None,
          _scratch: tuple = ()) -> np.ndarray:
     """The matrix k(x_i, y_j); y defaults to x.
@@ -761,10 +767,10 @@ def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None,
     `out` is returned, bitwise equal to the matrix allocated without it: a
     caller that evaluates many blocks can reuse one buffer for all of them.
     `_scratch`, private to `discrepancy._kernel_sums`, is passed on to
-    `evaluate`; its caller passes x and y as `_as_points` returned them,
-    once per kernel sum, so with `_scratch` given they are not read again.
+    `evaluate`; given as `_PointsRead`, it also says that x and y are as
+    `_as_points` returned them, so they are not read again.
     """
-    if _scratch:
+    if isinstance(_scratch, _PointsRead):
         y = x if y is None else y
     else:
         x = _as_points(x)

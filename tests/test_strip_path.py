@@ -79,6 +79,17 @@ def test_strip_sums_of_other_families_are_the_matmul_loop_bitwise(monkeypatch, k
         assert _sums_at(monkeypatch, 2, *args).tobytes() == _oracle_sums(*args).tobytes()
 
 
+def test_gram_given_scratch_alone_still_reads_its_points():
+    # only buffers marked `_PointsRead`, which `_kernel_sums` passes once it
+    # has read the points, skip the check; scratch buffers alone do not
+    x = np.zeros((4, 2))
+    x[2, 1] = np.nan
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        kn.gram(kn.gauss(1.0), x, out=np.empty((4, 4)), _scratch=(np.empty((4, 4)),))
+    with pytest.raises(ValueError, match="row 2, column 1"):
+        discrepancy._kernel_sums(kn.gauss(1.0), x, np.ones(4))
+
+
 def _on_error(kind, flag):
     """A numpy error callback, which the tests set and never trigger."""
 

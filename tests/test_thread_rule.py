@@ -81,8 +81,9 @@ def test_threads_start_only_in_in_order(path):
 
 # numpy 2.4's matmul holds the GIL through its BLAS call, np.dot releases it
 GIL_NOTE = ("`@` and np.matmul hold the GIL through BLAS in numpy 2.4: while another thread "
-            "looped g @ w on a 32 x 4096 strip, a pure-Python thread ran at 0.49x its speed, "
-            "and at 0.91x with np.dot(g, w); so a task that `_in_order` may run on a helper "
+            "looped g @ w on a 32 x 4096 strip, a pure-Python thread ran at 0.37-0.41x its "
+            "speed, and at 0.88-1.03x with np.dot(g, w) (2-vCPU Xeon, two runs); so a task "
+            "that `_in_order` may run on a helper "
             "thread forms its products with np.dot")
 
 
