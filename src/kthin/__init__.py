@@ -8,10 +8,8 @@ from .kernels import (
     PowerKernelPair,
     IdentityPerturbedKernel,
     bspline,
-    bspline_univariate,
     from_json as kernel_from_json,
     gauss,
-    gauss_power_exact,
     gram,
     imq,
     kernel_eval,
@@ -42,7 +40,6 @@ from .thinning import (
     kt_split,
     kt_swap,
     power_kt,
-    swap_probability,
     target_kt,
     thin,
 )

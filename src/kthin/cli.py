@@ -68,6 +68,14 @@ def _cmd_thin(args) -> int:
             flags = " or ".join("--" + name.replace("_", "-") for name in unused)
             print(f"usage error: {user} does not use {flags}", file=sys.stderr)
             return EXIT_USAGE
+    side = os.path.splitext(args.out)[0] + ".json"
+    out, side_at, source = map(os.path.realpath, (args.out, side, args.input))
+    for clash, what in ((out == side_at, f"--out {args.out} is its own JSON sidecar"),
+                        (from_file and source in (out, side_at),
+                         f"--out {args.out} or its JSON sidecar {side} is the --input file")):
+        if clash:
+            print(f"usage error: {what}", file=sys.stderr)
+            return EXIT_USAGE
     kernel = kernel_from_json(args.kernel)
     points = _load_points(args, from_file)
     cfg = ThinningConfig(m=args.m, seed=args.seed, delta=args.delta, delta_rule=args.delta_rule)
@@ -76,7 +84,6 @@ def _cmd_thin(args) -> int:
     coreset = thin(Variant(args.variant, alpha, split), kernel, points, cfg)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(coreset.to_csv())
-    side = os.path.splitext(args.out)[0] + ".json"
     with open(side, "w", encoding="utf-8") as fh:
         fh.write(coreset.to_json() + "\n")
     print(f"wrote {len(coreset)} indices to {args.out} (provenance in {side})")

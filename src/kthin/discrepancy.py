@@ -9,29 +9,12 @@ closed-form kernel double sums
 clamped at zero before the square root to absorb negative rounding dust.
 Every kernel sum in the package -- the MMD terms, a `Reference`'s row
 means and the coreset self-terms and cross-terms of its MMDs, and the swap
-cache's coreset cross-sums -- runs through one loop, `_kernel_sums`,
-which forms the weighted sums sum_j w_j k(x_i, y_j) over strips of the Gram
-matrix: at most _ROWS points of the shorter set against at most _COLS
-points of the other, whose matrix-vector products are `np.dot` calls,
-which release the GIL while BLAS runs (`@` does not).  A large sum runs its
-strips on one thread per CPU and adds them up in strip order, bitwise the
-one-thread sums; each thread writes its strips into one 1 MB buffer, with
-one scratch array of the same size, that the call allocates for it, under
-a numpy ufunc buffer of one strip row.  The full matrix is never
-materialized, and the working set is those buffers plus vectors of the
-inputs' lengths.  The
-one exception is target KT's input row means: its split stage has already
-evaluated the lower triangle of the same Gram matrix block by block, so
-`thinning._split`, the one place that decides this, returns the input's
-`Reference` from its blocks' row sums and `kernel_row_means` is not called.
-Against the points themselves (y = x) the Gram matrix is symmetric: each
-strip is evaluated only from its own diagonal block on, and every column
-past that block adds to both the strip's rows and its own, which halves
-the kernel evaluations.
-
-Point arrays are read by `kernels._as_points`, as everywhere in the
-package, so NaN or inf coordinates are rejected at the boundary instead of
-surfacing as a NaN MMD; a kernel sum reads them once, not once per strip.
+cache's coreset cross-sums -- runs through `_kernel_sums`, which owns how
+they are evaluated.  The one exception is target KT's input row means,
+which `thinning.kt_split` forms from its own kernel blocks.  Point
+arrays are read by `kernels._as_points`, as everywhere in the package, so
+NaN or inf coordinates are rejected at the boundary instead of surfacing as
+a NaN MMD.
 
 A `Reference` gives the MMD to fixed points from their row means (given,
 else one pass on first read) and is the only way row means reach the swap
@@ -122,21 +105,19 @@ class DiscreteMeasure:
 def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     """sum_j w_j k(x_i, y_j) for every i, summed over strips of the Gram matrix.
 
-    x and y are read by `_as_points` once here, and every strip's `gram`
-    call takes them as read, its scratch buffers passed as a
-    `kernels._PointsRead`.  Each strip is at most _ROWS points of the
-    shorter of x and y against at most _COLS points of the other.  A strip
-    is short and wide, so numpy's per-row cost on the broadcast operand is
-    paid over rows of up to _COLS entries, and it is evaluated under a
-    ufunc buffer of one row
-    (`kernels._row_buffered`), which the narrow strip ending each row of
-    strips needs to escape numpy's buffering.  With x on the rows the
+    A strip is at most _ROWS points of the shorter of x and y against at
+    most _COLS points of the other: short and wide, so numpy's per-row cost
+    on the broadcast operand is paid over rows of up to _COLS entries, under
+    a ufunc buffer of one row (`kernels._row_buffered`), which the narrow
+    strip ending each row of strips needs to escape numpy's buffering.  x
+    and y are read by `_as_points` once per sum; every strip's `gram` call
+    takes them as read (`kernels._PointsRead`).  With x on the rows the
     strip g = k(x_I, y_J) adds np.dot(g, w_J) to rows I; with y on the rows
-    (len(y) < len(x)) it adds np.dot(w_I, g) to rows J of x.  Every kernel
-    is symmetric, bitwise, so either orientation sums the same entries.
-    The products are `np.dot`, not `@`: both make the same BLAS call and
-    the same bits, but numpy 2.4's matmul holds the GIL through it, so
-    pooled strips would wait on each other's products.
+    (len(y) < len(x)) it adds np.dot(w_I, g) to rows J of x, the same
+    entries, as every kernel is symmetric bitwise.  The products are
+    `np.dot`, not `@`: both make the same BLAS call and the same bits, but
+    numpy 2.4's matmul holds the GIL through it, so pooled strips would
+    wait on each other's products.
 
     With y omitted, y = x: strip I = [i0, i1) is evaluated only against
     the columns from i0 on.  Its diagonal block k(x_I, x_I) is evaluated in
@@ -155,24 +136,23 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     for the strip evaluated alone; this spares one call's overhead, about a
     quarter of a 64-point `Reference.mmd_sq`.
 
-    `kernels._in_order` runs the strips on one thread per CPU from
-    _POOL_STRIPS strips on, and on the calling thread below that, since on 2
-    CPUs the threads' hand-offs cost about what they saved on sums of up to
-    4096 points against themselves.  Either way each strip's matrix-vector
-    products are formed from the same entries and added into the result by
-    the calling thread in strip order, so the sums are bitwise the same at
-    any thread count.  Each thread has its own strip buffer of _ROWS x _COLS
-    doubles (1 MB) and `kernels._scratch_count(k)` scratch arrays of the
-    same size, for the squared coordinate differences and a sum's later
-    components, so a strip allocates nothing of its size.
+    The strips are `kernels._in_order` tasks, on the calling thread alone
+    (most=1) below _POOL_STRIPS strips: on 2 CPUs the threads' hand-offs
+    cost about what they saved on sums of up to 4096 points against
+    themselves.  The calling thread adds each strip's products into the
+    result in strip order, so the sums are bitwise the same at any thread
+    count.  No matrix larger than a strip is formed: each thread has one
+    strip buffer of _ROWS x _COLS doubles (1 MB) and
+    `kernels._scratch_count(k)` scratch arrays of that size, for the squared
+    coordinate differences and a sum's later components, and the rest is
+    vectors of the inputs' lengths.
     """
     symmetric = y is None
     x = _as_points(x)
     y = x if symmetric else _as_points(y)
     flip = not symmetric and len(y) < len(x)
     rows, cols = (y, x) if flip else (x, y)
-    # coordinate-major columns: each coordinate of a strip's columns is then
-    # one contiguous run, which numpy subtracts several times faster
+    # coordinate-major columns, whose coordinates numpy subtracts several times faster
     cols = np.asfortranarray(cols)
     strips = [(i0, min(i0 + _ROWS, len(rows)), j0, min(j0 + _COLS, len(cols)))
               for i0 in range(0, len(rows), _ROWS)
@@ -212,13 +192,12 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
 
     n_bufs = 1 + _scratch_count(k)
     _in_order(strip, len(strips), lambda: tuple(np.empty(size) for _ in range(n_bufs)), add,
-              _POOL_STRIPS)
+              most=1 if len(strips) < _POOL_STRIPS else None)
     return out
 
 
 def _quadratic_form(k: KernelSpec, x, wx, y=None, wy=None) -> float:
-    """sum_ij wx_i wy_j k(x_i, y_j); with y omitted, the self-term
-    sum_ij wx_i wx_j k(x_i, x_j) over the strips from the diagonal on."""
+    """sum_ij wx_i wy_j k(x_i, y_j); with y omitted, sum_ij wx_i wx_j k(x_i, x_j)."""
     return float(wx @ _kernel_sums(k, x, wx if y is None else wy, y))
 
 
@@ -245,7 +224,7 @@ def mmd_points(k: KernelSpec, x, y) -> float:
 
 
 def kernel_row_means(k: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """(1/n) sum_y k(z, y) for every z in points, over the strips from the diagonal on."""
+    """(1/n) sum_y k(z, y) for every z in points."""
     points = _as_points(points)
     n = len(points)
     return _kernel_sums(k, points, np.full(n, 1.0 / n))

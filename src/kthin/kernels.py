@@ -23,20 +23,9 @@ all share one representation.  Fractional power kernels are returned up to
 a positive constant scaling: thinning decisions and MMD rankings are
 invariant to that constant, so it is left at 1.
 
-The package uses threads by one rule, in one helper, `_in_order`, which
-alone sets their count.  It has three callers: the strips of a large kernel
-sum (`discrepancy._kernel_sums`), the `_KV_CHUNK`-entry chunks of a
-Bessel-order Matern evaluation (scipy's `kv`, two orders of magnitude slower
-per entry than `np.exp`), and the blocks of a split whose kernel takes that
-`kv` path (`thinning._split`, see `_evaluates_kv`).  Each runs on one thread
-per CPU the process's affinity allows and per task, at most the caller's cap,
-or on the calling thread alone below the caller's task threshold or inside a
-task, so a split block's `kv` chunks run on the thread that runs the block.
-Helpers live only for that call and run under the caller's numpy error
-settings, and the calling thread combines the results in task order, so
-every value is bitwise the same whatever the thread count, which no option,
-variable or parameter sets.  A task that a helper may run forms its
-matrix-vector products with `np.dot`, which releases the GIL during BLAS.
+Threads start only in `_in_order`, the owner of the package's thread rule.
+The one-row ufunc buffer of the Gram loops is `_row_buffered`'s, and the
+exact power-of-two scaling is `_divide`'s.
 """
 
 from __future__ import annotations
@@ -332,29 +321,36 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# set on a thread while it runs `_in_order` tasks, so that a task's own kernel
-# evaluation stays on that thread instead of starting threads of its own
+# set on a thread while it runs `_in_order` tasks, which then start no threads
 _in_pool = threading.local()
 
 
-def _in_order(task, count: int, state, take, least: int = 2, most: int | None = None) -> None:
+def _in_order(task, count: int, state, take, most: int | None = None) -> None:
     """take(task(i, s)) for i = 0 .. count - 1, taken in order of i.
 
-    The one thread-count rule: one thread per CPU this process may use and
-    per task, at most `most` when given, or the calling thread alone when
-    count < least or inside an `_in_order` task.  Each thread claims the
-    next index in turn and runs its task with its own s = state() (say, a
-    buffer), so a faster thread
-    runs more tasks.  Only the calling thread calls take, strictly in order
-    of i, and no index is claimed more than twice the thread count past the
-    next one to take, so at most that many results wait.  Whatever the
-    thread count, take sees the same results in the same order, and every
-    task runs under the calling thread's numpy error settings and callback.
-    A task that
-    raises stops the other threads at their next claim; the calling thread's
-    exception, else the first helper's, is raised once every helper exited.
+    The package's one thread rule: one thread per CPU this process's
+    affinity allows and per task, at most `most` when given, or the calling
+    thread alone inside an `_in_order` task (a split block's `kv` chunks run
+    on the block's thread).  No option, environment variable or parameter
+    sets the count.  The callers: kernel-sum strips
+    (`discrepancy._kernel_sums`), the `_KV_CHUNK`-entry chunks of a
+    Bessel-order Matern (`_chunked_kv`; scipy's `kv` costs two orders of
+    magnitude more per entry than `np.exp`), and the blocks of a split that
+    calls `kv` (`thinning.kt_split`).
+
+    Each thread claims the next index and runs its task with its own
+    s = state() (say, a buffer), so a faster thread runs more tasks, under
+    the calling thread's numpy error settings and callback; the helpers
+    live only for the call.  Only the calling thread calls take, strictly in
+    order of i, and no index is claimed more than twice the thread count
+    past the next one to take, so at most that many results wait.  Whatever
+    the thread count, take sees the same results in the same order.  A task
+    that a helper may run forms its products with `np.dot` (see
+    `discrepancy._kernel_sums`).  A task that raises stops the other threads
+    at their next claim; the calling thread's exception, else the first
+    helper's, is raised once every helper exited.
     """
-    alone = count < least or getattr(_in_pool, "busy", False)
+    alone = getattr(_in_pool, "busy", False)
     threads = 1 if alone else min(_cpu_count(), count, count if most is None else most)
     states = [state() for _ in range(threads)]
     if len(states) < 2:
@@ -434,9 +430,7 @@ def _in_order(task, count: int, state, take, least: int = 2, most: int | None = 
 
 
 def _chunked_kv(a: float, t: np.ndarray, out: np.ndarray) -> None:
-    """K_a(t) into out, over chunks of `_KV_CHUNK` entries run by
-    `_in_order`; inside an `_in_order` task (a split block) they all run on
-    that task's thread.
+    """K_a(t) into out, over chunks of `_KV_CHUNK` entries run by `_in_order`.
 
     scipy's `kv` is an elementwise ufunc that releases the GIL, so every
     value is bitwise what one call gives, on any number of threads.
@@ -464,9 +458,7 @@ def _half_integer(a: float) -> bool:
 def _evaluates_kv(k: KernelSpec, d: int) -> bool:
     """Whether evaluating k on d-dimensional points calls scipy's `kv`: a
     Matern of an order a = nu - d/2 that is not a half-integer, alone or in
-    a sum.  A split block of such a kernel takes longer to evaluate than to
-    decide, so the split pipelines its blocks for exactly these kernels (an
-    identity-perturbed kernel by its base)."""
+    a sum: the kernels whose split `thinning.kt_split` pipelines."""
     if k.family == "sum":
         return any(_evaluates_kv(c, d) for c in k.components)
     return k.family == "matern" and not _half_integer(k.nu - d / 2.0)
@@ -761,14 +753,12 @@ def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None,
          _scratch: tuple = ()) -> np.ndarray:
     """The matrix k(x_i, y_j); y defaults to x.
 
-    Entries are evaluated independently, so any outer parallelization over
-    blocks reproduces the same values bitwise.  With `out`, a C-contiguous
-    float array of shape (len(x), len(y)), the matrix is written into it and
-    `out` is returned, bitwise equal to the matrix allocated without it: a
-    caller that evaluates many blocks can reuse one buffer for all of them.
-    `_scratch`, private to `discrepancy._kernel_sums`, is passed on to
-    `evaluate`; given as `_PointsRead`, it also says that x and y are as
-    `_as_points` returned them, so they are not read again.
+    With `out`, a C-contiguous float array of shape (len(x), len(y)), the
+    matrix is written into it and `out` is returned, bitwise equal to the
+    matrix allocated without it: a caller that evaluates many blocks can
+    reuse one buffer for all of them.  `_scratch`, private to
+    `discrepancy._kernel_sums`, is passed on to `evaluate` (see
+    `_PointsRead`).
     """
     if isinstance(_scratch, _PointsRead):
         y = x if y is None else y
@@ -798,9 +788,8 @@ def evaluate(k: KernelSpec, x: np.ndarray, y: np.ndarray,
     With `out`, a C-contiguous float array of the broadcast shape, the
     values are written into it and `out` is returned, bitwise equal to the
     array returned without it.  Dividing by a parameter goes through
-    `_divide`, which multiplies by the reciprocal where that is exact.
-    `_scratch` is a tuple of C-contiguous arrays
-    of the same shape and type as `out`.  The gauss, laplace, imq and
+    `_divide`.  `_scratch` is a tuple of C-contiguous arrays of the same
+    shape and type as `out`.  The gauss, laplace, imq and
     Matern families compute in place, with the squared differences of the
     coordinates after the first, and the Matern's `kv` values or closed-form
     polynomial, in `_scratch[0]`.  A sum computes its first component into

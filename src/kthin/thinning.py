@@ -13,35 +13,11 @@ the input than the baseline does.
 
 Randomness is confined to the split stage and drawn from counter-based
 streams keyed by (round, level, slot), so results are reproducible across
-platforms and independent of evaluation order.  The split draws every
-uniform up front from numpy's own Philox, one `rng.swap_uniforms` call
-per level, each the draw `rng.swap_uniform` makes.  It then runs over
-aligned blocks of 2^m input points, and within a block level by level.
-Each block has its split-kernel columns against the input prefix computed
-once, into a buffer of 8 2^m n bytes, under a numpy ufunc buffer of the
-block's row width, and all m levels read their kernel values from it, alpha
-from a prefix table of the block's row sums over each finest coreset's
-points from before the block plus the terms of the block's earlier pairs.
-A level reads its pairs' terms with one gather from the block's own
-columns and their prefix terms with one lookup, decides pair by pair
-within each slot in one loop that runs `get_swap_params`' recursion
-inline, and writes all slots' children in one array operation.  The blocks
-are decided in order on the calling thread.  For a kernel that calls
-scipy's Bessel `kv` (`kernels._evaluates_kv`) they are evaluated through
-`kernels._in_order`, so helper threads evaluate the next blocks while the
-current one is decided; every other split evaluates them on the calling
-thread into one reused buffer.
-Swap decisions depend on the split kernel only through scale-free ratios,
-so the kernel's scale factor is divided out up front; c * k yields the same
-candidates as k under the same seed, bitwise.
-
-The blocks cover the lower triangle of the split kernel's Gram matrix.
-When the split kernel is the target kernel up to scale (target KT, or
-generalized KT with k_split = c * k), the split adds up their row sums and
-hands the swap stage the input's `Reference` built from them, and the whole
-pipeline evaluates about n^2 / 2 kernel entries instead of n^2; `_split` is
-the one place that decides this.  Otherwise the caller's `Reference` (the
-harness's, one per study cell) serves, else the swap stage makes its own.
+platforms and independent of evaluation order.  Swap decisions depend on
+the split kernel only through scale-free ratios, so c * k yields the same
+candidates as k under the same seed, bitwise.  `kt_split` owns how the
+split runs: its loop order, its buffers, when helper threads evaluate its
+blocks, and when it hands the swap stage the input's row means.
 """
 
 from __future__ import annotations
@@ -59,8 +35,7 @@ import numpy as np
 from . import rng
 from .discrepancy import Reference, SwapCache, _as_target, kernel_row_means
 # gram and gram_rows are not called here; they stay module attributes because
-# perfbench/spans.py traces the kernel boundary by wrapping
-# kthin.thinning.gram and kthin.thinning.gram_rows
+# perfbench/spans.py traces the kernel boundary by wrapping them
 from .kernels import (  # noqa: F401
     IdentityPerturbedKernel,
     KernelSpec,
@@ -81,10 +56,7 @@ from .kernels import (  # noqa: F401
     power_kernel,
 )
 
-# the most bytes a pipelined split's threads hold in block buffers: two
-# result buffers and one scratch buffer per thread, two for a sum (512 KB
-# each at n = 2048, m = 5); a split that cannot run two threads within it
-# evaluates its blocks on the calling thread
+# the most bytes a pipelined split's block buffers hold (see `kt_split`)
 _PIPELINE_BYTES = 2 ** 25
 
 
@@ -204,7 +176,8 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     terms cancel).  It never meets a pair's own index, so the identity
     perturbation only adds 2w to b^2 = k(x, x) + k(x~, x~) - 2 k(x, x~).
 
-    The loops run block, then level, then pair.  An aligned block
+    The loops run block, then level, then pair, with every uniform drawn
+    up front, one `rng.swap_uniforms` call per level.  An aligned block
     B = [2^m q, 2^m (q + 1)) of input points feeds exactly the pairs
     t in (2^(m-j) q, 2^(m-j) (q + 1)] of every level j, and those pairs
     depend only on B's earlier levels, on the uniforms addressed by
@@ -212,44 +185,45 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
     each level; so this order makes the same decisions as consuming the
     input pair by pair.  k(y, x) for x in B and every y before B's end
     comes from one `evaluate` call, under a numpy ufunc buffer of one row
-    (`kernels._row_buffered`, which says what that saves).  Each finest
-    coreset holds one point of every block before B; B's rows are summed
-    over those points into a prefix table that folds pairwise up the
-    levels, so a pair reads its children's terms from before B in four
-    lookups, and each earlier pair of B in its slot adds four terms,
-    signed by its swap.  A level reads all of these with one gather from
-    B's own 2^m x 2^m columns, k(x, x~) for b^2 included, and one lookup in
-    the folded table, and converts each to a list once; one loop then runs
-    the scale recursion of `get_swap_params` inline, bit for bit, with its
-    log term formed once per round of the level rather than once per pair.
-    The table takes one gather of |B| (start of B) entries per block, about
-    n^2 / 2 in all, against about n^2 for a gather per pair over the
-    children built so far.
-    Summed in this order, alpha decides as in the scalar oracle unless a
-    uniform lands within rounding of a swap probability.  A block fills a
-    buffer of 2^m x n doubles, 8 2^m n bytes (0.5 MB at n = 2048, m = 5;
-    2 MB at n = 4096, m = 6), which gauss, laplace, imq and Matern fill in
-    place, and is gathered into another.
-    The split evaluates sum_B |B| (end of B) kernel entries, about n^2 / 2.
+    (`kernels._row_buffered`).  Each finest coreset holds one point of every
+    block before B; B's rows are summed over those points into a prefix
+    table that folds pairwise up the levels, so a pair reads its children's
+    terms from before B in four lookups, and each earlier pair of B in its
+    slot adds four terms, signed by its swap.  A level reads all of these
+    with one gather from B's own 2^m x 2^m columns, k(x, x~) for b^2
+    included, and one lookup in the folded table, and converts each to a
+    list once; one loop then runs the scale recursion of `get_swap_params`
+    inline, bit for bit, with its log term formed once per round of the
+    level rather than once per pair.  The table takes one gather of
+    |B| (start of B) entries per block, about n^2 / 2 in all, against about
+    n^2 for a gather per pair over the children built so far.  Summed in
+    this order, alpha decides as in the scalar oracle unless a uniform
+    lands within rounding of a swap probability.  A block fills a buffer of
+    2^m x n doubles, 8 2^m n bytes (0.5 MB at n = 2048, m = 5; 2 MB at
+    n = 4096, m = 6), which gauss, laplace, imq and Matern fill in place,
+    and is gathered into another.  The split evaluates sum_B |B| (end of B)
+    kernel entries, about n^2 / 2.
 
-    The blocks are decided on the calling thread in block order.  They are
+    The blocks are decided on the calling thread in block order, and
     evaluated there too, into one reused buffer with the gather buffer (and
-    one more for a sum) as scratch, unless the kernel calls scipy's Bessel `kv`
-    (`kernels._evaluates_kv`), alone, in a sum or as an identity-perturbed
-    base, whose entries cost two orders of magnitude more than an `exp`.
-    Such a split evaluates its blocks as `kernels._in_order` tasks, on one
-    thread per CPU and block, so that the next blocks are evaluated while
-    the calling thread decides the current one, and the calling thread
-    evaluates one itself whenever the next is not ready; a block's `kv`
-    chunks run on its thread.  Each thread has two result buffers and one
-    scratch buffer, two for a sum, and the thread count is capped so that
-    they hold at most `_PIPELINE_BYTES` (32 MB); below two threads the
-    split stays on the calling thread.  Candidates and row means are
-    bitwise the same either way.
+    one more for a sum) as scratch, unless the kernel calls scipy's Bessel
+    `kv` (`kernels._evaluates_kv`; alone, in a sum or as an
+    identity-perturbed base), whose block takes longer to evaluate than to
+    decide.  Such a split evaluates its blocks as `kernels._in_order` tasks,
+    so that helper threads evaluate the next blocks while the calling thread
+    decides the current one.  Each thread holds two result buffers and one
+    scratch buffer, two for a sum, within `_PIPELINE_BYTES` (32 MB) for all
+    threads; below two threads the split stays on the calling thread.
+    Candidates and row means are bitwise the same either way.
+
     `_split`, given the target kernel, decides whether the split kernel is
-    it up to scale; only then does it add up the blocks' row sums (with one
-    more kernel column for the last point when n is odd) into the row means
-    of the input's `Reference` for the swap stage.
+    it up to scale (target KT, or generalized KT with k_split = c k); only
+    then does it add up the blocks' row sums (with one more kernel column
+    for the last point when n is odd) into the row means of the input's
+    `Reference` for the swap stage, so that the whole pipeline evaluates
+    about n^2 / 2 kernel entries instead of n^2.  Those row means are summed
+    in another order than `kernel_row_means` sums them, so they can differ
+    from it in the last bits.
 
     Args:
       k_split: KernelSpec or IdentityPerturbedKernel used for swap decisions.
@@ -262,9 +236,9 @@ def kt_split(k_split, points, cfg: ThinningConfig) -> list[np.ndarray]:
 
 def _split(k_split, points, cfg: ThinningConfig,
            k_target: KernelSpec | None = None) -> tuple[list[np.ndarray], Reference | None]:
-    """`kt_split`'s candidates, and the `Reference` on k_target with row means
-    (1/n) sum_y k_target(x, y) from the blocks when the split kernel's
-    normalized base is k_target's, else None and no sums are formed."""
+    """`kt_split`'s candidates, and the input's `Reference` on k_target
+    from the blocks' row sums when the split kernel is k_target up to scale,
+    else None and no sums are formed."""
     points = _as_points(points)
     n, d = points.shape
     if n < 2:
@@ -285,7 +259,8 @@ def _split(k_split, points, cfg: ThinningConfig,
     diag = kernel.sup_norm() + weight
     two_diag = diag + diag
     used, width = 2 * (n // 2), 2 ** m
-    uniforms = _split_uniforms(cfg.seed, used // 2, m)
+    # uniforms[j][t - 1, l - 1]: the draw of slot l at the t-th halving of level j
+    uniforms = [None] + [rng.swap_uniforms(cfg.seed, j, used >> j) for j in range(1, m + 1)]
     # log_terms[j][t - 1]: the log term of level j's round t, whose budget
     # is delta_t 2^(j-1) / m, formed once per distinct budget
     deltas, log_terms = cfg.deltas(n), [None]
@@ -405,8 +380,7 @@ def _split(k_split, points, cfg: ThinningConfig,
             loc = np.where(swap, members[:, ::-1], members).reshape(2 * slots, n_pairs)
         finest[q] = loc[:, 0] + s0
 
-    # gbuf takes decide's gather; the kt_split docstring says which splits
-    # pipeline and with which buffers
+    # gbuf takes decide's gather; `kt_split` says which splits pipeline
     gbuf = np.empty(size)
     n_scratch = _scratch_count(kernel)
     most = _PIPELINE_BYTES // (8 * size * (2 + n_scratch))
@@ -446,12 +420,6 @@ def _pair_terms(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.concatenate([np.arange(1, 2 * n_pairs, 2), 2 * i, 2 * i + 1, 2 * i, 2 * i + 1])
     cols = np.concatenate([np.arange(0, 2 * n_pairs, 2), 2 * i2, 2 * i2, 2 * i2 + 1, 2 * i2 + 1])
     return rows, cols
-
-
-def _split_uniforms(seed: int, rounds: int, m: int) -> list:
-    """uniforms[j][t - 1, l - 1] = swap_uniform(seed, t 2^(j-1), j, l), the
-    draw of slot l at the t-th halving of level j, by `rng.swap_uniforms`."""
-    return [None] + [rng.swap_uniforms(seed, j, rounds >> (j - 1)) for j in range(1, m + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,30 @@ def test_thin_rejects_flags_the_variant_ignores(tmp_path, capsys, variant, flags
     assert not (tmp_path / "c.csv").exists()
 
 
+
+def test_thin_out_that_is_its_own_sidecar_is_usage_error(tmp_path, capsys):
+    # the sidecar of core.json is core.json: the CSV would be overwritten
+    src, out = str(tmp_path / "in.csv"), tmp_path / "core.json"
+    write_points(src, np.random.default_rng(0).normal(size=(16, 2)))
+    code = main(["thin", "--input", src, "--kernel", GAUSS, "-m", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert f"--out {out} is its own JSON sidecar" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("input_name, out_name", [("in.csv", "in.csv"), ("in.json", "in.csv")])
+def test_thin_output_over_the_input_is_usage_error(tmp_path, capsys, input_name, out_name):
+    # --out, or the sidecar it implies, names the --input file
+    src, out = tmp_path / input_name, tmp_path / out_name
+    write_points(str(src), np.random.default_rng(0).normal(size=(16, 2)))
+    before = src.read_bytes()
+    code = main(["thin", "--input", str(src), "--kernel", GAUSS, "-m", "1", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "is the --input file" in capsys.readouterr().err
+    assert src.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [input_name]
+
+
 @pytest.mark.parametrize("variant, alpha", [("powerkt", "7"), ("ktplus", "0.1")])
 def test_thin_rejects_alpha_with_a_split_kernel(tmp_path, capsys, variant, alpha):
     # an explicit split kernel replaces the alpha-power kernel, so alpha is unused

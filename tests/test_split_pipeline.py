@@ -14,38 +14,20 @@ import pytest
 import kthin.thinning
 from kthin import kernels as kn
 from kthin.thinning import ThinningConfig, Variant, _split
-
-
-def _bessel_matern(d):
-    # order nu - d/2 = 1.125: scipy's kv
-    return kn.matern(1.125 + d / 2, 1.1)
+from conftest import bessel_matern
 
 
 # (split kernel, target kernel) for each variant that splits with a Bessel order
 CASES = {
-    "targetkt-bessel-matern": lambda d: (_bessel_matern(d), _bessel_matern(d)),
+    "targetkt-bessel-matern": lambda d: (bessel_matern(d), bessel_matern(d)),
     "ktplus-laplace": lambda d: (
         Variant("ktplus", alpha=0.75).split_kernel_for(kn.laplace(1.0), d), kn.laplace(1.0)),
     "powerkt-explicit-matern": lambda d: (
         Variant("powerkt", split_kernel=kn.matern(0.9 + d / 2, 0.8)).split_kernel_for(
             kn.gauss(1.0), d), kn.gauss(1.0)),
     "perturbed-matern": lambda d: (
-        kn.IdentityPerturbedKernel(_bessel_matern(d), 0.5), _bessel_matern(d).scaled(3)),
+        kn.IdentityPerturbedKernel(bessel_matern(d), 0.5), bessel_matern(d).scaled(3)),
 }
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The threads started while the test runs."""
-    out = []
-    inner = threading.Thread.start
-
-    def counting(self):
-        out.append(self)
-        inner(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counting)
-    return out
 
 
 def _evaluating_threads(monkeypatch):
@@ -99,7 +81,7 @@ def test_one_thread_per_cpu_and_block_and_no_kv_pool(monkeypatch, started, cpus,
     monkeypatch.setattr(kn, "_cpu_count", lambda: cpus)
     evaluating = _evaluating_threads(monkeypatch)
     x = np.random.default_rng(n).normal(size=(n, 2))
-    _split(_bessel_matern(2), x, ThinningConfig(m=5, seed=1))
+    _split(bessel_matern(2), x, ThinningConfig(m=5, seed=1))
     assert len(started) == min(cpus, n // 32) - 1
     assert len(evaluating) <= min(cpus, n // 32)
 
@@ -122,7 +104,7 @@ def test_a_block_failing_on_a_helper_reaches_the_caller(monkeypatch):
     before = threading.active_count()
     x = np.random.default_rng(3).normal(size=(256, 2))
     with pytest.raises(ArithmeticError, match="on a helper"):
-        _split(_bessel_matern(2), x, ThinningConfig(m=3, seed=3))
+        _split(bessel_matern(2), x, ThinningConfig(m=3, seed=3))
     assert threading.active_count() == before
 
 
@@ -224,7 +206,7 @@ def test_split_leaves_numpy_state_as_it_found_it(monkeypatch, started, case):
         return inner(kernel, x, y, **kwargs)
 
     monkeypatch.setattr(kthin.thinning, "evaluate", recording)
-    k = _bessel_matern(2) if case == "pipelined" else kn.gauss(1.0)
+    k = bessel_matern(2) if case == "pipelined" else kn.gauss(1.0)
     # 375 blocks of 8 points, the last ones wider than 2.7k columns
     x = np.random.default_rng(7).normal(size=(3000, 2))
     with np.errstate(divide="ignore", over="ignore"):

@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kthin.thinning
-from kthin import kernels as kn
+from kthin import kernels as kn, rng
 from kthin.kernels import IdentityPerturbedKernel, KernelError, KernelSpec, evaluate, gram
 from kthin.targets import MogTarget
-from kthin.thinning import ThinningConfig, _split, _split_uniforms, get_swap_params, kt_split
+from kthin.thinning import ThinningConfig, _split, get_swap_params, kt_split
 from test_split_oracle import _instance
 
 
@@ -43,7 +43,7 @@ def gather_split(k_split, points, cfg, k_target=None):
 
     idx = [np.arange(used)[None]] + [np.empty((2 ** j, used >> j), int) for j in range(1, m + 1)]
     sigma_sq = [None] + [[0.0] * 2 ** (j - 1) for j in range(1, m + 1)]
-    uniforms = _split_uniforms(cfg.seed, used // 2, m)
+    uniforms = [None] + [rng.swap_uniforms(cfg.seed, j, used >> j) for j in range(1, m + 1)]
     sums = None if k_target is None or kernel != k_target.normalized() else np.zeros(n)
     buf = np.empty(2 ** m * used)
 

@@ -19,6 +19,7 @@ from kthin import kernels as kn
 from kthin import thinning
 from kthin.discrepancy import _COLS, _ROWS
 from kthin.thinning import ThinningConfig
+from conftest import sums_at
 
 SIZES = (1, 2, 31, 32, 33, 64, 65, 2049, 4097, 8193)
 
@@ -44,11 +45,6 @@ def _oracle_sums(k, x, w, y=None):
     return out
 
 
-def _sums_at(monkeypatch, cpus, *args):
-    monkeypatch.setattr(kn, "_cpu_count", lambda: cpus)
-    return discrepancy._kernel_sums(*args)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", SIZES)
 def test_strip_sums_are_the_matmul_loop_bitwise(monkeypatch, n, d):
@@ -60,10 +56,10 @@ def test_strip_sums_are_the_matmul_loop_bitwise(monkeypatch, n, d):
     w, v = rng.random(n), rng.random(n + 37)
     cases = {"symmetric": (k, x, w), "plain": (k, x, v, y), "flipped": (k, y, w, x)}
     for name, args in cases.items():
-        one = _sums_at(monkeypatch, 1, *args)
+        one = sums_at(monkeypatch, 1, *args)
         assert one.tobytes() == _oracle_sums(*args).tobytes(), name
         if n in (2049, 4097):  # enough strips for the pool, and each ends narrow
-            assert _sums_at(monkeypatch, 3, *args).tobytes() == one.tobytes(), name
+            assert sums_at(monkeypatch, 3, *args).tobytes() == one.tobytes(), name
 
 
 @pytest.mark.parametrize("k", [kn.laplace(0.5), kn.imq(0.7, 2.0),
@@ -76,7 +72,7 @@ def test_strip_sums_of_other_families_are_the_matmul_loop_bitwise(monkeypatch, k
     x, y = rng.normal(size=(4097, 2)), rng.normal(size=(65, 2))
     w, v = rng.random(2 * 4097)[::2], rng.random(2 * 65)[::2]
     for args in ((k, x, w), (k, y, v), (k, x, v, y), (k, y, w, x)):
-        assert _sums_at(monkeypatch, 2, *args).tobytes() == _oracle_sums(*args).tobytes()
+        assert sums_at(monkeypatch, 2, *args).tobytes() == _oracle_sums(*args).tobytes()
 
 
 def test_gram_given_scratch_alone_still_reads_its_points():

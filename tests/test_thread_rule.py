@@ -1,8 +1,8 @@
 """Threads start in one place, `kernels._in_order`.
 
 The package's thread rule (one thread per CPU the process may use and per
-task, the calling thread alone inside a task; see the `kernels` module
-docstring) lives in that one helper.  So in src/kthin, `threading.Thread`
+task, the calling thread alone inside a task; see its docstring) lives in
+that one helper.  So in src/kthin, `threading.Thread`
 (or a bare `Thread`), calls of `_cpu_count()` and uses of `_in_pool` occur
 only inside `_in_order`, apart from the definitions of `_cpu_count` and
 `_in_pool`.  The tasks `_in_order` may run on a helper thread form no

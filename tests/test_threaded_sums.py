@@ -14,42 +14,19 @@ from kthin import kernels as kn
 from kthin.discrepancy import _COLS, _POOL_STRIPS, _ROWS
 from kthin.harness import ExperimentPlan, Variant, run_experiment
 from kthin.targets import MogTarget
-
-
-def _bessel_matern(d):
-    # order nu - d/2 = 1.125 is neither an integer nor a half-integer: scipy's kv
-    return kn.matern(1.125 + d / 2, 1.1)
+from conftest import bessel_matern, sums_at
 
 
 FAMILIES = {
     "gauss": lambda d: kn.gauss(1.3),
     "laplace": lambda d: kn.laplace(0.8),
     "matern": lambda d: kn.matern(1.5 + d / 2, 1.1),  # half-integer order: closed form
-    "matern-bessel": _bessel_matern,
+    "matern-bessel": bessel_matern,
     "imq": lambda d: kn.imq(0.7, 1.2),
     "sinc": lambda d: kn.sinc(2.0),
     "bspline": lambda d: kn.bspline(1, 1.0),
-    "sum": lambda d: kn.kernel_sum(kn.laplace(1.0), _bessel_matern(d)),
+    "sum": lambda d: kn.kernel_sum(kn.laplace(1.0), bessel_matern(d)),
 }
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """The threads started while the test runs."""
-    out = []
-    inner = threading.Thread.start
-
-    def counting(self):
-        out.append(self)
-        inner(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counting)
-    return out
-
-
-def _sums_at(monkeypatch, cpus, *args):
-    monkeypatch.setattr(kn, "_cpu_count", lambda: cpus)
-    return discrepancy._kernel_sums(*args)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -70,9 +47,9 @@ def test_threaded_sums_are_the_one_cpu_sums_bitwise(monkeypatch, started, family
         "flipped": (k, long, w[:len(short)] / w[:len(short)].sum(), short),
     }
     for name, args in cases.items():
-        one = _sums_at(monkeypatch, 1, *args)
+        one = sums_at(monkeypatch, 1, *args)
         started.clear()
-        threaded = _sums_at(monkeypatch, 3, *args)
+        threaded = sums_at(monkeypatch, 3, *args)
         assert threaded.tobytes() == one.tobytes(), name
         # two helpers and no more: a Bessel strip of 32 x 4096 entries, more
         # than one kv chunk, computes its kv on the thread that runs the strip
@@ -181,7 +158,7 @@ def test_in_order_takes_every_result_in_order_within_its_window(monkeypatch):
 def test_pool_size_is_one_per_cpu_and_task_and_one_inside_a_task(monkeypatch, started):
     monkeypatch.setattr(kn, "_cpu_count", lambda: 4)
 
-    def running(count, expect, least=2):
+    def running(count, expect, most=None):
         """The threads that run count tasks; each task holds its thread until
         expect threads have run one, so that every thread shows."""
         seen, cond = set(), threading.Condition()
@@ -192,16 +169,16 @@ def test_pool_size_is_one_per_cpu_and_task_and_one_inside_a_task(monkeypatch, st
                 cond.notify_all()
                 assert cond.wait_for(lambda: len(seen) >= expect, 30)
 
-        kn._in_order(task, count, lambda: None, lambda _: None, least)
+        kn._in_order(task, count, lambda: None, lambda _: None, most=most)
         return seen
 
     for count, expect in ((0, 0), (1, 1), (3, 3), (4, 4), (9, 4)):
         started.clear()
         assert len(running(count, expect)) == expect, count
         assert len(started) == max(expect - 1, 0), count
-    # below the caller's threshold, and inside a task: the calling thread alone
+    # capped at one thread, and inside a task: the calling thread alone
     started.clear()
-    assert running(3, 1, least=4) == {threading.get_ident()}
+    assert running(3, 1, most=1) == {threading.get_ident()}
     assert not started
     inside = []
     kn._in_order(lambda i, _: inside.append(len(running(9, 1))), 2, lambda: None,
