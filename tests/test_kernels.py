@@ -161,16 +161,8 @@ def test_bessel_profile_matches_one_call_at_chunk_edges(monkeypatch, workers, a,
         assert np.array_equal(_matern_at(a, t), want), (length, workers)
 
 
-def test_bessel_chunks_run_on_helper_threads(monkeypatch):
+def test_bessel_chunks_run_on_helper_threads(monkeypatch, started):
     monkeypatch.setattr(kn, "_cpu_count", lambda: 3)
-    started = []
-    inner = threading.Thread.start
-
-    def counting(self):
-        started.append(self)
-        inner(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counting)
     before = threading.active_count()
     t = np.random.default_rng(1).exponential(3.0, 3 * kn._KV_CHUNK + 5)
     assert np.array_equal(_matern_at(0.125, t), _one_call_profile(0.125, t)[0])
@@ -352,19 +344,11 @@ def test_half_integer_matern_in_place_sums_terms_in_chunks(a):
     (kn.laplace(1.0), False),
     (kn.matern(1.125, 1.0), True),  # the control: order 0.125 at d = 2 takes the Bessel path
 ], ids=["gauss", "laplace", "matern-bessel"])
-def test_only_bessel_kernels_start_threads(monkeypatch, k, threads):
+def test_only_bessel_kernels_start_threads(monkeypatch, started, k, threads):
     # a gauss or laplace target KT pays no per-call thread start
     from kthin import ThinningConfig, target_kt
 
     monkeypatch.setattr(kn, "_cpu_count", lambda: 2)
-    started = []
-    inner = threading.Thread.start
-
-    def counting(self):
-        started.append(self)
-        inner(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counting)
     x = np.random.default_rng(3).normal(size=(1024, 2))
     target_kt(k, x, ThinningConfig(m=3, seed=3))
     assert bool(started) == threads
