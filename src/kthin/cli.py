@@ -23,10 +23,10 @@ from .discrepancy import DiscreteMeasure, mmd
 from .harness import ExperimentPlan, run_experiment
 from .kernels import from_json as kernel_from_json, power_kernel
 from .targets import IngestError, ingest, target_from_json_dict
+from .thinning import VARIANTS, ThinningConfig, Variant, thin
 # the four front-ends are not called here; they stay module attributes because
 # perfbench/spans.py traces the CLI's calls into thinning by wrapping them
-from .thinning import (VARIANTS, ThinningConfig, Variant, generalized_kt,  # noqa: F401
-                       kt_plus, power_kt, target_kt, thin)
+from .thinning import generalized_kt, kt_plus, power_kt, target_kt  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -76,16 +76,19 @@ def _cmd_thin(args) -> int:
         if clash:
             print(f"usage error: {what}", file=sys.stderr)
             return EXIT_USAGE
+    # a data error before any kernel work, which leaves no CSV without its sidecar
+    for path in (args.out, side):
+        if os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+            raise OSError(f"cannot write {path}: a directory, or in a missing or read-only one")
     kernel = kernel_from_json(args.kernel)
     points = _load_points(args, from_file)
     cfg = ThinningConfig(m=args.m, seed=args.seed, delta=args.delta, delta_rule=args.delta_rule)
     split = kernel_from_json(args.split_kernel) if args.split_kernel else None
     alpha = 0.5 if entry.takes_alpha and args.alpha is None and split is None else args.alpha
     coreset = thin(Variant(args.variant, alpha, split), kernel, points, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(coreset.to_csv())
-    with open(side, "w", encoding="utf-8") as fh:
-        fh.write(coreset.to_json() + "\n")
+    for path, text in ((args.out, coreset.to_csv()), (side, coreset.to_json() + "\n")):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     print(f"wrote {len(coreset)} indices to {args.out} (provenance in {side})")
     return EXIT_OK
 

@@ -38,16 +38,18 @@ import numpy as np
 from .kernels import (
     KernelError,
     KernelSpec,
-    _PointsRead,
     _as_indices,
     _as_points,
     _check_alpha,
     _in_order,
+    _read_pair,
     _row_buffered,
     _scratch_count,
     gauss_power_exact,
-    gram,
 )
+# the module's one kernel call, unchecked: perfbench/spans.py traces
+# discrepancy's kernel calls by wrapping `kthin.discrepancy.gram`
+from .kernels import _gram as gram
 
 # a kernel sum evaluates strips of at most _ROWS x _COLS entries, 1 MB
 _ROWS = 32
@@ -110,8 +112,8 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     on the broadcast operand is paid over rows of up to _COLS entries, under
     a ufunc buffer of one row (`kernels._row_buffered`), which the narrow
     strip ending each row of strips needs to escape numpy's buffering.  x
-    and y are read by `_as_points` once per sum; every strip's `gram` call
-    takes them as read (`kernels._PointsRead`).  With x on the rows the
+    and y are read and checked once per sum (`kernels._read_pair`), and each
+    strip is one unchecked `kernels._gram` call.  With x on the rows the
     strip g = k(x_I, y_J) adds np.dot(g, w_J) to rows I; with y on the rows
     (len(y) < len(x)) it adds np.dot(w_I, g) to rows J of x, the same
     entries, as every kernel is symmetric bitwise.  The products are
@@ -148,8 +150,7 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
     vectors of the inputs' lengths.
     """
     symmetric = y is None
-    x = _as_points(x)
-    y = x if symmetric else _as_points(y)
+    x, y = _read_pair(k, x, y)
     flip = not symmetric and len(y) < len(x)
     rows, cols = (y, x) if flip else (x, y)
     # coordinate-major columns, whose coordinates numpy subtracts several times faster
@@ -168,7 +169,7 @@ def _kernel_sums(k: KernelSpec, x, w, y=None) -> np.ndarray:
         if square is None:
             g = _row_buffered(j1 - j0, gram, k, rows[i0:i1], cols[j0:j1],
                               out=bufs[0][:n].reshape(shape),
-                              _scratch=_PointsRead(b[:n].reshape(shape) for b in bufs[1:]))
+                              _scratch=tuple(b[:n].reshape(shape) for b in bufs[1:]))
         else:
             g = bufs[0][:n].reshape(shape)
             g[...] = square[i0:i1, j0:j1]
@@ -331,8 +332,9 @@ class SwapCache:
         return (g - g[old]) / (s * s) - 2.0 * (r - r[old]) / s
 
     def _column(self, index: int) -> np.ndarray:
-        """k(z, points[index]) for every input z.  The last column is kept:
-        apply_swap needs the one best_swap has just computed for its slot."""
+        """k(z, points[index]) for every input z, the cache's only column
+        maker.  The last column is kept: apply_swap needs the one best_swap
+        has just computed for its slot."""
         if self._last_column[0] != index:
             col = gram(self.kernel, self.points, self.points[index][None, :])[:, 0]
             self._last_column = (index, col)
@@ -355,8 +357,7 @@ class SwapCache:
         old = self.coreset[position]
         if candidate != old:
             k_old = self._column(old)
-            k_new = gram(self.kernel, self.points, self.points[candidate][None, :])[:, 0]
-            self.cross += k_new - k_old
+            self.cross += self._column(candidate) - k_old
             self.coreset[position] = candidate
 
 

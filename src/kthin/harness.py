@@ -27,16 +27,17 @@ from typing import Literal
 import numpy as np
 
 from . import rng
-# gram and _quadratic_form are not called here; they stay module attributes
-# because perfbench/spans.py traces the kernel and discrepancy layers by wrapping them
-from .discrepancy import Reference, _clamped_sqrt, _quadratic_form  # noqa: F401
-from .kernels import (  # noqa: F401
+from .discrepancy import Reference, _clamped_sqrt
+from .kernels import (
     KernelSpec,
     NoClosedFormPowerError,
     _read_fields,
     from_json_dict as kernel_from_json_dict,
-    gram,
 )
+# gram and _quadratic_form are not called here; they stay module attributes
+# because perfbench/spans.py traces the kernel and discrepancy layers by wrapping them
+from .discrepancy import _quadratic_form  # noqa: F401
+from .kernels import gram  # noqa: F401
 from .targets import (
     ExternalTarget,
     TargetSpec,
@@ -51,19 +52,11 @@ from .targets import (
     target_from_json_dict,
     target_to_json_dict,
 )
+from .thinning import Coreset, ThinningConfig, Variant, power_kt, target_kt, thin
 # baseline_thin and kt_plus are not called here; like gram, they stay module
 # attributes because perfbench/spans.py traces the harness's calls into
 # thinning by wrapping them
-from .thinning import (  # noqa: F401
-    Coreset,
-    ThinningConfig,
-    Variant,
-    baseline_thin,
-    kt_plus,
-    power_kt,
-    target_kt,
-    thin,
-)
+from .thinning import baseline_thin, kt_plus  # noqa: F401
 
 _INPUT_SALT = 9001
 _SURROGATE_SALT = 9002
@@ -231,7 +224,10 @@ class RateReport:
 
 
 def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateReport:
-    """Execute a plan; optionally write raw.csv and report.json to out_dir."""
+    """Execute a plan; optionally write raw.csv and report.json to out_dir,
+    which is made first, so that an unusable one fails before any cell."""
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     kernel = resolve_bandwidth(plan)
     dim = plan.target.dim
 
@@ -291,7 +287,6 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | None = None) -> RateRepo
         # both texts before either file, so a failure leaves no partial output
         raw = records_to_csv(records)
         summary = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "raw.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write(raw)
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:

@@ -743,35 +743,27 @@ def _row_buffered(width: int, f, *args, **kwargs):
         return f(*args, **kwargs)
 
 
-class _PointsRead(tuple):
-    """`_scratch` buffers from a caller that read x and y through
-    `_as_points` itself, once per kernel sum: `gram` given them does not
-    read the points again.  A plain tuple of buffers keeps the check."""
-
-
-def gram(k: KernelSpec, x, y=None, *, out: np.ndarray | None = None,
-         _scratch: tuple = ()) -> np.ndarray:
-    """The matrix k(x_i, y_j); y defaults to x.
-
-    With `out`, a C-contiguous float array of shape (len(x), len(y)), the
-    matrix is written into it and `out` is returned, bitwise equal to the
-    matrix allocated without it: a caller that evaluates many blocks can
-    reuse one buffer for all of them.  `_scratch`, private to
-    `discrepancy._kernel_sums`, is passed on to `evaluate` (see
-    `_PointsRead`).
-    """
-    if isinstance(_scratch, _PointsRead):
-        y = x if y is None else y
-    else:
-        x = _as_points(x)
-        y = x if y is None else _as_points(y)
+def _read_pair(k: KernelSpec, x, y=None) -> tuple[np.ndarray, np.ndarray]:
+    """x and y read by `_as_points`, y defaulting to x, of one dimension that
+    k takes (`k.validate_dim`): the check of `gram` and of a kernel sum."""
+    x = _as_points(x)
+    y = x if y is None else _as_points(y)
     if x.shape[1] != y.shape[1]:
         raise KernelError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    if out is not None and (out.shape != (len(x), len(y)) or out.dtype != np.float64
-                            or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous float64 array of shape "
-                         f"{(len(x), len(y))}, got {out.dtype} {out.shape}")
     k.validate_dim(x.shape[1])
+    return x, y
+
+
+def gram(k: KernelSpec, x, y=None) -> np.ndarray:
+    """The matrix k(x_i, y_j), a new array; y defaults to x."""
+    return _gram(k, *_read_pair(k, x, y))
+
+
+def _gram(k: KernelSpec, x, y, *, out=None, _scratch: tuple = ()) -> np.ndarray:
+    """The matrix k(x_i, y_j) of points `_read_pair` has read, unchecked:
+    every kernel value of `discrepancy`.  `out` and `_scratch` go to
+    `evaluate`, so a kernel sum's strips go into their thread's buffers,
+    bitwise the matrix allocated without them."""
     return evaluate(k, x[:, None, :], y[None, :, :], out=out, _scratch=_scratch)
 
 

@@ -12,9 +12,11 @@ import importlib
 import pathlib
 
 import kthin.harness
+from kthin import discrepancy, thinning
 from kthin import kernels as kn
 from kthin.harness import ExperimentPlan, Variant, run_experiment
 from kthin.targets import MogTarget
+from kthin.thinning import ThinningConfig, target_kt
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -45,6 +47,30 @@ def test_harness_calls_front_ends_by_module_name(monkeypatch):
     run_experiment(plan)
     cells = len(plan.sizes) * plan.replicates
     assert calls == {"target_kt": cells, "power_kt": cells}
+
+
+def test_split_mog_kernel_traffic_through_the_traced_names(monkeypatch):
+    # split-mog-4096's operation, counted where perfbench/spans.py wraps the
+    # swap stage's kernel calls (`kthin.discrepancy.gram`) and where the
+    # split evaluates its blocks (`kthin.thinning.evaluate`): counts that do
+    # not depend on the machine
+    sizes = {"gram": [], "evaluate": []}
+    for module, name in ((discrepancy, "gram"), (thinning, "evaluate")):
+        def counting(*args, _fn=getattr(module, name), _sizes=sizes[name], **kwargs):
+            out = _fn(*args, **kwargs)
+            _sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(module, name, counting)
+    n = 4096
+    coreset = target_kt(kn.gauss(2.0), MogTarget(8).sample(n, 1), ThinningConfig(m=6, seed=1))
+    accepted = coreset.provenance["accepted_swaps"]
+    # the selection's 65 coreset self-terms (one 64 x 64 call each), the
+    # cache's cross sums (two 32-point strips against the input), and one
+    # input column per slot and per accepted swap
+    assert len(sizes["gram"]) == 65 + 2 + 64 + accepted
+    assert sum(sizes["gram"]) == (65 + 64 + 64 + accepted) * n
+    assert (len(sizes["evaluate"]), sum(sizes["evaluate"])) == (64, 8_519_680)
 
 
 def test_every_name_the_benchmark_imports_resolves():

@@ -113,6 +113,29 @@ def test_thin_output_over_the_input_is_usage_error(tmp_path, capsys, input_name,
     assert sorted(p.name for p in tmp_path.iterdir()) == [input_name]
 
 
+def _thinning_fails(*args, **kwargs):
+    raise AssertionError("the outputs are checked before any thinning")
+
+
+@pytest.mark.parametrize("out_name, made", [("no_such_dir/c.csv", None), ("c.csv", "c.csv"),
+                                            ("c.csv", "c.json")],
+                         ids=["missing-dir", "out-is-dir", "sidecar-is-dir"])
+def test_thin_fails_on_an_unwritable_output_before_thinning(tmp_path, monkeypatch, capsys,
+                                                            out_name, made):
+    # a data error as before, but ahead of the kernel work, and never a CSV
+    # left without its sidecar
+    monkeypatch.setattr("kthin.cli.thin", _thinning_fails)
+    src = tmp_path / "in.csv"
+    write_points(str(src), np.random.default_rng(0).normal(size=(16, 2)))
+    if made:
+        (tmp_path / made).mkdir()
+    out = tmp_path / out_name
+    code = main(["thin", "--input", str(src), "--kernel", GAUSS, "-m", "1", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert "data error: cannot write" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"in.csv", made or "in.csv"})
+
+
 @pytest.mark.parametrize("variant, alpha", [("powerkt", "7"), ("ktplus", "0.1")])
 def test_thin_rejects_alpha_with_a_split_kernel(tmp_path, capsys, variant, alpha):
     # an explicit split kernel replaces the alpha-power kernel, so alpha is unused

@@ -258,6 +258,18 @@ def test_a_report_that_fails_to_serialise_leaves_no_report_file(tmp_path, monkey
     assert not (out / "raw.csv").exists()
 
 
+def test_an_out_dir_that_is_a_file_fails_before_any_cell(tmp_path, monkeypatch):
+    def thinning_fails(*args, **kwargs):
+        raise AssertionError("out_dir is made before the first cell")
+
+    monkeypatch.setattr(harness, "target_kt", thinning_fails)
+    out = tmp_path / "exp"
+    out.write_text("a file")
+    with pytest.raises(FileExistsError):
+        run_experiment(small_plan(variants=(Variant("targetkt"),)), out_dir=str(out))
+    assert out.read_text() == "a file"
+
+
 def test_raw_rows_and_report_rows_and_fits_keep_their_order(tmp_path):
     # raw.csv: size, replicate, variant, then the plan's metrics in plan order
     # and ierr_* in test-function order; report rows: variant, metric, size

@@ -75,15 +75,19 @@ def test_strip_sums_of_other_families_are_the_matmul_loop_bitwise(monkeypatch, k
         assert sums_at(monkeypatch, 2, *args).tobytes() == _oracle_sums(*args).tobytes()
 
 
-def test_gram_given_scratch_alone_still_reads_its_points():
-    # only buffers marked `_PointsRead`, which `_kernel_sums` passes once it
-    # has read the points, skip the check; scratch buffers alone do not
+def test_gram_and_kernel_sums_read_their_points():
+    # both check through `kernels._read_pair`, a sum once before its strips'
+    # unchecked `_gram` calls
     x = np.zeros((4, 2))
     x[2, 1] = np.nan
     with pytest.raises(ValueError, match="row 2, column 1"):
-        kn.gram(kn.gauss(1.0), x, out=np.empty((4, 4)), _scratch=(np.empty((4, 4)),))
+        kn.gram(kn.gauss(1.0), x)
     with pytest.raises(ValueError, match="row 2, column 1"):
         discrepancy._kernel_sums(kn.gauss(1.0), x, np.ones(4))
+    with pytest.raises(kn.KernelError, match="dimension mismatch: 2 vs 3"):
+        kn.gram(kn.gauss(1.0), np.zeros((4, 2)), np.zeros((5, 3)))
+    with pytest.raises(kn.KernelError, match="dimension mismatch: 2 vs 3"):
+        discrepancy._kernel_sums(kn.gauss(1.0), np.zeros((4, 2)), np.ones(5), np.zeros((5, 3)))
 
 
 def _on_error(kind, flag):
