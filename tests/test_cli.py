@@ -133,7 +133,7 @@ def test_thin_fails_on_an_unwritable_output_before_thinning(tmp_path, monkeypatc
     code = main(["thin", "--input", str(src), "--kernel", GAUSS, "-m", "1", "--out", str(out)])
     assert code == EXIT_DATA
     assert "data error: cannot write" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"in.csv", made or "in.csv"})
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(filter(None, ("in.csv", made)))
 
 
 @pytest.mark.parametrize("variant, alpha", [("powerkt", "7"), ("ktplus", "0.1")])
